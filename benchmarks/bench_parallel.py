@@ -18,10 +18,10 @@ fast-path rows are checked bit-identical to its reference before
 anything is written; ``--expect-fastpath-speedup`` and
 ``--expect-fastpath-hits`` gate each kernel row for CI.
 
-A third section times batched delta execution (``batch=True``,
-``inject_batch``) against one-at-a-time scalar replay and records
-``BENCH_batch.json`` (``benchmarks/results/BENCH_batch_quick.json`` for
-``--quick``) the same way.
+A third section times the fast path's whole-chunk ``inject_batch`` against
+the batch-of-one baseline (one strike per ``inject_batch`` call) and
+records ``BENCH_batch.json`` (``benchmarks/results/BENCH_batch_quick.json``
+for ``--quick``) the same way.
 
 A fleet section (``--skip-fleet`` to skip) boots a real coordinator and
 two :class:`~repro.fleet.FleetAgent` threads pulling chunk leases over
@@ -94,8 +94,7 @@ FLEET_JSON_QUICK_PATH = (
 
 def run_campaign(kernel_name: str, device_name: str, config: dict,
                  faulty: int, seed: int, workers: int,
-                 chunk_size: "int | None",
-                 fast_path: bool = False, batch: bool = False):
+                 chunk_size: "int | None", fast_path: bool = False):
     """One timed campaign run; returns (seconds, result)."""
     campaign = Campaign(
         kernel=make_kernel(kernel_name, **config),
@@ -106,7 +105,6 @@ def run_campaign(kernel_name: str, device_name: str, config: dict,
         chunk_size=chunk_size,
         timeout=1800.0,
         fast_path=fast_path,
-        batch=batch,
     )
     start = time.perf_counter()
     result = campaign.run()
@@ -371,10 +369,10 @@ def bench_fastpath(args) -> "tuple[str, dict, dict]":
 
 
 def bench_batch(args) -> "tuple[str, float, dict]":
-    """Batched delta execution vs one-at-a-time scalar replay.
+    """Whole-chunk batched execution vs the batch-of-one baseline.
 
-    Times {full re-execution, scalar fast path, batched fast path} on the
-    same campaign, plus a pooled batched run, verifies every record
+    Times {full re-execution, batch-of-one fast path, batched fast path}
+    on the same campaign, plus a pooled batched run, verifies every record
     stream bit-identical to the serial full re-execution reference
     (hex-float journal rows), and returns the section text, the
     batch-over-scalar speedup, and the machine-readable payload for
@@ -385,53 +383,71 @@ def bench_batch(args) -> "tuple[str, float, dict]":
     measure the steady-state per-strike cost — the quantity delta replay
     and batching actually change — not input generation.  The headline
     number is ``batch_serial``'s absolute exec/s and its ratio over
-    ``scalar_fast``: same campaign, same fault set, only chunk-at-a-time
-    array evaluation versus a per-fault Python loop differs.
+    ``scalar_fast``: same campaign, same fault set, only one
+    ``inject_batch`` call per chunk versus one per strike differs.
     """
     from repro import observability as obs
     from repro.beam.logs import record_to_row
+    from repro.faults import Injector
 
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
     repeats = max(1, args.repeats)
 
-    def timed(w: int, fast_path: bool, batch: bool):
-        best = float("inf")
-        result = None
-        hits = fallbacks = 0
+    def one_by_one():
+        """One strike per ``inject_batch`` call on a serial fast path."""
+        kernel = make_kernel(args.kernel, n=args.n)
+        device = make_device(args.device)
+        start = time.perf_counter()
+        injector = Injector(
+            kernel=kernel, device=device, seed=args.seed, fast_path=True,
+        )
+        records = [
+            injector.inject_batch([index])[0] for index in range(args.faulty)
+        ]
+        return (
+            time.perf_counter() - start, records,
+            injector.fastpath_hits, injector.fastpath_fallbacks,
+        )
+
+    def campaign(w: int, fast_path: bool):
+        if not fast_path:
+            seconds, res = run_campaign(
+                args.kernel, args.device, {"n": args.n}, args.faulty,
+                args.seed, w, args.chunk_size,
+            )
+            return seconds, res.records, 0, 0
+        registry = obs.MetricsRegistry()
+        with obs.observe(metrics=registry):
+            seconds, res = run_campaign(
+                args.kernel, args.device, {"n": args.n}, args.faulty,
+                args.seed, w, args.chunk_size, fast_path=True,
+            )
+        metric = registry.get("repro_fastpath_hits_total")
+        hits = int(metric.total()) if metric is not None else 0
+        metric = registry.get("repro_fastpath_fallbacks_total")
+        fallbacks = int(metric.total()) if metric is not None else 0
+        return seconds, res.records, hits, fallbacks
+
+    def timed(run):
+        best = None
         for _ in range(repeats):
-            if fast_path:
-                registry = obs.MetricsRegistry()
-                with obs.observe(metrics=registry):
-                    seconds, res = run_campaign(
-                        args.kernel, args.device, {"n": args.n},
-                        args.faulty, args.seed, w, args.chunk_size,
-                        fast_path=True, batch=batch,
-                    )
-                metric = registry.get("repro_fastpath_hits_total")
-                hits = int(metric.total()) if metric is not None else 0
-                metric = registry.get("repro_fastpath_fallbacks_total")
-                fallbacks = int(metric.total()) if metric is not None else 0
-            else:
-                seconds, res = run_campaign(
-                    args.kernel, args.device, {"n": args.n}, args.faulty,
-                    args.seed, w, args.chunk_size, batch=batch,
-                )
-            if seconds < best:
-                best, result = seconds, res
-        return best, result, hits, fallbacks
+            outcome = run()
+            if best is None or outcome[0] < best[0]:
+                best = outcome
+        return best
 
     configs = {
-        "serial_full": (1, False, False),
-        "scalar_fast": (1, True, False),
-        "batch_serial": (1, True, True),
-        "batch_pooled": (workers, True, True),
+        "serial_full": (1, False, lambda: campaign(1, False)),
+        "scalar_fast": (1, True, one_by_one),
+        "batch_serial": (1, True, lambda: campaign(1, True)),
+        "batch_pooled": (workers, True, lambda: campaign(workers, True)),
     }
     timings: dict = {}
     rows: dict = {}
     hits = fallbacks = 0
-    for name, (w, fast, batch) in configs.items():
+    for name, (w, fast, run) in configs.items():
         backend, pool = resolved_execution(args, w)
-        seconds, result, h, f = timed(w, fast, batch)
+        seconds, records, h, f = timed(run)
         timings[name] = {
             "seconds": seconds,
             "exec_per_s": args.faulty / seconds,
@@ -439,9 +455,8 @@ def bench_batch(args) -> "tuple[str, float, dict]":
             "pool": pool,
             "backend": backend,
             "fast_path": fast,
-            "batch": batch,
         }
-        rows[name] = [record_to_row(r) for r in result.records]
+        rows[name] = [record_to_row(r) for r in records]
         if name == "batch_serial":
             hits, fallbacks = h, f
 
@@ -486,14 +501,14 @@ def bench_batch(args) -> "tuple[str, float, dict]":
         "records_identical": identical,
     }
     lines = [
-        "batched delta execution vs scalar replay:",
+        "batched execution vs one strike per inject_batch call:",
         *(
             f"  {name:<14}: {slot['seconds']:8.4f} s  "
             f"{slot['exec_per_s']:8.1f} exec/s"
             f"  [{slot['backend']}/{slot['pool']}]"
             for name, slot in timings.items()
         ),
-        f"  batch speedup vs scalar fast path : "
+        f"  batch speedup vs batch-of-one     : "
         f"{speedup['batch_over_scalar']:8.2f}x",
         f"  batch speedup vs full re-execution: "
         f"{speedup['batch_over_full']:8.2f}x",
@@ -678,8 +693,7 @@ def bench_fleet(args) -> "tuple[str, float, dict]":
             CampaignStore(Path(tmp) / "pool-store"),
             CampaignSpec.from_dict(dict(spec_dict)),
             workers=n_agents, chunk_size=args.chunk_size, timeout=1800.0,
-            backend="thread", fast_path=None, batch=None,
-            sampling=None, reuse=True,
+            backend="thread", fast_path=None, sampling=None, reuse=True,
         )
         t_pool = time.perf_counter() - start
         pool_text = "\n".join(log_lines(pool_outcome.result)) + "\n"
@@ -871,8 +885,8 @@ def main(argv=None) -> int:
                         help="comma-separated kernel rows for the fast-path "
                              "section")
     parser.add_argument("--expect-batch-speedup", type=float, default=None,
-                        help="exit 1 unless batched/scalar fast path "
-                             ">= this factor")
+                        help="exit 1 unless batched/batch-of-one fast "
+                             "path >= this factor")
     parser.add_argument("--skip-fastpath", action="store_true",
                         help="skip the delta-replay section (and do not "
                              "touch BENCH_fastpath.json)")

@@ -196,9 +196,6 @@ class Campaign:
             (``None`` = the ``REPRO_FASTPATH`` environment default).  The
             records are bit-identical with the switch on or off — see
             docs/performance.md.
-        batch: evaluate whole worker chunks as one batched array program
-            (``None`` = the ``REPRO_BATCH`` environment default).  Records
-            stay bit-identical — see docs/performance.md.
     """
 
     kernel: Kernel
@@ -213,7 +210,6 @@ class Campaign:
     timeout: "float | None" = None
     backend: str = "auto"
     fast_path: "bool | None" = None
-    batch: "bool | None" = None
 
     def __post_init__(self):
         if self.n_faulty < 1:
@@ -245,7 +241,6 @@ class Campaign:
             backend=self.backend,
             timeout=self.timeout,
             fast_path=self.fast_path,
-            batch=self.batch,
         )
 
     def _campaign_span(self, mode: str, n_executions: int):

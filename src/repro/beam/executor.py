@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 from repro.arch.device import DeviceModel
 from repro.core.filtering import PAPER_THRESHOLD_PCT
-from repro.faults.injector import Injector
+from repro.faults.injector import Injector, StrikeError
 from repro.faults.outcomes import ExecutionRecord
 from repro.kernels.base import Kernel, capture_cache_events
 from repro.kernels.sharedmem import SharedGoldenExport, adopt_shared_golden
@@ -74,18 +74,12 @@ TIMEOUT_ENV_VAR = "REPRO_POOL_TIMEOUT"
 #: (1/true/yes/on enables).  Explicit ``fast_path=`` arguments win.
 FASTPATH_ENV_VAR = "REPRO_FASTPATH"
 
-#: Environment override for the default batched-execution switch
-#: (1/true/yes/on enables).  Explicit ``batch=`` arguments win.  Like
-#: ``fast_path``, this selects an execution *strategy*, not a campaign
-#: identity: records are bit-identical either way.
-BATCH_ENV_VAR = "REPRO_BATCH"
-
 
 class ExecutorTimeoutError(RuntimeError):
     """The pool did not drain within the executor's timeout."""
 
 
-class ChunkWorkerError(RuntimeError):
+class ChunkWorkerError(StrikeError):
     """A struck execution failed inside a chunk runner.
 
     Raised worker-side with the exact failing execution index and the
@@ -94,14 +88,6 @@ class ChunkWorkerError(RuntimeError):
     Picklable by construction: ``args == (index, message)`` matches the
     constructor signature, which is all :mod:`pickle` needs.
     """
-
-    def __init__(self, index: int, message: str):
-        super().__init__(index, message)
-        self.index = index
-        self.message = message
-
-    def __str__(self) -> str:
-        return f"execution {self.index} failed: {self.message}"
 
 
 class CampaignExecutionError(RuntimeError):
@@ -178,20 +164,6 @@ def default_fast_path() -> bool:
     )
 
 
-def default_batch() -> bool:
-    """Batched-execution default used when none is requested: env override."""
-    env = os.environ.get(BATCH_ENV_VAR, "").strip().lower()
-    if not env:
-        return False
-    if env in ("1", "true", "yes", "on"):
-        return True
-    if env in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(
-        f"{BATCH_ENV_VAR} must be a boolean (1/0/true/false), got {env!r}"
-    )
-
-
 def _fork_available() -> bool:
     return hasattr(os, "fork")
 
@@ -200,23 +172,20 @@ def _fork_available() -> bool:
 class _ChunkResult:
     """What a chunk runner ships back to the parent.
 
-    Records plus — when instrumented — per-execution wall-clock timings and
-    the worker's golden-cache delta, so the parent can re-emit span events
-    and fold metrics without the worker ever touching a sink (one trace
-    writer per campaign, regardless of backend).
+    Records plus the chunk's timing, the worker's golden-cache delta and
+    its fast-path counters, so the parent can emit span events and fold
+    metrics without the worker ever touching a sink (one trace writer per
+    campaign, regardless of backend).
     """
 
     records: list = field(default_factory=list)
     start: float = 0.0          # wall-clock chunk start (time.time())
     duration: float = 0.0       # chunk elapsed seconds
     worker: str = ""            # pid:<pid>/<thread> that ran the chunk
-    exec_starts: "list | None" = None     # per-execution wall starts
-    exec_durations: "list | None" = None  # per-execution elapsed seconds
     cache_hits: int = 0         # golden-cache hits during this chunk
     cache_misses: int = 0       # golden-cache misses during this chunk
     fastpath_hits: int = 0      # delta-replay hits during this chunk
-    fastpath_fallbacks: int = 0  # delta-replay fallbacks during this chunk
-    exec_fastpath: "list | None" = None  # per-execution "hit"/"fallback"/None
+    fallbacks: "list | None" = None  # indices that fell back; None: fast path off
 
 
 def _run_chunk(
@@ -225,31 +194,17 @@ def _run_chunk(
     seed: int,
     threshold_pct: float,
     indices: Sequence[int],
-    instrument: bool = False,
     fast_path: bool = False,
-    batch: bool = False,
 ) -> _ChunkResult:
-    """Worker entry point: one Injector, one contiguous index chunk.
+    """Worker entry point: one :meth:`Injector.inject_batch` over a chunk.
 
     Runs in a pool worker (or inline for the serial path).  The kernel
     instance arrives pickled and cold; its golden output is served by the
     per-process cache after the first chunk touching that configuration
     (process workers may adopt the parent's shared-memory export instead
-    of executing it — see :mod:`repro.kernels.sharedmem`).
-
-    With ``instrument`` the runner also clocks each execution; without it,
-    the loop is the bare PR 1 hot path plus one try/except per execution
-    (the pool strips tracebacks and context, so failures are wrapped in
-    :class:`ChunkWorkerError` with the exact failing index either way).
-
-    With ``fast_path`` the injector attempts delta replay per execution
-    (records stay bit-identical); instrumented chunks also report which
-    executions hit the fast path and which fell back.
-
-    With ``batch`` the whole chunk is evaluated as one array program
-    (:meth:`Injector.inject_batch` — records still bit-identical).
-    Per-execution wall-clock timings do not exist under batching, so
-    instrumented chunks report chunk-level figures only.
+    of executing it — see :mod:`repro.kernels.sharedmem`).  A failure
+    surfaces as :class:`ChunkWorkerError` naming the strike that raised
+    (the pool strips tracebacks and context; the index and text survive).
 
     Metrics discipline: the runner never mirrors counters into the
     observability registry mid-chunk (``mirror_metrics=False`` plus a
@@ -265,78 +220,21 @@ def _run_chunk(
     )
     start_wall = time.time()
     t0 = time.perf_counter()
-    records = []
-    exec_starts = [] if (instrument and not batch) else None
-    exec_durations = [] if (instrument and not batch) else None
-    exec_fastpath = [] if (instrument and fast_path and not batch) else None
     with capture_cache_events() as cache_events:
-        if batch:
-            try:
-                records = injector.inject_batch(indices)
-            except ChunkWorkerError:
-                raise
-            except Exception as exc:
-                # Batched evaluation loses per-index attribution for
-                # errors raised inside a stacked pass; fall back to the
-                # index the failing phase reports, else the chunk start.
-                failing = int(getattr(exc, "index", indices[0]))
-                raise ChunkWorkerError(
-                    failing, f"{type(exc).__name__}: {exc}"
-                ) from exc
-        else:
-            for index in indices:
-                try:
-                    if instrument:
-                        hits_before = injector.fastpath_hits
-                        falls_before = injector.fastpath_fallbacks
-                        exec_wall = time.time()
-                        e0 = time.perf_counter()
-                        record = injector.inject_one(index)
-                        exec_durations.append(time.perf_counter() - e0)
-                        exec_starts.append(exec_wall)
-                        if exec_fastpath is not None:
-                            if injector.fastpath_hits > hits_before:
-                                exec_fastpath.append("hit")
-                            elif injector.fastpath_fallbacks > falls_before:
-                                exec_fastpath.append("fallback")
-                            else:
-                                exec_fastpath.append(None)
-                    else:
-                        record = injector.inject_one(index)
-                except Exception as exc:
-                    raise ChunkWorkerError(
-                        index, f"{type(exc).__name__}: {exc}"
-                    ) from exc
-                records.append(record)
+        try:
+            records = injector.inject_batch(indices)
+        except StrikeError as err:
+            raise ChunkWorkerError(err.index, err.message) from err
     return _ChunkResult(
         records=records,
         start=start_wall,
         duration=time.perf_counter() - t0,
         worker=worker_id(),
-        exec_starts=exec_starts,
-        exec_durations=exec_durations,
         cache_hits=cache_events.hits,
         cache_misses=cache_events.misses,
         fastpath_hits=injector.fastpath_hits,
-        fastpath_fallbacks=injector.fastpath_fallbacks,
-        exec_fastpath=exec_fastpath,
+        fallbacks=injector.fallback_indices if fast_path else None,
     )
-
-
-def _inject_chunk(
-    kernel: Kernel,
-    device: DeviceModel,
-    seed: int,
-    threshold_pct: float,
-    indices: Sequence[int],
-    fast_path: bool = False,
-    batch: bool = False,
-) -> list[ExecutionRecord]:
-    """Back-compat chunk runner: records only (see :func:`_run_chunk`)."""
-    return _run_chunk(
-        kernel, device, seed, threshold_pct, indices, fast_path=fast_path,
-        batch=batch,
-    ).records
 
 
 @dataclass
@@ -357,11 +255,6 @@ class CampaignExecutor:
         fast_path: attempt delta replay per struck execution (bit-identical
             records, sparse diffing).  ``None`` means "auto" (the
             ``REPRO_FASTPATH`` environment variable, default off).
-        batch: evaluate each chunk's delta-replay faults as one batched
-            array program (bit-identical records; per-fault scalar
-            fallback).  Implies the fast path machinery per chunk.
-            ``None`` means "auto" (the ``REPRO_BATCH`` environment
-            variable, default off).
     """
 
     workers: int | None = None
@@ -369,7 +262,6 @@ class CampaignExecutor:
     backend: str = "auto"
     timeout: float | None = None
     fast_path: bool | None = None
-    batch: bool | None = None
 
     def __post_init__(self):
         if self.backend not in ("auto", "process", "thread", "serial"):
@@ -395,11 +287,6 @@ class CampaignExecutor:
         if self.fast_path is None:
             return default_fast_path()
         return bool(self.fast_path)
-
-    def resolved_batch(self) -> bool:
-        if self.batch is None:
-            return default_batch()
-        return bool(self.batch)
 
     def resolved_backend(self, n_indices: int, workers: int) -> str:
         """The execution strategy actually used for ``n_indices`` strikes."""
@@ -440,7 +327,7 @@ class CampaignExecutor:
 
         Exactly one of ``count`` (with optional ``start``) or ``indices``
         selects the executions.  Returns records sorted by index —
-        bit-identical to running ``Injector.inject_one`` over the same
+        bit-identical to one ``Injector.inject_batch`` over the same
         indices in a single process.
 
         ``label`` names the campaign/board in trace spans and error
@@ -448,7 +335,9 @@ class CampaignExecutor:
         configured (:mod:`repro.observability.runtime`), the executor
         emits one ``chunk`` span per worker task and one ``execution``
         span per struck execution — timings are measured where the work
-        runs and re-emitted here, so a trace always has a single writer.
+        runs and re-emitted here, so a trace always has a single writer
+        (an execution span carries its chunk's amortised per-strike
+        time).
         A worker failure raises :class:`CampaignExecutionError` carrying
         the failing execution index, chunk and label.
 
@@ -480,9 +369,7 @@ class CampaignExecutor:
         tracer = obs_runtime.get_tracer()
         metrics = obs_runtime.get_metrics()
         progress = obs_runtime.get_progress()
-        instrument = tracer is not None or metrics is not None
         fast_path = self.resolved_fast_path()
-        batch = self.resolved_batch()
 
         workers = self.resolved_workers()
         backend = self.resolved_backend(len(indices), workers)
@@ -496,33 +383,30 @@ class CampaignExecutor:
             return self._run_serial(
                 kernel, device, seed, threshold_pct, chunks,
                 label=label, tracer=tracer, metrics=metrics,
-                progress=progress, instrument=instrument, on_chunk=on_chunk,
-                fast_path=fast_path, batch=batch,
+                progress=progress, on_chunk=on_chunk, fast_path=fast_path,
             )
         return self._run_pooled(
             kernel, device, seed, threshold_pct, chunks, backend, workers,
             label=label, tracer=tracer, metrics=metrics,
-            progress=progress, instrument=instrument, on_chunk=on_chunk,
-            fast_path=fast_path, batch=batch,
+            progress=progress, on_chunk=on_chunk, fast_path=fast_path,
         )
 
     # -- serial ------------------------------------------------------------------
 
     def _run_serial(
         self, kernel, device, seed, threshold_pct, chunks, *,
-        label, tracer, metrics, progress, instrument, on_chunk=None,
-        fast_path=False, batch=False,
+        label, tracer, metrics, progress, on_chunk=None, fast_path=False,
     ) -> list[ExecutionRecord]:
         """In-process path: same chunk runner, no pool."""
         n_total = sum(len(chunk) for chunk in chunks)
-        if not instrument and progress is None and on_chunk is None:
-            # The bare PR 1 hot path: one runner call, records out.
+        observers = (tracer, metrics, progress, on_chunk)
+        if all(observer is None for observer in observers):
+            # Nothing observes the chunks: one runner call, records out.
             flat = [index for chunk in chunks for index in chunk]
             try:
-                return _inject_chunk(
-                    kernel, device, seed, threshold_pct, flat,
-                    fast_path=fast_path, batch=batch,
-                )
+                return _run_chunk(
+                    kernel, device, seed, threshold_pct, flat, fast_path,
+                ).records
             except ChunkWorkerError as err:
                 raise CampaignExecutionError.wrap(
                     err, label=label, backend="serial", chunk=0, indices=flat,
@@ -532,8 +416,7 @@ class CampaignExecutor:
         for chunk_no, chunk in enumerate(chunks):
             try:
                 result = _run_chunk(
-                    kernel, device, seed, threshold_pct, chunk,
-                    instrument=instrument, fast_path=fast_path, batch=batch,
+                    kernel, device, seed, threshold_pct, chunk, fast_path,
                 )
             except ChunkWorkerError as err:
                 raise CampaignExecutionError.wrap(
@@ -556,8 +439,7 @@ class CampaignExecutor:
 
     def _run_pooled(
         self, kernel, device, seed, threshold_pct, chunks, backend, workers, *,
-        label, tracer, metrics, progress, instrument, on_chunk=None,
-        fast_path=False, batch=False,
+        label, tracer, metrics, progress, on_chunk=None, fast_path=False,
     ) -> list[ExecutionRecord]:
         """Fan chunks over a pool; drain incrementally for progress/metrics."""
         timeout = self.timeout if self.timeout is not None else default_timeout()
@@ -586,7 +468,7 @@ class CampaignExecutor:
                 for chunk_no, chunk in enumerate(chunks):
                     future = pool.submit(
                         _run_chunk, kernel, device, seed, threshold_pct, chunk,
-                        instrument, fast_path, batch,
+                        fast_path,
                     )
                     chunk_of[future] = chunk_no
                 pending = set(chunk_of)
@@ -716,22 +598,32 @@ def emit_chunk_observability(
     result: _ChunkResult, *,
     extra_attrs: "dict | None" = None, parent=None,
 ) -> None:
-    """Re-emit one finished chunk's spans and fold its metrics.
+    """Emit one finished chunk's spans and fold its metrics.
 
-    Runs in the parent process (single trace writer).  Cache and
-    fast-path counters are folded here unconditionally: chunk runners
-    never mirror counters into the registry themselves (they run with
-    ``mirror_metrics=False`` under a capture scope), so each successful
-    chunk's deltas are counted exactly once regardless of backend — and
-    a chunk that failed partway and was retried contributes only its
-    successful attempt.  Shared by :class:`CampaignExecutor` and the
-    multi-campaign scheduler (:mod:`repro.scheduler`), which passes
-    ``extra_attrs`` (job label, run id) so interleaving is visible span
-    by span.
+    Runs in the parent process (single trace writer): one ``chunk`` span
+    and one ``execution`` span per record.  A chunk resolves its strikes
+    as one batch, so each execution span starts at the chunk's start and
+    lasts the chunk's amortised per-strike time (chunk seconds ÷
+    records); ``repro_injection_seconds`` observes the same value.  On
+    fast-path chunks every data-reaching strike's span says whether it
+    was a delta-replay ``hit`` or a dense ``fallback``; reference-path
+    spans carry no ``fastpath`` attribute, so their golden traces stay
+    byte-stable.
+
+    Cache and fast-path counters are folded here unconditionally: chunk
+    runners never mirror counters into the registry themselves (they run
+    with ``mirror_metrics=False`` under a capture scope), so each
+    successful chunk's deltas are counted exactly once regardless of
+    backend — and a chunk that failed partway and was retried contributes
+    only its successful attempt.  Shared by :class:`CampaignExecutor`, the
+    multi-campaign scheduler (:mod:`repro.scheduler`) and the fleet
+    coordinator, which pass ``extra_attrs`` (job label, run id) so
+    interleaving is visible span by span.
     """
     if tracer is None and metrics is None:
         return
     records = result.records
+    per_strike = result.duration / len(records) if records else 0.0
     if tracer is not None:
         first = records[0].index if records else -1
         last = records[-1].index if records else -1
@@ -753,38 +645,40 @@ def emit_chunk_observability(
             parent=parent,
             attrs=attrs,
         )
-        if result.exec_durations is not None:
-            exec_fastpath = result.exec_fastpath or [None] * len(records)
-            for record, exec_start, exec_duration, fp_mode in zip(
-                records, result.exec_starts, result.exec_durations,
-                exec_fastpath,
-            ):
-                attrs = {
-                    "index": record.index,
-                    "outcome": record.outcome.value,
-                    "resource": record.resource.value,
-                    "site": record.site,
-                    "kernel": kernel.name,
-                    "device": device.name,
-                }
-                if fp_mode is not None:
-                    # Only fast-path campaigns carry the attribute, so
-                    # golden traces of the reference path stay byte-stable.
-                    attrs["fastpath"] = fp_mode
-                tracer.emit(
-                    "execution",
-                    f"exec{record.index}",
-                    start=exec_start,
-                    duration=exec_duration,
-                    worker=result.worker,
-                    parent=chunk_event.span_id,
-                    attrs=attrs,
+        fallbacks = None if result.fallbacks is None else set(result.fallbacks)
+        for record in records:
+            attrs = {
+                "index": record.index,
+                "outcome": record.outcome.value,
+                "resource": record.resource.value,
+                "site": record.site,
+                "kernel": kernel.name,
+                "device": device.name,
+            }
+            if fallbacks is not None and record.site is not None:
+                # Only data-reaching strikes try the delta replay.
+                attrs["fastpath"] = (
+                    "fallback" if record.index in fallbacks else "hit"
                 )
+            tracer.emit(
+                "execution",
+                f"exec{record.index}",
+                start=result.start,
+                duration=per_strike,
+                worker=result.worker,
+                parent=chunk_event.span_id,
+                attrs=attrs,
+            )
     if metrics is not None:
         executions = metrics.counter(
             "repro_executions_total",
             "Struck executions simulated, by outcome",
             ("kernel", "device", "outcome"),
+        )
+        latency = metrics.histogram(
+            "repro_injection_seconds",
+            "Wall-clock seconds per struck execution",
+            ("kernel",),
         )
         for record in records:
             executions.inc(
@@ -792,19 +686,12 @@ def emit_chunk_observability(
                 device=device.name,
                 outcome=record.outcome.value,
             )
+            latency.observe(per_strike, kernel=kernel.name)
         metrics.counter(
             "repro_chunks_total",
             "Worker chunks completed, by backend",
             ("backend",),
         ).inc(backend=backend)
-        if result.exec_durations is not None:
-            latency = metrics.histogram(
-                "repro_injection_seconds",
-                "Wall-clock seconds per struck execution",
-                ("kernel",),
-            )
-            for exec_duration in result.exec_durations:
-                latency.observe(exec_duration, kernel=kernel.name)
         if result.cache_hits:
             metrics.counter(
                 "repro_golden_cache_hits_total",
@@ -821,9 +708,9 @@ def emit_chunk_observability(
                 "Executions resolved by the delta-replay fast path",
                 ("kernel",),
             ).inc(result.fastpath_hits, kernel=kernel.name)
-        if result.fastpath_fallbacks:
+        if result.fallbacks:
             metrics.counter(
                 "repro_fastpath_fallbacks_total",
                 "Fast-path executions that fell back to full re-execution",
                 ("kernel",),
-            ).inc(result.fastpath_fallbacks, kernel=kernel.name)
+            ).inc(len(result.fallbacks), kernel=kernel.name)

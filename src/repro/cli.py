@@ -173,7 +173,7 @@ def _strategy_parent(
 
     Every verb that executes campaigns takes the same strategy surface
     (``--workers``/``--chunk-size``, ``--backend``, ``--retries``,
-    ``--target-ci``, ``--fast-path``/``--batch``); each verb opts into
+    ``--target-ci``, ``--fast-path``); each verb opts into
     the subset that applies via ``parents=[_strategy_parent(...)]``
     instead of repeating the declarations.  Strategy never changes what
     any execution produces — only how much runs, where, and in what
@@ -218,13 +218,6 @@ def _strategy_parent(
             "(records are bit-identical either way; default: the "
             "REPRO_FASTPATH environment variable, else off)",
         )
-        parent.add_argument(
-            "--batch", action=argparse.BooleanOptionalAction,
-            default=None, dest="batch",
-            help="evaluate whole fault chunks as one batched array "
-            "program (records are bit-identical either way; default: "
-            "the REPRO_BATCH environment variable, else off)",
-        )
     return parent
 
 
@@ -241,7 +234,6 @@ def cmd_campaign(args) -> int:
         workers=args.workers,
         chunk_size=args.chunk_size,
         fast_path=args.fast_path,
-        batch=args.batch,
     )
     policy = _sampling_policy(args)
     if policy is not None and args.natural:
@@ -441,7 +433,6 @@ def cmd_queue(args) -> int:
         chunk_size=args.chunk_size,
         backend=args.backend,
         fast_path=args.fast_path,
-        batch=args.batch,
         retry=RetryPolicy(max_retries=args.retries),
     )
     policy = _sampling_policy(args)
@@ -505,7 +496,6 @@ def cmd_resume(args) -> int:
             chunk_size=args.chunk_size,
             backend=args.backend,
             fast_path=args.fast_path,
-            batch=args.batch,
             sampling=_sampling_policy(args),
         )
     except JournalError as err:
@@ -571,7 +561,6 @@ def cmd_serve(args) -> int:
         chunk_size=args.chunk_size,
         backend=args.backend,
         fast_path=args.fast_path,
-        batch=args.batch,
         retries=args.retries,
         queue_limit=args.queue_limit,
         log_requests=args.log_requests,
@@ -593,7 +582,6 @@ def cmd_agent(args) -> int:
         idle_exit=args.idle_exit,
         max_chunks=args.max_chunks,
         fast_path=args.fast_path,
-        batch=args.batch,
     )
     try:
         stats = run_agent(config)
@@ -736,7 +724,6 @@ def _matrix_run_driver(args, matrix):
         chunk_size=args.chunk_size,
         backend=args.backend,
         fast_path=args.fast_path,
-        batch=args.batch,
         retries=args.retries,
         sampling=_sampling_policy(args),
         wait_timeout=getattr(args, "wait_timeout", 600.0),

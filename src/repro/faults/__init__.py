@@ -19,7 +19,7 @@ from repro.faults.avf import (
     avf_by_resource,
     injection_bias_study,
 )
-from repro.faults.injector import Injector
+from repro.faults.injector import Injector, StrikeError
 from repro.faults.outcomes import ExecutionRecord, OutcomeKind
 from repro.faults.pvf import PvfEstimate, pvf_by_site, render_pvf
 from repro.faults.sites import site_weights, sites_for
@@ -30,6 +30,7 @@ __all__ = [
     "avf_by_resource",
     "injection_bias_study",
     "Injector",
+    "StrikeError",
     "ExecutionRecord",
     "OutcomeKind",
     "PvfEstimate",

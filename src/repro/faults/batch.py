@@ -13,14 +13,15 @@ fault; this module amortises it:
 * per-fault reductions (``max``/``mean``) on *contiguous* slices of the
   shared arrays — numpy's pairwise summation depends only on the values,
   length and contiguity of its input, so the per-slice means are
-  bit-identical to the scalar path's per-observation means;
+  bit-identical to the per-observation means of
+  :meth:`~repro.kernels.base.Kernel.observe_sparse`;
 * locality classification that skips ``np.unique`` when the coordinates
   are unique by construction (sparse deltas carry strictly-increasing
   flat indices, so their unravelled coordinates cannot repeat).  Kernels
   with a locality map (LavaMD's per-particle → box-grid projection) keep
   the full classifier because mapped coordinates genuinely repeat.
 
-Every branch mirrors the scalar pipeline
+Every branch mirrors the per-observation pipeline
 (:func:`~repro.core.metrics.compare_outputs_sparse` →
 :func:`~repro.core.criticality.evaluate_execution`) value-for-value;
 ``tests/fastpath/test_differential.py`` pins the equivalence per kernel
@@ -99,8 +100,8 @@ def evaluate_sparse_batch(
     Returns:
         One ``(observation, report)`` pair per input, in order.  ``report``
         is ``None`` when the observation is empty (the corruption was
-        masked by the algorithm) — mirroring the scalar injector, which
-        only evaluates SDC observations.
+        masked by the algorithm) — mirroring the injector's dense path,
+        which only evaluates SDC observations.
     """
     if threshold_pct < 0:
         raise ValueError("threshold_pct must be non-negative")

@@ -21,13 +21,12 @@ in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro._util.rng import (
     FastRngBatch,
-    child_rng,
     stable_seed_prefix,
     stable_seed_suffixed,
 )
@@ -42,6 +41,27 @@ from repro.kernels.base import Kernel, KernelCrashError, KernelFault
 from repro.observability import runtime as _obs_runtime
 
 
+class StrikeError(RuntimeError):
+    """Resolving one strike raised something other than a kernel crash.
+
+    ``index`` names the strike; ``message`` renders the original error
+    (its traceback does not survive a pool's pickle boundary, its text
+    does).
+    """
+
+    def __init__(self, index: int, message: str):
+        super().__init__(index, message)
+        self.index = index
+        self.message = message
+
+    @classmethod
+    def wrap(cls, index: int, exc: Exception) -> "StrikeError":
+        return cls(index, f"{type(exc).__name__}: {exc}")
+
+    def __str__(self) -> str:
+        return f"execution {self.index} failed: {self.message}"
+
+
 @dataclass
 class Injector:
     """Injects single strikes into a (kernel, device) pair.
@@ -52,10 +72,11 @@ class Injector:
         seed: campaign seed; execution ``i`` uses the derived stream
             ``(seed, kernel, device, i)`` and nothing else.
         threshold_pct: relative-error tolerance for the filtered metrics.
-        fast_path: attempt delta replay (``Kernel.run_delta`` + sparse
-            diffing) before falling back to full re-execution.  Records are
-            bit-identical either way (pinned by tests/fastpath/); the switch
-            exists so the reference path stays reachable for verification.
+        fast_path: attempt delta replay (``Kernel.run_delta_batch`` +
+            sparse diffing) before falling back to full re-execution.
+            Records are bit-identical either way (pinned by
+            tests/fastpath/); the switch exists so the reference path stays
+            reachable for verification.
     """
 
     kernel: Kernel
@@ -72,10 +93,16 @@ class Injector:
 
     #: Executions resolved by delta replay (this instance).
     fastpath_hits: int = 0
-    #: Executions that fell back to full re-execution (this instance).
-    fastpath_fallbacks: int = 0
+    #: Indices of the executions that fell back to full re-execution
+    #: (this instance), in resolution order.
+    fallback_indices: list = field(default_factory=list)
 
-    def _note_fastpath(self, hit: bool) -> None:
+    @property
+    def fastpath_fallbacks(self) -> int:
+        """Executions that fell back to full re-execution (this instance)."""
+        return len(self.fallback_indices)
+
+    def _note_fastpath(self, hit: bool, index: int) -> None:
         """Count one fast-path decision; mirror it into the registry, if any.
 
         Pool *worker* processes have no registry configured, so the executor
@@ -85,7 +112,7 @@ class Injector:
         if hit:
             self.fastpath_hits += 1
         else:
-            self.fastpath_fallbacks += 1
+            self.fallback_indices.append(index)
         if not self.mirror_metrics:
             return
         metrics = _obs_runtime.get_metrics()
@@ -157,9 +184,6 @@ class Injector:
     def total_cross_section(self) -> float:
         """Expected strikes per unit fluence (a.u.) — the FIT normaliser."""
         return self._total_cross_section
-
-    def _rng_for(self, index: int) -> np.random.Generator:
-        return child_rng(self.seed, "strike", self.kernel.name, self.device.name, index)
 
     def _fate(self, index: int, rng: np.random.Generator):
         """Roll phases 1–3 of the pipeline for one strike.
@@ -233,45 +257,23 @@ class Injector:
         return None, kind, site, fault
 
     def _resolve_fault(
-        self, index: int, kind: ResourceKind, site, fault: KernelFault,
-        *, use_delta: bool,
+        self, index: int, kind: ResourceKind, site, fault: KernelFault
     ) -> ExecutionRecord:
-        """Phases 4–5 for one data-reaching fault, via the scalar path."""
-        sparse = None
+        """Phases 4–5 for one data-reaching fault, by full re-execution."""
         try:
-            if use_delta:
-                try:
-                    sparse = self.kernel.run_delta(fault)
-                except KernelCrashError:
-                    # The sparse replay decided the crash without dense
-                    # work — a fast-path hit.
-                    self._note_fastpath(hit=True)
-                    raise
-                self._note_fastpath(hit=sparse is not None)
-            if sparse is None:
-                output = self.kernel.run(fault).output
+            output = self.kernel.run(fault).output
         except KernelCrashError as crash:
             return ExecutionRecord(
                 index=index, outcome=OutcomeKind.CRASH, resource=kind,
                 site=site.name, fault=fault, detail=str(crash),
             )
-
-        observation = (
-            self.kernel.observe_sparse(sparse)
-            if sparse is not None
-            else self.kernel.observe(output)
+        observation = self.kernel.observe(output)
+        report = (
+            evaluate_execution(observation, threshold_pct=self.threshold_pct)
+            if observation.is_sdc
+            else None
         )
-        if not observation.is_sdc:
-            return ExecutionRecord(
-                index=index, outcome=OutcomeKind.MASKED, resource=kind,
-                site=site.name, fault=fault,
-                detail="corruption masked by the algorithm",
-            )
-        report = evaluate_execution(observation, threshold_pct=self.threshold_pct)
-        return ExecutionRecord(
-            index=index, outcome=OutcomeKind.SDC, resource=kind,
-            site=site.name, report=report, fault=fault,
-        )
+        return _data_record(index, kind, site, fault, report)
 
     def classify_batch(self, indices) -> "list[tuple]":
         """Phases 1–3 only, batched: each index's fate without kernel work.
@@ -284,10 +286,9 @@ class Injector:
 
         This is the adaptive sampler's pre-classification pass
         (:mod:`repro.sampling`): the fate rolls are pure RNG — replayed
-        draw-for-draw by :meth:`inject_one`/:meth:`inject_batch` when an
-        index is actually executed — so a planner can partition a whole
-        candidate pool into equivalence classes at a tiny fraction of the
-        cost of executing it.
+        draw-for-draw by :meth:`inject_batch` when an index is actually
+        executed — so a planner can partition a whole candidate pool into
+        equivalence classes at a tiny fraction of the cost of executing it.
         """
         indices = [int(i) for i in indices]
         streams = FastRngBatch(
@@ -303,19 +304,14 @@ class Injector:
         return fates
 
     def inject_one(self, index: int) -> ExecutionRecord:
-        """Simulate one struck execution and classify its outcome."""
-        record, kind, site, fault = self._fate(index, self._rng_for(index))
-        if record is not None:
-            return record
-        return self._resolve_fault(
-            index, kind, site, fault, use_delta=self.fast_path
-        )
+        """Simulate one struck execution: a batch of one."""
+        return self.inject_batch([index])[0]
 
     def inject_batch(self, indices) -> list[ExecutionRecord]:
-        """Simulate a whole chunk of strikes as one batched array program.
+        """Simulate a chunk of struck executions, one record per index.
 
-        Bit-identical to ``[self.inject_one(i) for i in indices]`` by
-        construction (pinned per kernel × site by the differential suite):
+        The chunk runs as one batched array program; each record is the
+        same pure function of ``(seed, index)`` whatever chunk it rides in:
 
         1. the architectural-fate rolls run up front over batch-seeded RNG
            streams (:class:`~repro._util.rng.FastRngBatch` replays the
@@ -323,14 +319,15 @@ class Injector:
            strikes enter the kernel at all;
         2. with :attr:`fast_path` on, the surviving faults go through
            :meth:`~repro.kernels.base.Kernel.run_delta_batch` — one
-           stacked array program per kernel — with per-fault fallback:
-           a fault the kernel cannot replay in closed form drops to the
-           scalar dense path alone, never the whole chunk;
-        3. the resulting sparse deltas are observed and evaluated in one
-           concatenated pass (:func:`repro.faults.batch
-           .evaluate_sparse_batch`).
+           stacked array program per kernel — and their sparse deltas are
+           observed and evaluated in one concatenated pass
+           (:func:`repro.faults.batch.evaluate_sparse_batch`);
+        3. every fault without a closed-form replay (all of them with the
+           fast path off) is re-executed densely, alone.
 
-        Fast-path hit/fallback counters are identical to the scalar loop's.
+        A failure raises :class:`StrikeError` naming the strike whose
+        resolution raised; a failure inside a stacked pass names the first
+        strike in that pass.
         """
         indices = [int(i) for i in indices]
         streams = FastRngBatch(
@@ -338,61 +335,85 @@ class Injector:
         )
         records: list = [None] * len(indices)
         pending = []  # (position, kind, site, fault) for data-reaching strikes
-        for pos, index in enumerate(indices):
-            record, kind, site, fault = self._fate(index, streams.rng(pos))
-            if record is not None:
-                records[pos] = record
-            else:
-                pending.append((pos, kind, site, fault))
+        try:
+            for pos, index in enumerate(indices):
+                record, kind, site, fault = self._fate(index, streams.rng(pos))
+                if record is not None:
+                    records[pos] = record
+                else:
+                    pending.append((pos, kind, site, fault))
+        except Exception as exc:
+            raise StrikeError.wrap(indices[pos], exc) from exc
 
-        if not self.fast_path:
-            for pos, kind, site, fault in pending:
-                records[pos] = self._resolve_fault(
-                    indices[pos], kind, site, fault, use_delta=False
-                )
-            return records
+        if self.fast_path:
+            pending = self._replay_deltas(indices, records, pending)
+        for pos, kind, site, fault in pending:
+            try:
+                records[pos] = self._resolve_fault(indices[pos], kind, site, fault)
+            except Exception as exc:
+                raise StrikeError.wrap(indices[pos], exc) from exc
+        return records
 
-        slots = self.kernel.run_delta_batch([entry[3] for entry in pending])
-        sparse_entries = []  # pending entries whose delta replay succeeded
+    def _replay_deltas(self, indices, records, pending) -> list:
+        """Resolve ``pending`` faults by stacked delta replay where possible.
+
+        Fills ``records`` for every fault the replay decided (a sparse
+        delta or a crash) and returns the entries that fall back to dense
+        re-execution.
+        """
+        if not pending:
+            return []
+        try:
+            slots = self.kernel.run_delta_batch([entry[3] for entry in pending])
+        except Exception as exc:
+            raise StrikeError.wrap(indices[pending[0][0]], exc) from exc
+        fallbacks = []
+        replayed = []  # pending entries whose delta replay succeeded
         sparses = []
-        for (pos, kind, site, fault), slot in zip(pending, slots):
+        for entry, slot in zip(pending, slots):
+            pos, kind, site, fault = entry
+            if slot is None:
+                self._note_fastpath(hit=False, index=indices[pos])
+                fallbacks.append(entry)
+                continue
+            self._note_fastpath(hit=True, index=indices[pos])
             if isinstance(slot, KernelCrashError):
-                self._note_fastpath(hit=True)
+                # The sparse replay decided the crash without dense work.
                 records[pos] = ExecutionRecord(
                     index=indices[pos], outcome=OutcomeKind.CRASH,
                     resource=kind, site=site.name, fault=fault,
                     detail=str(slot),
                 )
-            elif slot is None:
-                self._note_fastpath(hit=False)
-                records[pos] = self._resolve_fault(
-                    indices[pos], kind, site, fault, use_delta=False
-                )
             else:
-                self._note_fastpath(hit=True)
-                sparse_entries.append((pos, kind, site, fault))
+                replayed.append(entry)
                 sparses.append(slot)
 
-        evaluated = evaluate_sparse_batch(
-            self.kernel, sparses, threshold_pct=self.threshold_pct
-        )
-        for (pos, kind, site, fault), (observation, report) in zip(
-            sparse_entries, evaluated
-        ):
-            if report is None:
-                records[pos] = ExecutionRecord(
-                    index=indices[pos], outcome=OutcomeKind.MASKED,
-                    resource=kind, site=site.name, fault=fault,
-                    detail="corruption masked by the algorithm",
-                )
-            else:
-                records[pos] = ExecutionRecord(
-                    index=indices[pos], outcome=OutcomeKind.SDC,
-                    resource=kind, site=site.name, report=report, fault=fault,
-                )
-        return records
+        try:
+            evaluated = evaluate_sparse_batch(
+                self.kernel, sparses, threshold_pct=self.threshold_pct
+            )
+        except Exception as exc:
+            raise StrikeError.wrap(indices[replayed[0][0]], exc) from exc
+        for (pos, kind, site, fault), (_, report) in zip(replayed, evaluated):
+            records[pos] = _data_record(indices[pos], kind, site, fault, report)
+        return fallbacks
 
     def inject_many(self, count: int, *, start: int = 0) -> list[ExecutionRecord]:
         """Simulate ``count`` struck executions, one per index in the
         half-open range ``[start, start + count)``."""
-        return [self.inject_one(start + i) for i in range(count)]
+        return self.inject_batch(range(start, start + count))
+
+
+def _data_record(index, kind, site, fault, report) -> ExecutionRecord:
+    """The record of a data-reaching strike: SDC with ``report``, else
+    masked by the algorithm."""
+    if report is None:
+        return ExecutionRecord(
+            index=index, outcome=OutcomeKind.MASKED, resource=kind,
+            site=site.name, fault=fault,
+            detail="corruption masked by the algorithm",
+        )
+    return ExecutionRecord(
+        index=index, outcome=OutcomeKind.SDC, resource=kind,
+        site=site.name, report=report, fault=fault,
+    )

@@ -16,7 +16,7 @@ production.  This package is that split for the simulator:
   against the lease's fencing token and committed to the run journal
   exactly once;
 * :mod:`repro.fleet.agent` — :class:`FleetAgent`: the remote worker
-  loop (pull → execute with the existing fast-path/batch machinery →
+  loop (pull → execute with the existing fast-path machinery →
   heartbeat → push), drains on SIGINT, behind the ``repro agent`` CLI
   verb.
 

@@ -3,8 +3,8 @@
 :class:`FleetAgent` is everything a remote box needs to contribute to a
 campaign: a :class:`~repro.service.client.ServiceClient` pointed at the
 coordinator and the same chunk runner
-(:func:`repro.beam.executor._run_chunk` — fast path, batching, golden
-cache and all) the local pool uses.  The loop:
+(:func:`repro.beam.executor._run_chunk` — fast path, golden cache and
+all) the local pool uses.  The loop:
 
 1. ``POST /v1/leases`` — pull the next granted chunk (spec rides along;
    campaigns are built once per run id and cached).
@@ -12,7 +12,8 @@ cache and all) the local pool uses.  The loop:
    lease every third of its ttl, so a long chunk on a slow box is never
    reaped while the worker is genuinely alive.
 3. ``POST /v1/leases/{id}/results`` — push the serialised records, the
-   fastpath/cache counters, and the tally delta.  A structured 409
+   fastpath/cache counters, the indices that fell back to dense
+   re-execution, and the tally delta.  A structured 409
    means the lease expired and was regranted: the work is discarded
    (someone else owns the chunk now) and the loop pulls fresh work.
 
@@ -67,7 +68,6 @@ class AgentConfig:
             unbounded; the e2e tests use it to bound runtime).
         fast_path: override the coordinator's fast-path advertisement
             (``None`` = follow the lease).
-        batch: override the batched-evaluation advertisement likewise.
     """
 
     url: str = DEFAULT_URL
@@ -76,7 +76,6 @@ class AgentConfig:
     idle_exit: "float | None" = None
     max_chunks: "int | None" = None
     fast_path: "bool | None" = None
-    batch: "bool | None" = None
 
     def resolved_name(self) -> str:
         return self.name or default_agent_name()
@@ -211,11 +210,6 @@ class FleetAgent:
             if self.config.fast_path is not None
             else bool(lease.get("fast_path"))
         )
-        batch = (
-            self.config.batch
-            if self.config.batch is not None
-            else bool(lease.get("batch"))
-        )
         hold = float(os.environ.get(HOLD_ENV, "0") or 0)
         if hold > 0:  # chaos-test window (module docstring)
             self._sleep(hold)
@@ -227,8 +221,7 @@ class FleetAgent:
         try:
             result = _run_chunk(
                 campaign.kernel, campaign.device, spec_seed,
-                campaign.threshold_pct, list(lease["indices"]),
-                False, fast_path, batch,
+                campaign.threshold_pct, list(lease["indices"]), fast_path,
             )
         finally:
             heartbeat.stop()
@@ -252,8 +245,8 @@ class FleetAgent:
                 "cache_hits": result.cache_hits,
                 "cache_misses": result.cache_misses,
                 "fastpath_hits": result.fastpath_hits,
-                "fastpath_fallbacks": result.fastpath_fallbacks,
             },
+            "fallbacks": result.fallbacks,
             "start": result.start,
             "duration": result.duration,
         }

@@ -157,7 +157,6 @@ class FleetCoordinator:
         fast_path: advertise delta-replay to agents (``None`` = the
             ``REPRO_FASTPATH`` environment default).  Execution strategy
             only — records are bit-identical either way.
-        batch: advertise batched evaluation likewise.
         reuse: serve specs already complete in the store as cache hits.
         metrics: a :class:`~repro.observability.MetricsRegistry` for the
             lease/fleet counters (``None`` = no metrics).
@@ -177,7 +176,6 @@ class FleetCoordinator:
         chunk_size: "int | None" = None,
         lease_ttl: float = 15.0,
         fast_path: "bool | None" = None,
-        batch: "bool | None" = None,
         reuse: bool = True,
         metrics=None,
         tracer=None,
@@ -187,7 +185,7 @@ class FleetCoordinator:
         self.store = store
         self._executor = CampaignExecutor(
             workers=workers, chunk_size=chunk_size, backend="serial",
-            fast_path=fast_path, batch=batch,
+            fast_path=fast_path,
         )
         self.reuse = reuse
         self._metrics = metrics
@@ -295,7 +293,7 @@ class FleetCoordinator:
         Expired leases are reaped first, so a dead agent's chunk is
         regrantable the moment anyone asks for work.  The wire payload
         carries the lease, the spec to build the campaign from, the
-        coordinator's fast-path/batch advertisement, and the ttl the
+        coordinator's fast-path advertisement, and the ttl the
         agent should heartbeat against.
         """
         with self._lock:
@@ -340,7 +338,6 @@ class FleetCoordinator:
                 label=job.label,
                 ttl=self._leases.ttl,
                 fast_path=self._executor.resolved_fast_path(),
-                batch=self._executor.resolved_batch(),
             )
             return payload
 
@@ -479,7 +476,8 @@ class FleetCoordinator:
         return rows, records
 
     def _emit_chunk(self, job, lease, records, payload, worker) -> None:
-        """Fold the agent's counters into the shared registry, once."""
+        """Fold the agent's counters into the shared registry and emit the
+        chunk's spans, once."""
         counters = payload.get("counters") or {}
 
         def _count(name):
@@ -488,6 +486,9 @@ class FleetCoordinator:
             except (TypeError, ValueError):
                 return 0
 
+        # Only indices of this push's records count as fallbacks.
+        pushed = {record.index for record in records}
+        fallbacks = payload.get("fallbacks")
         result = _ChunkResult(
             records=records,
             start=float(payload.get("start") or 0.0),
@@ -496,7 +497,10 @@ class FleetCoordinator:
             cache_hits=_count("cache_hits"),
             cache_misses=_count("cache_misses"),
             fastpath_hits=_count("fastpath_hits"),
-            fastpath_fallbacks=_count("fastpath_fallbacks"),
+            fallbacks=(
+                sorted({i for i in fallbacks if isinstance(i, int) and i in pushed})
+                if isinstance(fallbacks, list) else None
+            ),
         )
         emit_chunk_observability(
             self._tracer, self._metrics, job.campaign.kernel,

@@ -312,7 +312,7 @@ class SparseOutput:
         (e.g. ``row_base + arange(...)`` footprints) the ``__post_init__``
         monotonicity scan is pure overhead; callers remain responsible for
         the invariant, and the differential suite pins that the resulting
-        records match the validated scalar path bit-for-bit.
+        records match full re-execution bit-for-bit.
         """
         self = cls.__new__(cls)
         self.flat_indices = flat_indices
@@ -435,51 +435,27 @@ class Kernel(abc.ABC):
             self._golden_finite = bool(np.all(np.isfinite(self.golden().output)))
         return self._golden_finite
 
-    def run_delta(self, fault: KernelFault) -> SparseOutput | None:
-        """Execute one fault as a sparse delta over the golden output, if possible.
-
-        Returns ``None`` whenever this kernel (or this particular fault
-        site/progress) admits no closed-form sparse replay — the caller
-        must then fall back to :meth:`run`.  A ``None`` return is always
-        safe: the fault's random stream is derived fresh from
-        ``fault.seed`` on each path, so a fallback re-derives identical
-        random choices.
-
-        When a :class:`SparseOutput` *is* returned, materialising it over
-        the golden output is bit-identical to ``self.run(fault).output``,
-        and crashes are raised as the same :class:`KernelCrashError` the
-        full path would raise.
-
-        Raises:
-            KernelCrashError: when the corrupted computation blows up.
-            KeyError: when the fault names a site the kernel does not expose.
-        """
-        if fault.site not in {s.name for s in self.fault_sites()}:
-            raise KeyError(f"{self.name} has no fault site {fault.site!r}")
-        if not self.golden_is_finite():
-            return None  # sparse diff not equivalent over non-finite golden
-        return self._execute_delta(fault)
-
-    def _execute_delta(self, fault: KernelFault) -> SparseOutput | None:
-        """Kernel-specific sparse replay; default: no fast path."""
-        return None
-
     def run_delta_batch(self, faults) -> list:
-        """Sparse-replay a whole chunk of faults as one batched program.
+        """Sparse-replay a chunk of faults as one batched program.
 
         Returns one slot per fault, in order:
 
-        * a :class:`SparseOutput` — the fault replayed in closed form;
+        * a :class:`SparseOutput` — the fault replayed in closed form:
+          materialising it over the golden output is bit-identical to
+          ``self.run(fault).output``;
         * ``None`` — no closed-form replay for this fault; the caller
-          falls back to :meth:`run` *for that fault alone*;
+          falls back to :meth:`run` *for that fault alone*.  Always safe:
+          the fault's random stream is derived fresh from ``fault.seed``
+          on each path, so a fallback re-derives identical random choices;
         * a :class:`KernelCrashError` — the sparse replay decided the
-          crash (returned, not raised, so one crashing fault never takes
-          the rest of the chunk down with it).
+          crash :meth:`run` would raise (returned, not raised, so one
+          crashing fault never takes the rest of the chunk down with it).
 
-        Per-slot semantics match :meth:`run_delta` exactly; kernels
-        override :meth:`_execute_delta_batch` to stack same-site faults
-        into one vectorised evaluation, and the default simply loops the
-        scalar replay.
+        Kernels override :meth:`_execute_delta_batch`, stacking same-site
+        faults into one vectorised evaluation where they can.
+
+        Raises:
+            KeyError: when a fault names a site the kernel does not expose.
         """
         known = {s.name for s in self.fault_sites()}
         for fault in faults:
@@ -488,18 +464,13 @@ class Kernel(abc.ABC):
         if not faults:
             return []
         if not self.golden_is_finite():
+            # The sparse diff is not equivalent over a non-finite golden.
             return [None] * len(faults)
         return self._execute_delta_batch(list(faults))
 
     def _execute_delta_batch(self, faults: list) -> list:
-        """Kernel-specific batched replay; default: loop the scalar path."""
-        slots: list = []
-        for fault in faults:
-            try:
-                slots.append(self._execute_delta(fault))
-            except KernelCrashError as crash:
-                slots.append(crash)
-        return slots
+        """Kernel-specific batched replay; default: no fast path."""
+        return [None] * len(faults)
 
     # -- shared state (process pools) --------------------------------------------
 

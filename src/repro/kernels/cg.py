@@ -16,7 +16,7 @@ re-derives the error every iteration), so small perturbations partially
 heal — the kernel-level masking the matrix sweeps measure.
 
 Faulty runs re-execute the real solver from scratch with the corruption
-applied mid-iteration (scalar ``_execute`` only; there is no closed-form
+applied mid-iteration (dense ``_execute`` only; there is no closed-form
 delta replay for a nonlinearly-coupled recurrence, and none is attempted).
 A breakdown of the solve — non-finite state, or an indefinite ``p·Ap``
 after corruption — raises :class:`KernelCrashError`, the paper's Crash

@@ -588,7 +588,7 @@ class Clamr(Kernel):
             bounds = (r, r + 2, c, c + 2)
             win = self._window_from(state, bounds)
             win[0][:, :] = win[0].mean()
-        else:  # pragma: no cover - guarded by Kernel.run_delta
+        else:  # pragma: no cover - guarded by Kernel.run_delta_batch
             raise KeyError(fault.site)
         return bounds, win
 
@@ -768,38 +768,15 @@ class Clamr(Kernel):
         flat = stencil.window_flat_indices(bounds, n)
         return SparseOutput(flat_indices=flat, values=values.ravel())
 
-    def _execute_delta(self, fault: KernelFault) -> "SparseOutput | None":
+    def _execute_delta_batch(self, faults: list) -> list:
         """Light-cone replay under the dt-invariance predicate.
 
-        Falls back (``None``) when the cached chain would exceed the memory
-        budget, the strike's cone reaches the whole grid before the run
-        ends, the fault could win the CFL dt reduction, or a crash check
-        cannot be decided window-locally (see docs/performance.md).
-        """
-        cache = self._fastpath_cache()
-        if cache is None:
-            return None
-        strike = int(fault.progress * self.steps)
-        if strike >= self.steps:
-            # Past the last step: the dense path never injects, so the
-            # faulty output is the golden output exactly.
-            return SparseOutput(
-                flat_indices=np.empty(0, dtype=np.intp),
-                values=np.empty(0, dtype=np.float32),
-            )
-        bounds, win = self._prepare_delta(fault, fault.rng(), cache["chain"], strike)
-        if self._cone_covers(bounds, self.steps - strike):
-            return None
-        result = self._replay_window(strike, bounds, win, cache)
-        if isinstance(result, KernelCrashError):
-            raise result
-        return result
-
-    def _execute_delta_batch(self, faults: list) -> list:
-        """Batched light-cone replay: per-fault windows on pooled streams.
-
+        A fault falls back (``None``) when the cached chain would exceed
+        the memory budget, the strike's cone reaches the whole grid before
+        the run ends, the fault could win the CFL dt reduction, or a crash
+        check cannot be decided window-locally (see docs/performance.md).
         Windows are fault-specific (site, progress, and cone growth differ
-        per fault), so the batch path shares the chain cache and the
+        per fault), so the batch shares the chain cache and the
         :class:`FastRngBatch` seeding machinery rather than stacking
         same-shape windows; crashes come back as instances per slot.
         """

@@ -158,16 +158,14 @@ class Dgemm(Kernel):
         # Every DGEMM site admits a closed-form sparse delta, so the full
         # path *is* the fast path materialised over a golden copy — the two
         # are bit-identical by construction.
-        sparse = self._execute_delta(fault)
-        return ExecutionOutput(output=sparse.materialize(self.golden().output))
-
-    def _execute_delta(self, fault: KernelFault) -> SparseOutput:
+        golden = self.golden().output
         handler = getattr(self, f"_delta_{fault.site}")
         # Corrupted operands may legitimately overflow; the resulting
         # Inf/NaN elements are themselves the observed corruption.
         with np.errstate(all="ignore"):
-            flat, values = handler(self.golden().output, fault)
-        return SparseOutput(flat_indices=flat, values=values)
+            flat, values = handler(golden, fault, fault.rng())
+        sparse = SparseOutput(flat_indices=flat, values=values)
+        return ExecutionOutput(output=sparse.materialize(golden))
 
     def _execute_delta_batch(self, faults: list) -> list:
         """Batched sparse replay: every DGEMM site replays in closed form.
@@ -177,8 +175,8 @@ class Dgemm(Kernel):
         so the batch win here is amortisation: fault streams come from one
         :class:`~repro._util.rng.FastRngBatch` seeding pass, and the
         golden lookup / errstate setup happen once per chunk instead of
-        once per fault.  Handler arithmetic is untouched, so each slot is
-        bit-identical to the scalar :meth:`_execute_delta`.
+        once per fault.  The dense :meth:`_execute` calls the same
+        handlers, so each slot is bit-identical to full re-execution.
         """
         golden = self.golden().output
         streams = FastRngBatch([fault.seed for fault in faults])
@@ -186,7 +184,7 @@ class Dgemm(Kernel):
         with np.errstate(all="ignore"):
             for b, fault in enumerate(faults):
                 handler = getattr(self, f"_delta_{fault.site}")
-                flat, values = handler(golden, fault, rng=streams.rng(b))
+                flat, values = handler(golden, fault, streams.rng(b))
                 slots.append(
                     SparseOutput.trusted(
                         np.asarray(flat, dtype=np.intp), np.asarray(values)
@@ -196,8 +194,9 @@ class Dgemm(Kernel):
 
     # -- fault handlers -----------------------------------------------------------
     #
-    # Each handler picks the victim location from the fault's private RNG,
-    # corrupts it with the fault's flip model, and returns the corruption the
+    # Each handler picks the victim location from ``rng`` (the fault's
+    # private stream: ``fault.rng()`` or its batch-seeded replay), corrupts
+    # it with the fault's flip model, and returns the corruption the
     # real algorithm would produce as a sparse delta: the strictly-increasing
     # flat C-order indices of every output element the fault can touch, plus
     # those elements' post-fault values.
@@ -210,8 +209,7 @@ class Dgemm(Kernel):
             + np.arange(cols.start, cols.stop, dtype=np.intp)
         ).ravel()
 
-    def _delta_input_a(self, golden, fault, rng=None):
-        rng = fault.rng() if rng is None else rng
+    def _delta_input_a(self, golden, fault, rng):
         i = int(rng.integers(self.n))
         k0 = int(rng.integers(self.n))
         j_start = int(fault.progress * self.n)
@@ -223,8 +221,7 @@ class Dgemm(Kernel):
         flat = i * self.n + np.arange(j_start, self.n, dtype=np.intp)
         return flat, values
 
-    def _delta_input_b(self, golden, fault, rng=None):
-        rng = fault.rng() if rng is None else rng
+    def _delta_input_b(self, golden, fault, rng):
         k = int(rng.integers(self.n))
         j0 = int(rng.integers(self.n))
         i_start = int(fault.progress * self.n)
@@ -237,8 +234,7 @@ class Dgemm(Kernel):
         flat = self._block_flat(range(i_start, self.n), range(j0, j1), self.n)
         return flat, block.ravel()
 
-    def _delta_shared_tile(self, golden, fault, rng=None):
-        rng = fault.rng() if rng is None else rng
+    def _delta_shared_tile(self, golden, fault, rng):
         bi = int(rng.integers(self.n // self.tile)) * self.tile
         bj = int(rng.integers(self.n // self.tile)) * self.tile
         k = int(rng.integers(self.n))
@@ -253,8 +249,7 @@ class Dgemm(Kernel):
         flat = self._block_flat(range(bi, bi + self.tile), range(c0, c1), self.n)
         return flat, block.ravel()
 
-    def _delta_accumulator(self, golden, fault, rng=None):
-        rng = fault.rng() if rng is None else rng
+    def _delta_accumulator(self, golden, fault, rng):
         i = int(rng.integers(self.n))
         j = int(rng.integers(self.n))
         value = fault.flip.apply_scalar(golden[i, j], rng)
@@ -262,8 +257,7 @@ class Dgemm(Kernel):
             [value], dtype=golden.dtype
         )
 
-    def _delta_product_term(self, golden, fault, rng=None):
-        rng = fault.rng() if rng is None else rng
+    def _delta_product_term(self, golden, fault, rng):
         i = int(rng.integers(self.n))
         j = int(rng.integers(self.n))
         k = int(rng.integers(self.n))
@@ -273,8 +267,7 @@ class Dgemm(Kernel):
             [value], dtype=golden.dtype
         )
 
-    def _delta_vector_lane(self, golden, fault, rng=None):
-        rng = fault.rng() if rng is None else rng
+    def _delta_vector_lane(self, golden, fault, rng):
         i = int(rng.integers(self.n))
         j0 = int(rng.integers(self.n))
         j1 = min(j0 + fault.extent, self.n)
@@ -282,8 +275,7 @@ class Dgemm(Kernel):
         flat = i * self.n + np.arange(j0, j1, dtype=np.intp)
         return flat, values
 
-    def _delta_scheduler_block(self, golden, fault, rng=None):
-        rng = fault.rng() if rng is None else rng
+    def _delta_scheduler_block(self, golden, fault, rng):
         bi = int(rng.integers(self.n // self.tile)) * self.tile
         bj = int(rng.integers(self.n // self.tile)) * self.tile
         k_cut = int(fault.progress * self.n)
@@ -296,8 +288,7 @@ class Dgemm(Kernel):
         )
         return flat, tile_vals.ravel()
 
-    def _delta_scheduler_threads(self, golden, fault, rng=None):
-        rng = fault.rng() if rng is None else rng
+    def _delta_scheduler_threads(self, golden, fault, rng):
         count = min(fault.extent, self.n * self.n)
         flat = rng.choice(self.n * self.n, size=count, replace=False)
         # One batched draw is bit-identical to `count` sequential scalar

@@ -416,7 +416,7 @@ class HotSpot(Kernel):
             start_it = strike_iter + 1
             # The mis-scheduled tile lags one timestep behind.
             w = states[strike_iter, src[0] : src[1], src[2] : src[3]].copy()
-        else:  # pragma: no cover - guarded by Kernel.run_delta
+        else:  # pragma: no cover - guarded by Kernel.run_delta_batch
             raise KeyError(fault.site)
         return start_it, src, w, power_row
 
@@ -462,18 +462,6 @@ class HotSpot(Kernel):
                     np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float32)
                 )
         return self._seal_window(bounds, w)
-
-    def _execute_delta(self, fault: KernelFault) -> SparseOutput | None:
-        states = self._iteration_states()
-        if states is None:
-            return None  # state chain too large: fall back
-        start_it, bounds, w, power_row = self._prepare_delta(
-            fault, fault.rng(), states
-        )
-        result = self._replay_adaptive(start_it, bounds, w, power_row, states)
-        if isinstance(result, KernelCrashError):
-            raise result
-        return result
 
     def _execute_delta_batch(self, faults: list) -> list:
         """Batched light-cone replay: per-fault adaptive windows.

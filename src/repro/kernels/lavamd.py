@@ -311,31 +311,6 @@ class LavaMD(Kernel):
             v[box] = self._box_potentials(int(box), positions, charges)
         return v.reshape(-1)
 
-    def _boxes_sparse(
-        self,
-        boxes: np.ndarray,
-        positions: np.ndarray,
-        charges: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse (flat, values) footprint of whole-box recomputations."""
-        box_elems = self.np_box * self.channels
-        if len(boxes) == 0:
-            return (
-                np.empty(0, dtype=np.intp),
-                np.empty(0, dtype=np.float64),
-            )
-        flats, vals = [], []
-        for box in boxes:
-            box = int(box)
-            out = self._box_potentials(box, positions, charges)
-            flats.append(
-                np.arange(
-                    box * box_elems, (box + 1) * box_elems, dtype=np.intp
-                )
-            )
-            vals.append(out.reshape(-1))
-        return np.concatenate(flats), np.concatenate(vals)
-
     def _run_faulty(self, fault: KernelFault) -> ExecutionOutput:
         rng = fault.rng()
         v = self.golden().output.copy()
@@ -408,82 +383,6 @@ class LavaMD(Kernel):
     # the *same* arithmetic as ``_run_faulty``, but assembles only the
     # touched footprint instead of copying and re-checking the dense array.
 
-    def _execute_delta(self, fault: KernelFault) -> SparseOutput:
-        rng = fault.rng()
-        golden = self.golden().output
-        n_boxes = self.nb**3
-        box_elems = self.np_box * self.channels
-
-        if fault.site in ("charge", "cache_particles"):
-            box = int(rng.integers(n_boxes))
-            p0 = int(rng.integers(self.np_box))
-            p1 = min(p0 + fault.extent, self.np_box)
-            charges = self.charges.copy()
-            charges[box, p0:p1] = fault.flip.apply(charges[box, p0:p1], rng)
-            boxes = self._consumer_boxes(box, fault.progress, fault.sharing)
-            flat, values = self._boxes_sparse(boxes, self.positions, charges)
-        elif fault.site == "position":
-            box = int(rng.integers(n_boxes))
-            p0 = int(rng.integers(self.np_box))
-            p1 = min(p0 + fault.extent, self.np_box)
-            dim = int(rng.integers(3))
-            positions = self.positions.copy()
-            positions[box, p0:p1, dim] = fault.flip.apply(
-                positions[box, p0:p1, dim], rng
-            )
-            boxes = self._consumer_boxes(box, fault.progress, fault.sharing)
-            flat, values = self._boxes_sparse(boxes, positions, self.charges)
-        elif fault.site == "potential_acc":
-            idx = int(rng.integers(golden.size))
-            value = fault.flip.apply_scalar(golden[idx], rng)
-            flat = np.array([idx], dtype=np.intp)
-            values = np.array([value], dtype=golden.dtype)
-        elif fault.site == "vector_acc":
-            i0 = int(rng.integers(golden.size))
-            i1 = min(i0 + fault.extent, golden.size)
-            values = fault.flip.apply(golden[i0:i1], rng)
-            flat = np.arange(i0, i1, dtype=np.intp)
-        elif fault.site == "sfu_exp":
-            box = int(rng.integers(n_boxes))
-            p = int(rng.integers(self.np_box))
-            near = self._neighbors[box]
-            jbox = int(near[int(rng.integers(len(near)))])
-            jp = int(rng.integers(self.np_box))
-            diff = self.positions[box, p] - self.positions[jbox, jp]
-            term = np.exp(-ALPHA2 * float(diff @ diff))
-            corrupted = fault.flip.apply_scalar(term, rng)
-            delta = self.charges[jbox, jp] * (corrupted - term)
-            base = (box * self.np_box + p) * self.channels
-            if self.include_forces:
-                flat = np.arange(base, base + 4, dtype=np.intp)
-                values = np.empty(4, dtype=golden.dtype)
-                values[0] = golden[base] + delta
-                values[1:4] = golden[base + 1 : base + 4] + (
-                    2.0 * ALPHA2 * delta * diff
-                )
-            else:
-                flat = np.array([base], dtype=np.intp)
-                values = np.array([golden[base] + delta], dtype=golden.dtype)
-        elif fault.site == "scheduler_box":
-            box = int(rng.integers(n_boxes))
-            limit = max(1, int(fault.progress * len(self._neighbors[box])))
-            out = self._box_potentials(box, self.positions, self.charges, limit)
-            flat = np.arange(
-                box * box_elems, (box + 1) * box_elems, dtype=np.intp
-            )
-            values = out.reshape(-1)
-        else:  # pragma: no cover - guarded by Kernel.run_delta
-            raise KeyError(fault.site)
-
-        # Crash parity with the full path: the untouched elements are the
-        # (pre-checked finite) golden values, so the dense finiteness check
-        # reduces to the touched footprint.
-        with np.errstate(all="ignore"):
-            finite = bool(np.all(np.isfinite(values)))
-        if not finite:
-            raise KernelCrashError("lavamd: non-finite potentials")
-        return SparseOutput(flat_indices=flat, values=values)
-
     #: Cap on ``B * np * m`` per stacked evaluation (keeps the (B, np, m, 3)
     #: difference tensor around 25 MB at float64).
     _BATCH_PAIR_BUDGET = 1 << 20
@@ -501,8 +400,8 @@ class LavaMD(Kernel):
         only: the subtraction/``exp``/multiply stay elementwise, the
         3-element ``einsum`` contraction and the axis-``m`` pairwise sum
         reduce per output element exactly as in
-        :meth:`_box_potentials`, so every slot is bit-identical to
-        :meth:`_execute_delta`.
+        :meth:`_box_potentials`, so every slot is bit-identical to the
+        dense :meth:`_run_faulty`.
         """
         golden = self.golden().output
         n_boxes = self.nb**3
@@ -622,8 +521,9 @@ class LavaMD(Kernel):
     def _delta_scalar_site(
         self, fault: KernelFault, rng: np.random.Generator, golden: np.ndarray
     ) -> SparseOutput:
-        """The ``potential_acc``/``vector_acc``/``sfu_exp`` branches of
-        :meth:`_execute_delta`, with the RNG supplied by the caller."""
+        """Sparse replay of the ``potential_acc``/``vector_acc``/``sfu_exp``
+        sites: one or a few output words, with the RNG supplied by the
+        caller."""
         n_boxes = self.nb**3
         if fault.site == "potential_acc":
             idx = int(rng.integers(golden.size))

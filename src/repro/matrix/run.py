@@ -66,7 +66,7 @@ class MatrixRun:
         store: campaign store root (also holds the manifest journal).
         client: a :class:`~repro.service.client.ServiceClient`; when given,
             cells are submitted over HTTP instead of run in-process.
-        workers/chunk_size/backend/fast_path/batch/retries/sampling:
+        workers/chunk_size/backend/fast_path/retries/sampling:
             execution strategy for the in-process scheduler path (never
             part of cell identity; ignored when ``client`` is given,
             where the server's strategy applies).
@@ -83,7 +83,6 @@ class MatrixRun:
         chunk_size: "int | None" = None,
         backend: str = "auto",
         fast_path: "bool | None" = None,
-        batch: "bool | None" = None,
         retries: int = 3,
         sampling=None,
         wait_timeout: float = 600.0,
@@ -97,7 +96,6 @@ class MatrixRun:
         self.chunk_size = chunk_size
         self.backend = backend
         self.fast_path = fast_path
-        self.batch = batch
         self.retries = retries
         self.sampling = sampling
         self.wait_timeout = wait_timeout
@@ -217,7 +215,6 @@ class MatrixRun:
             chunk_size=self.chunk_size,
             backend=self.backend,
             fast_path=self.fast_path,
-            batch=self.batch,
             retry=RetryPolicy(max_retries=self.retries),
         )
         by_run_id = {}

@@ -209,11 +209,6 @@ class CampaignScheduler:
         fast_path: attempt delta replay in workers (``None`` = the
             ``REPRO_FASTPATH`` environment default).  Records are
             bit-identical either way, so mixed-mode resumes are safe.
-        batch: evaluate whole chunks as one batched array program
-            (``None`` = the ``REPRO_BATCH`` environment default).  Like
-            ``fast_path`` this is an execution strategy, not part of the
-            spec identity: records stay bit-identical, so mixed-mode
-            resumes are safe.
         retry: the transient-failure policy (default
             :class:`RetryPolicy`).
         reuse: serve specs already complete in the store as cache hits.
@@ -235,7 +230,6 @@ class CampaignScheduler:
         backend: str = "auto",
         timeout: "float | None" = None,
         fast_path: "bool | None" = None,
-        batch: "bool | None" = None,
         retry: "RetryPolicy | None" = None,
         reuse: bool = True,
         seed: int = 0,
@@ -246,7 +240,7 @@ class CampaignScheduler:
         self.store = store
         self._executor = CampaignExecutor(
             workers=workers, chunk_size=chunk_size, backend=backend,
-            timeout=timeout, fast_path=fast_path, batch=batch,
+            timeout=timeout, fast_path=fast_path,
         )
         self.retry = retry if retry is not None else RetryPolicy()
         self.reuse = reuse
@@ -280,7 +274,7 @@ class CampaignScheduler:
         dict) queues the job in adaptive importance-sampled mode: rounds
         are planned as prior rounds' chunks land, and the job seals when
         its stopping rule fires instead of when ``n_faulty`` strikes are
-        done.  Like ``fast_path``/``batch`` the policy is execution
+        done.  Like ``fast_path`` the policy is execution
         strategy, not spec identity.  A stored journal holding ``plan``
         rows always resumes adaptively under its journaled policy; a
         stored fixed journal always finishes fixed even when ``sampling``
@@ -350,7 +344,6 @@ class CampaignScheduler:
         tracer = obs_runtime.get_tracer()
         metrics = obs_runtime.get_metrics()
         progress = obs_runtime.get_progress()
-        instrument = tracer is not None or metrics is not None
         backend = self._resolve_backend()
         workers = self._executor.resolved_workers()
         slots = 1 if backend == "serial" else workers
@@ -426,7 +419,7 @@ class CampaignScheduler:
                     task = self._next_task(now)
                     if task is None:
                         break
-                    future = self._submit_task(pool, task, instrument)
+                    future = self._submit_task(pool, task)
                     inflight[future] = task
                 if queue_gauge is not None:
                     queue_gauge.set(self.pending)
@@ -528,7 +521,7 @@ class CampaignScheduler:
         job.dispatched += 1
         return _Task(job=job, lease=job.grant(chunk_no))
 
-    def _submit_task(self, pool, task: _Task, instrument: bool) -> Future:
+    def _submit_task(self, pool, task: _Task) -> Future:
         job = task.job
         job.inflight += 1
         args = (
@@ -537,9 +530,7 @@ class CampaignScheduler:
             job.spec.seed,
             job.campaign.threshold_pct,
             task.indices,
-            instrument,
             self._executor.resolved_fast_path(),
-            self._executor.resolved_batch(),
         )
         if pool is None:  # serial backend: run inline, wrap as a future
             future: Future = Future()

@@ -109,9 +109,6 @@ class ServiceConfig:
         fast_path: attempt delta replay in workers (``None`` = the
             ``REPRO_FASTPATH`` environment default); records are
             bit-identical either way.
-        batch: evaluate whole chunks as one batched array program
-            (``None`` = the ``REPRO_BATCH`` environment default);
-            records are bit-identical either way.
         retries: chunk retries before a job fails.
         queue_limit: admission-queue bound; a full queue answers 429.
         max_body_bytes: per-request body cap (413 above it).
@@ -141,7 +138,6 @@ class ServiceConfig:
     chunk_size: "int | None" = None
     backend: str = "auto"
     fast_path: "bool | None" = None
-    batch: "bool | None" = None
     retries: int = 3
     queue_limit: int = 64
     max_body_bytes: int = 1 << 20
@@ -244,7 +240,6 @@ class CampaignService:
                 chunk_size=config.chunk_size,
                 lease_ttl=config.lease_ttl,
                 fast_path=config.fast_path,
-                batch=config.batch,
                 metrics=self.metrics,
                 on_finish=self._on_fleet_finish,
             )
@@ -630,7 +625,6 @@ class CampaignService:
             chunk_size=config.chunk_size,
             backend=config.backend,
             fast_path=config.fast_path,
-            batch=config.batch,
             retry=RetryPolicy(max_retries=config.retries),
         )
         with self._cond:

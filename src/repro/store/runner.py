@@ -216,7 +216,6 @@ def execute_spec(
     timeout: "float | None" = None,
     backend: str = "auto",
     fast_path: "bool | None" = None,
-    batch: "bool | None" = None,
     sampling=None,
     reuse: bool = True,
 ) -> RunOutcome:
@@ -228,14 +227,13 @@ def execute_spec(
       returning the stored result without simulating anything.
 
     ``fast_path`` (``None`` = the ``REPRO_FASTPATH`` environment default)
-    and ``batch`` (``None`` = the ``REPRO_BATCH`` default) are safe to
-    flip between run and resume: their records are bit-identical to full
-    re-execution, so a journal written one way resumes the other way
-    without divergence.
+    is safe to flip between run and resume: its records are bit-identical
+    to full re-execution, so a journal written one way resumes the other
+    way without divergence.
 
     ``sampling`` (a :class:`~repro.sampling.SamplingPolicy` or its wire
     dict) switches the run to adaptive importance sampling — like
-    ``fast_path``/``batch`` it is execution strategy, **not** spec
+    ``fast_path`` it is execution strategy, **not** spec
     identity, so the adaptive run shares its run id and journal with the
     fixed run of the same spec.  A journal that already holds ``plan``
     rows always resumes adaptively under its *journaled* policy; a fixed
@@ -253,7 +251,7 @@ def execute_spec(
         )
     campaign = spec.build_campaign(
         workers=workers, chunk_size=chunk_size, timeout=timeout,
-        backend=backend, fast_path=fast_path, batch=batch,
+        backend=backend, fast_path=fast_path,
     )
     policy = _resolve_sampling(sampling)
     if stored is None:
@@ -314,7 +312,6 @@ def resume_run(
     timeout: "float | None" = None,
     backend: str = "auto",
     fast_path: "bool | None" = None,
-    batch: "bool | None" = None,
     sampling=None,
 ) -> RunOutcome:
     """Resume a stored run by id (``repro resume <run-id>``).
@@ -334,7 +331,7 @@ def resume_run(
     spec = store.load(run_id).spec
     return execute_spec(
         store, spec, workers=workers, chunk_size=chunk_size,
-        timeout=timeout, backend=backend, fast_path=fast_path, batch=batch,
+        timeout=timeout, backend=backend, fast_path=fast_path,
         sampling=sampling, reuse=True,
     )
 

@@ -18,8 +18,8 @@ Specs carry the *factory* configuration (the ``make_kernel`` keyword
 arguments), not introspected kernel attributes — kernels are free to
 normalise or derive attributes in their constructors.
 
-Execution *strategy* is deliberately not identity.  Worker counts,
-``fast_path``/``batch`` switches and the adaptive sampling policy
+Execution *strategy* is deliberately not identity.  Worker counts, the
+``fast_path`` switch and the adaptive sampling policy
 (:class:`~repro.sampling.SamplingPolicy`) all change how much work runs
 and in what order, but never what any executed index produces — so an
 adaptive run shares its run id (and its journal) with the fixed-fluence
@@ -156,15 +156,13 @@ class CampaignSpec:
         timeout: "float | None" = None,
         backend: str = "auto",
         fast_path: "bool | None" = None,
-        batch: "bool | None" = None,
     ):
         """Instantiate the runnable :class:`~repro.beam.campaign.Campaign`.
 
-        ``fast_path`` and ``batch`` are execution strategies, not part of
-        the spec: their records are bit-identical to the reference path,
-        so the same run id addresses all modes (resuming a reference
-        journal with either switch on, or vice versa, is safe by
-        construction).
+        ``fast_path`` is an execution strategy, not part of the spec: its
+        records are bit-identical to the reference path, so the same run
+        id addresses both modes (resuming a reference journal with the
+        switch on, or vice versa, is safe by construction).
         """
         from repro.arch.registry import make_device
         from repro.beam.campaign import Campaign
@@ -182,5 +180,4 @@ class CampaignSpec:
             timeout=timeout,
             backend=backend,
             fast_path=fast_path,
-            batch=batch,
         )

@@ -131,3 +131,54 @@ class TestRealTrace:
         assert report.spans_by_kind["campaign"] == 1
         # render end-to-end without crashing and with the kernel named
         assert "dgemm" in render_telemetry(report)
+
+    @pytest.mark.parametrize("kernel_name", ["dgemm", "clamr"])
+    def test_fast_path_trace_counts_every_record(self, kernel_name):
+        """One execution span per record, and the trace's fast-path split
+        equals the run's hit/fallback counters."""
+        from repro import observability as obs
+        from repro.arch import k40, xeonphi
+        from repro.beam import CampaignExecutor
+        from repro.kernels import Clamr, Dgemm
+        from repro.observability import MetricsRegistry
+
+        kernel, device = {
+            "dgemm": (Dgemm(n=48), k40()),
+            "clamr": (Clamr(n=16, steps=8), xeonphi()),
+        }[kernel_name]
+        sink = RingBufferSink()
+        registry = MetricsRegistry()
+        with obs.observe(tracer=Tracer(sink), metrics=registry):
+            records = CampaignExecutor(
+                workers=2, chunk_size=5, backend="process", fast_path=True,
+                timeout=120.0,
+            ).run(kernel, device, seed=3, count=20)
+        events = sink.events()
+        executions = [e for e in events if e.kind == "execution"]
+        assert sorted(e.attrs["index"] for e in executions) == [
+            r.index for r in records
+        ]
+        # Each span starts with its chunk and lasts the chunk's amortised
+        # per-strike time.
+        chunks = {e.span_id: e for e in events if e.kind == "chunk"}
+        for span in executions:
+            chunk = chunks[span.parent_id]
+            assert span.start == chunk.start
+            assert span.duration == chunk.duration / chunk.attrs["n"]
+        assert registry.get("repro_injection_seconds").count(
+            kernel=kernel_name
+        ) == len(records)
+
+        report = analyze_trace(events)
+        assert report.n_executions == len(records)
+
+        def total(name):
+            counter = registry.get(name)
+            return 0 if counter is None else counter.value(kernel=kernel_name)
+
+        counted = [
+            total("repro_fastpath_hits_total"),
+            total("repro_fastpath_fallbacks_total"),
+        ]
+        assert sum(counted) > 0
+        assert report.fastpath_by_kernel == {kernel_name: counted}

@@ -19,7 +19,7 @@ from repro.arch import k40, xeonphi
 from repro.beam import Campaign, CampaignExecutor, ExecutorTimeoutError
 from repro.beam.executor import (
     WORKERS_ENV_VAR,
-    _inject_chunk,
+    _run_chunk,
     default_workers,
 )
 from repro.faults.injector import Injector
@@ -170,7 +170,7 @@ class TestGoldenCache:
         clear_golden_cache()
         blob = pickle.dumps(Dgemm(n=48))
         for _ in range(3):
-            _inject_chunk(pickle.loads(blob), k40(), 1, 1.0, range(2))
+            _run_chunk(pickle.loads(blob), k40(), 1, 1.0, range(2))
         info = golden_cache_info()
         assert info["misses"] == 1
         assert info["hits"] == 2

@@ -16,6 +16,7 @@ import pytest
 from repro.arch import k40
 from repro.beam import Campaign, CampaignExecutionError, ChunkWorkerError
 from repro.beam.executor import CampaignExecutor
+from repro.faults import Injector
 from repro.kernels import Dgemm
 
 POOL_TIMEOUT = 120.0
@@ -109,3 +110,35 @@ class TestChunkWorkerErrorPickling:
         assert clone.index == 17
         assert clone.message == "ValueError: boom"
         assert str(clone) == "execution 17 failed: ValueError: boom"
+
+
+class ExplodingDeltaDgemm(Dgemm):
+    """Raises inside the stacked delta-replay pass of every chunk."""
+
+    def _execute_delta_batch(self, faults):
+        raise ValueError("stacked replay shattered")
+
+
+@pytest.mark.telemetry
+@pytest.mark.parametrize(
+    "make_kernel,fast_path",
+    [(ExplodingDgemm, False), (ExplodingDeltaDgemm, True)],
+    ids=["dense", "stacked-delta"],
+)
+def test_batched_failure_names_the_strike_that_raised(make_kernel, fast_path):
+    """Architecturally resolved strikes never run the kernel, so the
+    failure belongs to the first data-reaching strike — not to the start
+    of the chunk it rides in."""
+    seed = 5
+    fates = Injector(
+        kernel=make_kernel(n=16), device=k40(), seed=seed
+    ).classify_batch(range(N_FAULTY))
+    first = next(i for i, (outcome, _, _) in enumerate(fates) if outcome is None)
+    assert first % 4 != 0  # no chunk starts there, whatever the plan
+    executor = CampaignExecutor(
+        workers=2, chunk_size=4, backend="serial", timeout=POOL_TIMEOUT,
+        fast_path=fast_path,
+    )
+    with pytest.raises(CampaignExecutionError) as info:
+        executor.run(make_kernel(n=16), k40(), seed=seed, count=N_FAULTY)
+    assert info.value.index == first

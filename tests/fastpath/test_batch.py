@@ -1,22 +1,21 @@
-"""Batched delta execution differential suite: batch ≡ scalar, bit for bit.
+"""Batched execution differential suite: a record ignores its batch.
 
 ``Injector.inject_batch`` evaluates a whole chunk of same-kernel faults as
 one array program (stacked closed-form deltas, one concatenated sparse
-evaluation, batch-seeded RNG streams).  Like the per-execution fast path it
-is only allowed to exist because it is *exactly* the scalar loop in fewer
-passes.  This suite pins that contract:
+evaluation, batch-seeded RNG streams), and a single strike is a batch of
+one.  Each record must stay the same pure function of ``(seed, index)``
+whatever batch it rides in.  This suite pins that contract:
 
-* **injector level** — ``inject_batch`` record streams equal the
-  ``inject_one`` loop's, serialised to hex-float rows, per kernel × device,
-  with the fast path on and off, under per-fault fallback mixes;
+* **injector level** — fast-path ``inject_batch`` record streams equal the
+  dense reference's (``fast_path=False``) and the batch-of-one loop's,
+  serialised to hex-float rows, per kernel × device, under per-fault
+  fallback mixes, with identical hit/fallback accounting;
 * **observation level** — ``observe_sparse`` equals ``observe`` of the
   materialised delta bitwise, over random sparse deltas including empty
   deltas and ``extent > 1`` bursts;
-* **campaign level** — pooled batched campaigns write byte-identical JSONL
-  logs on every backend, chunk planning covers exactly the half-open index
-  range, and an interrupted batched run resumes byte-identically;
-* **fixture level** — the recorded ``tests/golden/`` campaigns reproduce
-  with ``REPRO_BATCH=1``;
+* **campaign level** — pooled fast-path campaigns write byte-identical
+  JSONL logs on every backend, chunk planning covers exactly the
+  half-open index range, and an interrupted run resumes byte-identically;
 * **accounting** — chunk counters are folded into the metrics registry
   exactly once per *successful* chunk: a chunk that fails after partial
   progress and is retried must not double-count (the PR 6 fold fix);
@@ -38,12 +37,7 @@ from repro._util.rng import (
 )
 from repro.arch import k40, xeonphi
 from repro.beam import Campaign, write_log
-from repro.beam.executor import (
-    CampaignExecutor,
-    ChunkWorkerError,
-    _run_chunk,
-    default_batch,
-)
+from repro.beam.executor import CampaignExecutor, ChunkWorkerError, _run_chunk
 from repro.beam.logs import record_to_row
 from repro.faults import Injector
 from repro.kernels import Clamr, Dgemm, HotSpot, LavaMD
@@ -57,14 +51,8 @@ from repro.observability.metrics import MetricsRegistry
 from repro.scheduler import CampaignScheduler, RetryPolicy
 from repro.store import CampaignSpec, CampaignStore, execute_spec, resume_run
 
-from tests.beam.test_golden_trace import (
-    CASES as GOLDEN_CASES,
-    POOL_TIMEOUT,
-    load_fixture,
-    outcome_rows,
-    summary_payload,
-)
-from tests.fastpath.test_differential import KERNEL_FACTORIES, _device_for
+from tests.beam.test_golden_trace import POOL_TIMEOUT
+from tests.fastpath.test_differential import KERNEL_FACTORIES
 
 
 def _rows(records):
@@ -72,7 +60,7 @@ def _rows(records):
 
 
 class TestInjectorBatch:
-    """inject_batch ≡ the inject_one loop, serialised to hex-float rows."""
+    """inject_batch ≡ the dense reference ≡ the batch-of-one loop."""
 
     PAIRS = [
         ("dgemm", k40),
@@ -91,20 +79,24 @@ class TestInjectorBatch:
     @pytest.mark.parametrize("fast_path", (False, True))
     def test_records_bit_identical(self, kernel_name, make_device, fast_path):
         count, seed = 40, 29
-        scalar = Injector(
-            kernel=KERNEL_FACTORIES[kernel_name](), device=make_device(),
-            seed=seed, fast_path=fast_path,
-        )
-        batched = Injector(
-            kernel=KERNEL_FACTORIES[kernel_name](), device=make_device(),
-            seed=seed, fast_path=fast_path,
-        )
-        reference = scalar.inject_many(count)
+
+        def injector(fast):
+            return Injector(
+                kernel=KERNEL_FACTORIES[kernel_name](), device=make_device(),
+                seed=seed, fast_path=fast,
+            )
+
+        reference = injector(False).inject_batch(range(count))
+        singles = injector(fast_path)
+        one_by_one = [singles.inject_one(i) for i in range(count)]
+        batched = injector(fast_path)
         got = batched.inject_batch(range(count))
         assert _rows(got) == _rows(reference)
-        # Hit/fallback accounting is identical to the scalar loop's.
-        assert batched.fastpath_hits == scalar.fastpath_hits
-        assert batched.fastpath_fallbacks == scalar.fastpath_fallbacks
+        assert _rows(one_by_one) == _rows(reference)
+        # Hit/fallback accounting does not depend on the batch size.
+        assert batched.fastpath_hits == singles.fastpath_hits
+        assert batched.fastpath_fallbacks == singles.fastpath_fallbacks
+        assert batched.fallback_indices == singles.fallback_indices
 
     def test_noncontiguous_indices_preserve_order(self):
         injector = Injector(
@@ -214,7 +206,7 @@ class TestCampaignBackends:
         reference_path = tmp_path / "reference.jsonl"
         batched_path = tmp_path / f"batch_{backend}.jsonl"
         write_log(run("serial"), reference_path)
-        write_log(run(backend, fast_path=True, batch=True), batched_path)
+        write_log(run(backend, fast_path=True), batched_path)
         assert batched_path.read_bytes() == reference_path.read_bytes()
 
     def test_fallback_heavy_campaign_matches_reference(self, tmp_path):
@@ -226,7 +218,7 @@ class TestCampaignBackends:
 
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_log(run(), a)
-        write_log(run(fast_path=True, batch=True), b)
+        write_log(run(fast_path=True), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_chunked_campaign_covers_exact_half_open_range(self):
@@ -234,7 +226,7 @@ class TestCampaignBackends:
         # [start, start + count) — no off-by-one at either boundary,
         # regardless of how the indices are chunked.
         executor = CampaignExecutor(
-            backend="serial", chunk_size=4, fast_path=True, batch=True,
+            backend="serial", chunk_size=4, fast_path=True,
         )
         records = executor.run(
             Dgemm(n=16), k40(), seed=3, count=23, start=5,
@@ -261,26 +253,23 @@ class TestResume:
         holder = {}
 
         def draining_runner(kernel, device, seed, threshold_pct, indices,
-                            instrument=False, fast_path=False, batch=False):
+                            fast_path=False):
             result = _run_chunk(
-                kernel, device, seed, threshold_pct, indices, instrument,
-                fast_path, batch,
+                kernel, device, seed, threshold_pct, indices, fast_path,
             )
             holder["scheduler"].request_drain()
             return result
 
         scheduler = CampaignScheduler(
             store, backend="serial", chunk_size=3, fast_path=True,
-            batch=True, chunk_runner=draining_runner,
+            chunk_runner=draining_runner,
         )
         holder["scheduler"] = scheduler
         run_id = scheduler.submit(CampaignSpec(**self.SPEC))
         (outcome,) = scheduler.run()
         assert outcome.status == "interrupted"
         assert len(store.load(run_id).rows) == 3  # one durable chunk
-        resumed = resume_run(
-            store, run_id, backend="serial", fast_path=True, batch=True,
-        )
+        resumed = resume_run(store, run_id, backend="serial", fast_path=True)
         assert resumed.resumed == 3
         reference = execute_spec(
             CampaignStore(tmp_path / "ref"), CampaignSpec(**self.SPEC),
@@ -290,53 +279,6 @@ class TestResume:
         write_log(resumed.result, a)
         write_log(reference, b)
         assert a.read_bytes() == b.read_bytes()
-
-
-class TestGoldenFixtures:
-    """The recorded golden campaigns reproduce with REPRO_BATCH=1."""
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-    def test_fixture_reproduced(self, name, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        config = GOLDEN_CASES[name]
-        golden = load_fixture(name)
-        result = Campaign(
-            kernel=config["make_kernel"](),
-            device=config["make_device"](),
-            n_faulty=config["n_faulty"],
-            seed=config["seed"],
-            timeout=POOL_TIMEOUT,
-        ).run()
-        assert outcome_rows(result.records) == golden["outcomes"]
-        assert summary_payload(result) == golden["summary"]
-
-
-class TestEnvironmentDefault:
-    """REPRO_BATCH resolves exactly like the other REPRO_* switches."""
-
-    @pytest.mark.parametrize(
-        "value,expected",
-        [("", False), ("1", True), ("true", True), ("ON", True),
-         ("0", False), ("no", False), ("off", False)],
-    )
-    def test_parse(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_BATCH", value)
-        assert default_batch() is expected
-
-    def test_unset_means_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert default_batch() is False
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "maybe")
-        with pytest.raises(ValueError):
-            default_batch()
-
-    def test_env_reaches_the_executor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert CampaignExecutor().resolved_batch() is True
-        assert CampaignExecutor(batch=False).resolved_batch() is False
 
 
 class PartialThenFailRunner:
@@ -351,18 +293,16 @@ class PartialThenFailRunner:
         self.tripped = False
 
     def __call__(self, kernel, device, seed, threshold_pct, indices,
-                 instrument=False, fast_path=False, batch=False):
+                 fast_path=False):
         if not self.tripped and 0 in indices:
             self.tripped = True
             _run_chunk(
                 kernel, device, seed, threshold_pct,
-                indices[: max(1, len(indices) // 2)],
-                instrument, fast_path, batch,
+                indices[: max(1, len(indices) // 2)], fast_path,
             )
             raise ChunkWorkerError(indices[0], "died after partial progress")
         return _run_chunk(
-            kernel, device, seed, threshold_pct, indices, instrument,
-            fast_path, batch,
+            kernel, device, seed, threshold_pct, indices, fast_path,
         )
 
 
@@ -378,13 +318,13 @@ class TestCounterFoldOnRetry:
          "Fast-path executions that fell back to full re-execution"),
     )
 
-    def _run(self, tmp_path, name, chunk_runner=None):
+    def _run(self, tmp_path, name, fast_path, chunk_runner=None):
         clear_golden_cache()
         registry = MetricsRegistry()
         store = CampaignStore(tmp_path / name)
         kwargs = {"chunk_runner": chunk_runner} if chunk_runner else {}
         scheduler = CampaignScheduler(
-            store, backend="serial", chunk_size=4, fast_path=True,
+            store, backend="serial", chunk_size=4, fast_path=fast_path,
             retry=RetryPolicy(max_retries=3, base_delay=0.001, jitter=0.0),
             **kwargs,
         )
@@ -408,22 +348,12 @@ class TestCounterFoldOnRetry:
             totals[name] = metric.total() if metric is not None else 0.0
         return totals
 
-    @pytest.mark.parametrize("batch", (False, True))
-    def test_retried_chunk_counts_exactly_once(self, tmp_path, batch):
-        clean, clean_registry = self._run(tmp_path, f"clean{batch}")
+    @pytest.mark.parametrize("fast_path", (False, True))
+    def test_retried_chunk_counts_exactly_once(self, tmp_path, fast_path):
+        clean, clean_registry = self._run(tmp_path, "clean", fast_path)
         runner = PartialThenFailRunner()
-
-        def runner_with_mode(*args, **kwargs):
-            # Pin the execution strategy under test for both attempts.
-            args = list(args)
-            if len(args) >= 8:
-                args[7] = batch
-            else:
-                kwargs["batch"] = batch
-            return runner(*args, **kwargs)
-
         flaky, flaky_registry = self._run(
-            tmp_path, f"flaky{batch}", chunk_runner=runner_with_mode
+            tmp_path, "flaky", fast_path, chunk_runner=runner
         )
         assert runner.tripped  # the failure injection actually fired
         assert flaky.retries == 1
@@ -434,6 +364,8 @@ class TestCounterFoldOnRetry:
         # the attempt instead of being folded alongside the retry's.
         flaky_totals = self._totals(flaky_registry)
         clean_totals = self._totals(clean_registry)
+        # The fast-path counters fire exactly when replay is on.
+        assert (clean_totals["repro_fastpath_hits_total"] > 0) is fast_path
         assert (
             flaky_totals["repro_fastpath_hits_total"]
             == clean_totals["repro_fastpath_hits_total"]
@@ -556,7 +488,7 @@ class TestSharedGolden:
         clear_golden_cache()
         executor = CampaignExecutor(
             backend="process", workers=2, chunk_size=8, fast_path=True,
-            batch=True, timeout=POOL_TIMEOUT,
+            timeout=POOL_TIMEOUT,
         )
         records = executor.run(
             SentinelDgemm(n=48), k40(), seed=11, count=32

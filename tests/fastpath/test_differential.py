@@ -1,8 +1,9 @@
 """Delta-replay differential suite: fast path ≡ full re-execution, bit for bit.
 
-The fast path (``Kernel.run_delta`` + sparse diffing, docs/performance.md)
-is only allowed to exist because it is *exactly* the reference path in
-fewer FLOPs.  This suite pins that contract at every level:
+The fast path (``Kernel.run_delta_batch`` + sparse diffing,
+docs/performance.md) is only allowed to exist because it is *exactly* the
+reference path in fewer FLOPs.  This suite pins that contract at every
+level:
 
 * **site level** — for every kernel × every ``fault_sites()`` entry, the
   materialised sparse delta equals the dense faulty output byte for byte,
@@ -89,6 +90,14 @@ def _fault_for(kernel, device, site, trial: int):
     )
 
 
+def _delta(kernel, fault):
+    """One fault through ``run_delta_batch``; a decided crash is raised."""
+    (slot,) = kernel.run_delta_batch([fault])
+    if isinstance(slot, KernelCrashError):
+        raise slot
+    return slot
+
+
 def _observation_bytes(observation) -> tuple:
     """A bit-exact projection of an ErrorObservation."""
     return (
@@ -103,7 +112,7 @@ def _observation_bytes(observation) -> tuple:
 
 
 class TestSiteDeltas:
-    """run_delta ≡ run, per kernel × fault site, bitwise."""
+    """run_delta_batch ≡ run, per kernel × fault site, bitwise."""
 
     @pytest.mark.parametrize("kernel_name,site_name", _site_params())
     def test_delta_matches_full_execution(self, kernel_name, site_name):
@@ -119,7 +128,7 @@ class TestSiteDeltas:
             sparse_crash = dense_crash = None
             sparse = None
             try:
-                sparse = kernel.run_delta(fault)
+                sparse = _delta(kernel, fault)
             except KernelCrashError as err:
                 sparse_crash = err
             try:
@@ -157,7 +166,7 @@ class TestSiteDeltas:
         for site in kernel.fault_sites():
             fault = _fault_for(kernel, device, site, 0)
             try:
-                sparse = kernel.run_delta(fault)
+                sparse = _delta(kernel, fault)
             except KernelCrashError:
                 continue  # crash decided sparse-side: still a hit
             assert sparse is not None, f"{kernel_name}/{site.name} fell back"
@@ -199,7 +208,7 @@ class TestClamrDtInvariance:
         kernel = Clamr(n=16, steps=8)
         golden = kernel.golden().output
         fault = self._fault(0.5)
-        sparse = kernel.run_delta(fault)
+        sparse = _delta(kernel, fault)
         assert sparse is not None, "dt-invariant strike fell back"
         dense = kernel.run(fault).output
         assert sparse.materialize(golden).tobytes() == dense.tobytes()
@@ -210,7 +219,7 @@ class TestClamrDtInvariance:
         # the window replay is unsound there and must *declare* fallback
         # rather than return a plausible-but-wrong delta.
         kernel = Clamr(n=16, steps=8)
-        assert kernel.run_delta(self._fault(2.0**40)) is None
+        assert _delta(kernel, self._fault(2.0**40)) is None
 
     def test_natural_faults_mix_hits_and_fallbacks(self):
         # Under the paper's Xeon Phi flip models the default campaign
@@ -224,7 +233,7 @@ class TestClamrDtInvariance:
             for trial in range(TRIALS_PER_SITE):
                 fault = _fault_for(kernel, device, site, trial)
                 try:
-                    sparse = kernel.run_delta(fault)
+                    sparse = _delta(kernel, fault)
                 except KernelCrashError:
                     continue
                 if sparse is None:
@@ -255,7 +264,7 @@ class TestHotSpotConeCap:
             seed=fault.seed, extent=fault.extent, sharing=fault.sharing,
         )
         golden = kernel.golden().output
-        sparse = kernel.run_delta(fault)
+        sparse = _delta(kernel, fault)
         assert sparse is not None, "adaptive cone cap regressed to fallback"
         dense = kernel.run(fault).output
         assert sparse.materialize(golden).tobytes() == dense.tobytes()

@@ -43,7 +43,7 @@ def reference_text(tmp_path, spec_dict):
         CampaignStore(tmp_path / "ref-store"),
         CampaignSpec.from_dict(dict(spec_dict)),
         workers=2, chunk_size=2, timeout=None, backend="serial",
-        fast_path=None, batch=None, sampling=None, reuse=True,
+        fast_path=None, sampling=None, reuse=True,
     )
     return "\n".join(log_lines(outcome.result)) + "\n"
 
@@ -88,9 +88,17 @@ def metric_value(client, name):
 def test_two_agents_complete_campaign_byte_identical(make_fleet_service, tmp_path):
     _, _, url = make_fleet_service()
     client = ServiceClient(url)
-    submitted = client.submit(dict(TINY_SPEC))
     agents = [start_agent(url, f"agent-{i}", idle_exit=5.0) for i in range(2)]
     try:
+        # An agent registers on its first lease request, work or not.
+        # Submitting only once both have polled keeps a fast agent from
+        # finishing every chunk before the other one is known.
+        wait_for(
+            lambda: {w["name"] for w in client.workers()["workers"]}
+            == {"agent-0", "agent-1"},
+            timeout=60.0, what="both agents to poll",
+        )
+        submitted = client.submit(dict(TINY_SPEC))
         final = client.wait(submitted["run_id"], timeout=120.0)
         assert final["status"] == "complete"
         assert client.result_text(submitted["run_id"]) == reference_text(

@@ -63,7 +63,7 @@ def execute_lease(lease):
     result = _run_chunk(
         campaign.kernel, campaign.device, spec.seed,
         campaign.threshold_pct, list(lease["indices"]),
-        False, bool(lease.get("fast_path")), bool(lease.get("batch")),
+        bool(lease.get("fast_path")),
     )
     return {
         "worker": lease["worker"],
@@ -77,8 +77,8 @@ def execute_lease(lease):
             "cache_hits": result.cache_hits,
             "cache_misses": result.cache_misses,
             "fastpath_hits": result.fastpath_hits,
-            "fastpath_fallbacks": result.fastpath_fallbacks,
         },
+        "fallbacks": result.fallbacks,
         "start": result.start,
         "duration": result.duration,
     }
@@ -102,7 +102,7 @@ def reference_lines(tmp_path, spec_dict, sampling=None):
         CampaignStore(tmp_path / "ref-store"),
         CampaignSpec.from_dict(dict(spec_dict)),
         workers=2, chunk_size=2, timeout=None, backend="serial",
-        fast_path=None, batch=None, sampling=sampling, reuse=True,
+        fast_path=None, sampling=sampling, reuse=True,
     )
     return log_lines(outcome.result)
 
@@ -148,7 +148,7 @@ def test_cached_admission_skips_the_fleet(tmp_path):
     execute_spec(
         coordinator.store, CampaignSpec.from_dict(dict(TINY_SPEC)),
         workers=2, chunk_size=2, timeout=None, backend="serial",
-        fast_path=None, batch=None, sampling=None, reuse=True,
+        fast_path=None, sampling=None, reuse=True,
     )
     admission = coordinator.admit(CampaignSpec.from_dict(dict(TINY_SPEC)))
     assert admission.disposition == "cached"
@@ -284,6 +284,49 @@ def test_push_without_records_rejected(tmp_path):
     lease = coordinator.request_lease("w1")
     with pytest.raises(PushError, match="records"):
         coordinator.push_results(lease["lease_id"], {"token": 1}, worker="w1")
+
+
+def test_traced_fast_path_fleet_spans_every_record(tmp_path):
+    """The coordinator emits one execution span per pushed record, marked
+    ``hit`` or ``fallback`` from the agent's pushed fallback list; entries
+    that are not indices of the push are ignored."""
+    from repro.analysis.telemetry import analyze_trace
+    from repro.arch import xeonphi
+    from repro.faults import Injector
+    from repro.kernels import Clamr
+    from repro.observability import RingBufferSink, Tracer
+
+    spec = {"kernel": "clamr", "device": "xeonphi",
+            "config": {"n": 16, "steps": 8}, "seed": 11, "n_faulty": 12}
+    sink = RingBufferSink()
+    metrics = MetricsRegistry()
+    coordinator = make_coordinator(
+        tmp_path, Clock(), fast_path=True, metrics=metrics,
+        tracer=Tracer(sink),
+    )
+    coordinator.admit(CampaignSpec.from_dict(dict(spec)))
+    while True:
+        lease = coordinator.request_lease("w1")
+        if lease is None:
+            break
+        payload = execute_lease(lease)
+        payload["fallbacks"] = payload["fallbacks"] + ["x", {"a": 1}, 10**6]
+        coordinator.push_results(lease["lease_id"], payload, worker="w1")
+
+    events = sink.events()
+    executions = [e for e in events if e.kind == "execution"]
+    assert sorted(e.attrs["index"] for e in executions) == list(range(12))
+    reference = Injector(
+        kernel=Clamr(n=16, steps=8), device=xeonphi(), seed=11, fast_path=True
+    )
+    reference.inject_batch(range(12))
+    assert reference.fastpath_fallbacks > 0
+    expected = [reference.fastpath_hits, reference.fastpath_fallbacks]
+    assert analyze_trace(events).fastpath_by_kernel == {"clamr": expected}
+    assert [
+        metrics.get("repro_fastpath_hits_total").value(kernel="clamr"),
+        metrics.get("repro_fastpath_fallbacks_total").value(kernel="clamr"),
+    ] == expected
 
 
 # -- drain / close ------------------------------------------------------------------

@@ -50,14 +50,13 @@ class FlakyRunner:
         self.calls = 0
 
     def __call__(self, kernel, device, seed, threshold_pct, indices,
-                 instrument=False, fast_path=False, batch=False):
+                 fast_path=False):
         self.calls += 1
         if seed == self.fail_seed and self.left > 0 and 0 in indices:
             self.left -= 1
             raise ChunkWorkerError(indices[0], "transient blip")
         return _run_chunk(
-            kernel, device, seed, threshold_pct, indices, instrument,
-            fast_path, batch,
+            kernel, device, seed, threshold_pct, indices, fast_path,
         )
 
 
@@ -253,11 +252,9 @@ class TestDrain:
         holder = {}
 
         def draining_runner(kernel, device, seed, threshold_pct, indices,
-                            instrument=False, fast_path=False,
-                            batch=False):
+                            fast_path=False):
             result = _run_chunk(
-                kernel, device, seed, threshold_pct, indices, instrument,
-                fast_path, batch,
+                kernel, device, seed, threshold_pct, indices, fast_path,
             )
             holder["scheduler"].request_drain()
             return result
@@ -290,11 +287,9 @@ class TestDrain:
         store = CampaignStore(tmp_path)
 
         def interrupting_runner(kernel, device, seed, threshold_pct, indices,
-                                instrument=False, fast_path=False,
-                                batch=False):
+                                fast_path=False):
             result = _run_chunk(
-                kernel, device, seed, threshold_pct, indices, instrument,
-                fast_path, batch,
+                kernel, device, seed, threshold_pct, indices, fast_path,
             )
             signal.raise_signal(signal.SIGINT)  # operator hits Ctrl-C
             return result
