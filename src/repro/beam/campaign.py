@@ -290,8 +290,8 @@ class Campaign:
         """Assemble the accelerated-mode :class:`CampaignResult`.
 
         The single source of the campaign's fluence arithmetic — shared by
-        :meth:`run`, the resume path (:mod:`repro.store.runner`), the
-        multi-campaign scheduler and the adaptive sampler, so a run
+        :meth:`run`, the scheduler's job lifecycle (every journaled run,
+        :mod:`repro.scheduler.jobs`) and the adaptive sampler, so a run
         stitched back together from a journal reports bit-identical
         fluence, FIT and summaries.
 
@@ -327,9 +327,6 @@ class Campaign:
         workers: "int | None" = None,
         chunk_size: "int | None" = None,
         received_fluence: "float | None" = None,
-        skip_indices: "set | None" = None,
-        prior_records: "list[ExecutionRecord] | None" = None,
-        on_chunk=None,
     ) -> CampaignResult:
         """Accelerated mode: every execution struck once, fluence-weighted.
 
@@ -341,18 +338,11 @@ class Campaign:
                 derated board in a :class:`~repro.beam.parallel.BeamSession`).
                 Defaults to the fluence the struck count statistically
                 represents, ``n_faulty / (sigma * STRIKES_PER_FLUENCE_AU)``.
-            skip_indices: execution indices to *not* re-simulate (already
-                durable in a journal); the resume path's restart point.
-            prior_records: the records behind ``skip_indices``, merged into
-                the result so a resumed run returns the full campaign.
-            on_chunk: parent-side durability hook, called as each chunk of
-                records completes (see
-                :meth:`repro.beam.executor.CampaignExecutor.run`).
+
+        Journaled (resumable) runs go through
+        :func:`repro.store.runner.execute_spec` instead.
         """
-        prior = list(prior_records or [])
         with self._campaign_span("accelerated", self.n_faulty) as span:
-            if span is not None and skip_indices:
-                span.set(resumed_records=len(prior), skipped=len(skip_indices))
             records = self._executor(workers, chunk_size).run(
                 self.kernel,
                 self.device,
@@ -360,13 +350,7 @@ class Campaign:
                 threshold_pct=self.threshold_pct,
                 count=self.n_faulty,
                 label=self.label,
-                skip_indices=skip_indices,
-                on_chunk=on_chunk,
             )
-            if prior:
-                records = sorted(
-                    prior + records, key=lambda record: record.index
-                )
             result = self.result_from_records(
                 records, received_fluence=received_fluence
             )
@@ -379,10 +363,6 @@ class Campaign:
         *,
         workers: "int | None" = None,
         chunk_size: "int | None" = None,
-        driver=None,
-        resume_missing=None,
-        on_plan=None,
-        on_records=None,
     ) -> CampaignResult:
         """Adaptive importance-sampled mode: stop when the CI target is met.
 
@@ -405,28 +385,15 @@ class Campaign:
                 targets a 10% relative CI on the SDC FIT).
             workers: override the campaign's worker count for this run.
             chunk_size: override the campaign's chunk size for this run.
-            driver: a pre-built (possibly journal-replayed)
-                :class:`~repro.sampling.AdaptiveCampaign`; the store
-                runner's resume hook.  ``policy`` is ignored when given.
-            resume_missing: indices of the driver's in-progress round not
-                yet executed (from
-                :meth:`~repro.sampling.AdaptiveCampaign.replay`).
-            on_plan: durability hook, called with each
-                :class:`~repro.sampling.RoundPlan` *before* its indices
-                execute.
-            on_records: durability hook, called with each round's newly
-                executed records (sorted by index) once the round lands.
+
+        Journaled (resumable) adaptive runs go through
+        :func:`repro.store.runner.execute_spec` with ``sampling=``.
         """
         from repro.sampling.adaptive import AdaptiveCampaign
 
-        if driver is None:
-            if resume_missing:
-                raise ValueError("resume_missing requires a replayed driver")
-            driver = AdaptiveCampaign(self, policy)
+        driver = AdaptiveCampaign(self, policy)
         executor = self._executor(workers, chunk_size)
         tracer = obs_runtime.get_tracer()
-        executed_before = driver.executed
-        rounds_run = 0
 
         def run_round(indices, number: int) -> list:
             span = (
@@ -443,7 +410,7 @@ class Campaign:
                 else contextlib.nullcontext()
             )
             with span:
-                records = executor.run(
+                return executor.run(
                     self.kernel,
                     self.device,
                     seed=self.seed,
@@ -451,24 +418,13 @@ class Campaign:
                     indices=list(indices),
                     label=self.label,
                 )
-            if on_records is not None and records:
-                on_records(records)
-            return records
 
         with self._campaign_span("adaptive", self.n_faulty) as span:
-            if resume_missing:
-                # Finish the round the previous process died inside.
-                number = driver.current_round.number
-                driver.ingest(run_round(sorted(resume_missing), number))
-                rounds_run += 1
             while True:
                 plan = driver.next_round()
                 if plan is None:
                     break
-                if on_plan is not None:
-                    on_plan(plan)
                 driver.ingest(run_round(plan.indices, plan.number))
-                rounds_run += 1
             estimate = driver.estimate()
             records = driver.records()
             result = self.result_from_records(
@@ -482,36 +438,8 @@ class Campaign:
                     sampling_pool=driver.pool,
                 )
             self._note_campaign("adaptive", result, span)
-            self._note_sampling(
-                rounds_run, driver.executed - executed_before, driver.stop_reason
-            )
+            note_sampling(driver, len(driver.rounds), driver.executed)
         return result
-
-    def _note_sampling(
-        self, rounds: int, strikes: int, stop_reason: "str | None"
-    ) -> None:
-        """Fold one adaptive run into the ``repro_sampling_*`` metrics."""
-        metrics = obs_runtime.get_metrics()
-        if metrics is None:
-            return
-        labels = {"kernel": self.kernel.name, "device": self.device.name}
-        if rounds:
-            metrics.counter(
-                "repro_sampling_rounds_total",
-                "Adaptive sampling rounds executed",
-                ("kernel", "device"),
-            ).inc(rounds, **labels)
-        if strikes:
-            metrics.counter(
-                "repro_sampling_strikes_total",
-                "Strikes executed under adaptive sampling",
-                ("kernel", "device"),
-            ).inc(strikes, **labels)
-        metrics.counter(
-            "repro_sampling_stops_total",
-            "Adaptive campaigns stopped, by stopping reason",
-            ("reason",),
-        ).inc(reason=stop_reason or "none")
 
     def run_natural(
         self,
@@ -576,3 +504,35 @@ class Campaign:
             )
             self._note_campaign("natural", result, span)
         return result
+
+
+def note_sampling(driver, rounds: int, strikes: int) -> None:
+    """Fold one adaptive session into the ``repro_sampling_*`` metrics.
+
+    Shared by :meth:`Campaign.run_adaptive` and the scheduler, which
+    calls it when it seals an adaptive job.  ``rounds`` and ``strikes``
+    count this session's work only, so a resumed run never recounts the
+    rounds its journal already held.
+    """
+    metrics = obs_runtime.get_metrics()
+    if metrics is None:
+        return
+    campaign = driver.campaign
+    labels = {"kernel": campaign.kernel.name, "device": campaign.device.name}
+    if rounds:
+        metrics.counter(
+            "repro_sampling_rounds_total",
+            "Adaptive sampling rounds executed",
+            ("kernel", "device"),
+        ).inc(rounds, **labels)
+    if strikes:
+        metrics.counter(
+            "repro_sampling_strikes_total",
+            "Strikes executed under adaptive sampling",
+            ("kernel", "device"),
+        ).inc(strikes, **labels)
+    metrics.counter(
+        "repro_sampling_stops_total",
+        "Adaptive campaigns stopped, by stopping reason",
+        ("reason",),
+    ).inc(reason=driver.stop_reason or "none")

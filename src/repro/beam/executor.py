@@ -320,8 +320,6 @@ class CampaignExecutor:
         start: int = 0,
         indices: Sequence[int] | None = None,
         label: str = "",
-        skip_indices: "Sequence[int] | set | None" = None,
-        on_chunk=None,
     ) -> list[ExecutionRecord]:
         """Simulate struck executions for an index set, in parallel.
 
@@ -341,17 +339,9 @@ class CampaignExecutor:
         A worker failure raises :class:`CampaignExecutionError` carrying
         the failing execution index, chunk and label.
 
-        ``skip_indices`` drops already-simulated indices before chunk
-        planning — the resume path: a journaled run restarts from its
-        last durable record by passing the journal's done-set here, and
-        because every execution draws only from its own derived RNG
-        streams the remaining records are bit-identical to the ones an
-        uninterrupted run would have produced for those indices.
-
-        ``on_chunk(chunk_no, records)`` is called in the *parent* process
-        as each chunk completes (completion order, not chunk order) — the
-        durability hook: journals append and fsync record batches here.
-        A callback failure aborts the run like a worker failure would.
+        Runs are in memory; journaled runs go through
+        :class:`~repro.scheduler.CampaignScheduler`, which shares this
+        class's chunk planning, pool construction and golden export.
         """
         if (count is None) == (indices is None):
             raise ValueError("pass exactly one of count= or indices=")
@@ -359,9 +349,6 @@ class CampaignExecutor:
             if count < 0:
                 raise ValueError("count must be >= 0")
             indices = range(start, start + count)
-        if skip_indices:
-            skip = frozenset(skip_indices)
-            indices = [index for index in indices if index not in skip]
         indices = list(indices)
         if not indices:
             return []
@@ -383,24 +370,23 @@ class CampaignExecutor:
             return self._run_serial(
                 kernel, device, seed, threshold_pct, chunks,
                 label=label, tracer=tracer, metrics=metrics,
-                progress=progress, on_chunk=on_chunk, fast_path=fast_path,
+                progress=progress, fast_path=fast_path,
             )
         return self._run_pooled(
             kernel, device, seed, threshold_pct, chunks, backend, workers,
             label=label, tracer=tracer, metrics=metrics,
-            progress=progress, on_chunk=on_chunk, fast_path=fast_path,
+            progress=progress, fast_path=fast_path,
         )
 
     # -- serial ------------------------------------------------------------------
 
     def _run_serial(
         self, kernel, device, seed, threshold_pct, chunks, *,
-        label, tracer, metrics, progress, on_chunk=None, fast_path=False,
+        label, tracer, metrics, progress, fast_path=False,
     ) -> list[ExecutionRecord]:
         """In-process path: same chunk runner, no pool."""
         n_total = sum(len(chunk) for chunk in chunks)
-        observers = (tracer, metrics, progress, on_chunk)
-        if all(observer is None for observer in observers):
+        if tracer is None and metrics is None and progress is None:
             # Nothing observes the chunks: one runner call, records out.
             flat = [index for chunk in chunks for index in chunk]
             try:
@@ -428,8 +414,6 @@ class CampaignExecutor:
             self._emit_chunk(
                 tracer, metrics, kernel, device, "serial", chunk_no, result
             )
-            if on_chunk is not None:
-                on_chunk(chunk_no, result.records)
             if progress is not None:
                 progress.update(completed, total=n_total)
         records.sort(key=lambda record: record.index)
@@ -439,7 +423,7 @@ class CampaignExecutor:
 
     def _run_pooled(
         self, kernel, device, seed, threshold_pct, chunks, backend, workers, *,
-        label, tracer, metrics, progress, on_chunk=None, fast_path=False,
+        label, tracer, metrics, progress, fast_path=False,
     ) -> list[ExecutionRecord]:
         """Fan chunks over a pool; drain incrementally for progress/metrics."""
         timeout = self.timeout if self.timeout is not None else default_timeout()
@@ -458,7 +442,7 @@ class CampaignExecutor:
         # over shared memory so each worker attaches read-only views
         # instead of re-executing the clean kernel.  Best-effort: an
         # export/adoption failure just leaves workers computing their own.
-        export = self._export_shared_golden(backend, kernel)
+        export = self._export_shared_golden(backend, [kernel])
         try:
             with self._make_pool(
                 backend, workers,
@@ -501,8 +485,6 @@ class CampaignExecutor:
                             tracer, metrics, kernel, device, backend, chunk_no,
                             result,
                         )
-                        if on_chunk is not None:
-                            on_chunk(chunk_no, result.records)
                     if queue_gauge is not None:
                         queue_gauge.set(len(pending))
                     if progress is not None:
@@ -529,15 +511,28 @@ class CampaignExecutor:
 
     @staticmethod
     def _export_shared_golden(
-        backend: str, kernel: Kernel
+        backend: str, kernels
     ) -> "SharedGoldenExport | None":
-        """Stage the kernel's golden state for process workers to adopt."""
+        """Stage the kernels' golden state for process workers to adopt.
+
+        One export covers every kernel a pool will run, one entry per
+        :meth:`~repro.kernels.base.Kernel.golden_cache_key`; kernels
+        without a key opt out.  Best-effort: ``None`` when nothing was
+        exported or the export failed, and workers compute their own.
+        """
         if backend != "process":
             return None
+        export = SharedGoldenExport()
+        seen: set = set()
         try:
-            export = SharedGoldenExport()
-            export.add_kernel(kernel)
+            for kernel in kernels:
+                key = kernel.golden_cache_key()
+                if key is None or key in seen:
+                    continue
+                seen.add(key)
+                export.add_kernel(kernel)
         except Exception:
+            export.close()
             return None
         if not len(export):
             export.close()

@@ -337,6 +337,20 @@ class Kernel(abc.ABC):
         self._golden: ExecutionOutput | None = None
         self._golden_finite: bool | None = None
 
+    def __getstate__(self) -> dict:
+        """Pickle cold: a cacheable kernel ships without its golden memo.
+
+        Pool workers get the golden output from the parent's shared-memory
+        export or their per-process cache (:meth:`golden`), so a chunk's
+        kernel pickle need not carry it.  Kernels without a cache key keep
+        the memo, since a worker could only re-execute to rebuild it.
+        """
+        state = self.__dict__.copy()
+        if self.golden_cache_key() is not None:
+            state["_golden"] = None
+            state["_golden_finite"] = None
+        return state
+
     # -- fault-free reference -------------------------------------------------
 
     def golden_cache_key(self) -> "str | None":

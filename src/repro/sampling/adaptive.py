@@ -4,7 +4,7 @@
 policy" and "a stopping decision": the pre-classified candidate pool,
 per-class tallies, round planning and the sequential stopping rule.  It
 performs **no I/O and no execution** — callers (``Campaign.run_adaptive``,
-the store runner, the scheduler) execute the indices each
+the scheduler, the fleet coordinator) execute the indices each
 :class:`RoundPlan` names and feed the records back via :meth:`ingest`.
 
 Determinism is the core contract.  The driver is a pure function of

@@ -29,17 +29,12 @@ from repro.scheduler.jobs import (
 )
 from repro.scheduler.lease import NO_DEADLINE, ChunkLease
 from repro.scheduler.retry import RetryPolicy
-from repro.scheduler.scheduler import (
-    CampaignScheduler,
-    JobOutcome,
-    SchedulerTimeoutError,
-)
+from repro.scheduler.scheduler import CampaignScheduler, JobOutcome
 
 __all__ = [
     "RetryPolicy",
     "CampaignScheduler",
     "JobOutcome",
-    "SchedulerTimeoutError",
     "ChunkLease",
     "NO_DEADLINE",
     "PreparedJob",

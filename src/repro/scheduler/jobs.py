@@ -1,9 +1,10 @@
 """Shared campaign-job lifecycle: prepare, plan rounds, seal.
 
 :class:`~repro.scheduler.scheduler.CampaignScheduler` (one shared pool,
-in-process) and :class:`~repro.fleet.coordinator.FleetCoordinator`
-(leases over HTTP, remote agents) dispatch the same unit of work and
-must agree *exactly* on everything that happens around dispatch:
+in-process; also behind :func:`repro.store.runner.execute_spec`) and
+:class:`~repro.fleet.coordinator.FleetCoordinator` (leases over HTTP,
+remote agents) dispatch the same unit of work and must agree *exactly*
+on everything that happens around dispatch:
 
 * how a spec becomes a job — build the campaign, create or resume the
   journal, recover prior records, replay or start the adaptive driver
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.store.journal import JournalError
-from repro.store.runner import _resolve_sampling, finalise_journal
+from repro.store.runner import finalise_journal
 from repro.store.spec import CampaignSpec
 from repro.store.store import CampaignStore, RunStatus
 
@@ -78,6 +79,21 @@ class PreparedJob:
     resumed: int = 0
 
 
+def _resolve_sampling(sampling):
+    """Normalise a sampling request (policy / wire dict / None)."""
+    if sampling is None:
+        return None
+    from repro.sampling import SamplingPolicy
+
+    if isinstance(sampling, SamplingPolicy):
+        return sampling
+    if isinstance(sampling, dict):
+        return SamplingPolicy.from_dict(sampling)
+    raise TypeError(
+        f"sampling must be a SamplingPolicy or dict, not {type(sampling).__name__}"
+    )
+
+
 def prepare_job(
     store: CampaignStore,
     spec: CampaignSpec,
@@ -102,6 +118,9 @@ def prepare_job(
             spec=spec, run_id=run_id,
             cached=stored.result(), resumed=len(stored.rows),
         )
+    # Validated before any journal exists: a bad request must not leave a
+    # header-only run behind that a retry would then finish as fixed.
+    policy = _resolve_sampling(sampling)
     campaign = spec.build_campaign(backend="serial")
     if stored is None:
         journal = store.create_run(spec)
@@ -113,7 +132,6 @@ def prepare_job(
         done = stored.done_indices()
         prior = stored.records()
         plan_rows = journal.records("plan")
-    policy = _resolve_sampling(sampling)
     driver = None
     if plan_rows or (stored is None and policy is not None):
         driver, chunks = plan_adaptive(

@@ -11,10 +11,15 @@ simulator-side analogue for *campaigns*:
   the job with the smallest ``dispatched / priority`` ratio (ties broken
   by submit order), so equal-priority campaigns interleave chunk-for-chunk
   and a priority-2 campaign gets twice the share of a priority-1 one.
-* **Durability per chunk.**  Every completed chunk is appended to the
-  job's store journal and fsync'd before the next dispatch decision —
-  the same one-commit-per-chunk contract as :func:`repro.store.runner.
-  execute_spec`, so anything the scheduler ran is resumable.
+* **The one local journal writer.**  Every completed chunk of a fixed
+  job is appended to the job's store journal and fsync'd before the next
+  dispatch decision, so anything the scheduler ran is resumable.  An
+  adaptive job holds its round's records and commits them as one
+  index-sorted batch when the round completes, so its journal bytes do
+  not depend on the order in which chunks finish.
+  :func:`repro.store.runner.execute_spec` (``repro resume``) is a
+  one-job run of this class, ``repro queue`` and the service a many-job
+  one.
 * **Bounded retry with backoff.**  A chunk whose worker fails is
   re-dispatched up to :attr:`RetryPolicy.max_retries` times, waiting an
   exponentially growing, jittered delay between attempts; only then does
@@ -24,11 +29,18 @@ simulator-side analogue for *campaigns*:
   ``run(install_signal_handler=True)``) stops new dispatches; in-flight
   chunks finish and are journaled, then ``run`` returns with unfinished
   jobs marked ``interrupted`` — their journals are valid and resumable.
+  An adaptive job journals only completed rounds, so one drained
+  mid-round re-runs that round on resume.
+* **No worker outlives a run.**  ``run`` joins its pool before it
+  returns, so pool workers never wind down during the caller's next
+  request; only a run that raises with chunks in flight cancels the
+  queued ones and does not wait for the running ones.
 
-Observability rides the PR 2 switchboard: chunk spans carry the job's
+Observability rides the runtime switchboard: chunk spans carry the job's
 ``label`` and ``run_id`` (so interleaving is visible span by span),
-retries emit ``retry`` events and ``repro_retries_total``, and each job
-lands a ``job`` span plus ``repro_scheduler_jobs_total{outcome}``.
+retries emit ``retry`` events and ``repro_retries_total``, each job
+lands a ``job`` span plus ``repro_scheduler_jobs_total{outcome}``, and a
+sealed adaptive job folds this session's ``repro_sampling_*`` counters.
 """
 
 from __future__ import annotations
@@ -41,15 +53,16 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 
+from repro.beam.campaign import note_sampling
 from repro.beam.executor import (
     CampaignExecutionError,
     CampaignExecutor,
     ChunkWorkerError,
+    ExecutorTimeoutError,
     _run_chunk,
     default_timeout,
     emit_chunk_observability,
 )
-from repro.kernels.sharedmem import SharedGoldenExport
 from repro.observability import runtime as obs_runtime
 from repro.scheduler.jobs import (
     advance_adaptive,
@@ -63,11 +76,7 @@ from repro.store.runner import journal_chunk_records
 from repro.store.spec import CampaignSpec
 from repro.store.store import CampaignStore
 
-__all__ = ["CampaignScheduler", "JobOutcome", "SchedulerTimeoutError"]
-
-
-class SchedulerTimeoutError(RuntimeError):
-    """The scheduler did not drain its queue within its timeout."""
+__all__ = ["CampaignScheduler", "JobOutcome"]
 
 
 @dataclass
@@ -148,6 +157,8 @@ class _Job:
         self.inflight = 0               # chunks currently in the pool
         self.waiting = 0                # chunks parked in the retry heap
         self.records = []               # records completed this session
+        self.round_records = []         # adaptive: this round's, uncommitted
+        self.rounds = 0                 # adaptive: rounds completed this session
         self.retries = 0
         self.backoff: list = []         # delays waited, in order
         self.failed: "CampaignExecutionError | None" = None
@@ -201,11 +212,15 @@ class CampaignScheduler:
         workers: shared pool size (``None``/``0`` = auto).
         chunk_size: executions per dispatched chunk (``None`` = auto).
         backend: ``"auto"``/``"process"``/``"thread"``/``"serial"``.
-            Unlike the single-campaign executor the scheduler never
-            downshifts small jobs to serial — interleaving *is* the point
-            — but ``"serial"`` runs chunks inline for deterministic tests.
+            ``"auto"`` picks like the single-campaign executor: inline
+            on one worker or below ``MIN_PARALLEL_STRIKES`` queued
+            strikes, else processes (threads without ``fork``).  An
+            explicit ``"process"``/``"thread"`` on several workers keeps
+            its pool however small the queue; ``"serial"`` runs chunks
+            inline for deterministic tests.
         timeout: wall-clock bound on one :meth:`run` (``None`` = the
-            ``REPRO_POOL_TIMEOUT`` environment default).
+            ``REPRO_POOL_TIMEOUT`` environment default); a run past it
+            raises :class:`~repro.beam.executor.ExecutorTimeoutError`.
         fast_path: attempt delta replay in workers (``None`` = the
             ``REPRO_FASTPATH`` environment default).  Records are
             bit-identical either way, so mixed-mode resumes are safe.
@@ -325,7 +340,12 @@ class CampaignScheduler:
     # -- drain --------------------------------------------------------------------
 
     def request_drain(self) -> None:
-        """Stop dispatching; in-flight chunks finish and are journaled."""
+        """Stop dispatching; in-flight chunks finish.
+
+        A fixed job journals every chunk that finishes.  An adaptive job
+        journals only completed rounds: the finished chunks of an
+        unfinished round are dropped, and its resume re-runs that round.
+        """
         self._draining = True
 
     def _on_sigint(self, signum, frame) -> None:  # pragma: no cover - thin
@@ -344,7 +364,11 @@ class CampaignScheduler:
         tracer = obs_runtime.get_tracer()
         metrics = obs_runtime.get_metrics()
         progress = obs_runtime.get_progress()
-        backend = self._resolve_backend()
+        jobs = [entry for entry in self._queue if isinstance(entry, _Job)]
+        total = sum(
+            sum(len(chunk) for chunk in job.chunks) for job in jobs
+        )
+        backend = self._resolve_backend(total)
         workers = self._executor.resolved_workers()
         slots = 1 if backend == "serial" else workers
         timeout = (
@@ -353,11 +377,6 @@ class CampaignScheduler:
             else default_timeout()
         )
         deadline = None if timeout is None else self._clock() + timeout
-
-        jobs = [entry for entry in self._queue if isinstance(entry, _Job)]
-        total = sum(
-            sum(len(chunk) for chunk in job.chunks) for job in jobs
-        )
         completed = 0
         queue_gauge = (
             metrics.gauge(
@@ -371,24 +390,11 @@ class CampaignScheduler:
         pool = None
         export = None
         if backend != "serial" and any(job.has_work() for job in jobs):
-            if backend == "process":
-                # One export covers every queued campaign's kernel, so
-                # workers attach the golden state (best-effort) instead of
-                # re-executing it once per process per configuration.
-                try:
-                    export = SharedGoldenExport()
-                    seen: set = set()
-                    for job in jobs:
-                        key = job.campaign.kernel.golden_cache_key()
-                        if key is None or key in seen:
-                            continue
-                        seen.add(key)
-                        export.add_kernel(job.campaign.kernel)
-                except Exception:
-                    export = None
-                if export is not None and not len(export):
-                    export.close()
-                    export = None
+            # One export covers every queued campaign's kernel, so process
+            # workers attach the golden state instead of re-executing it.
+            export = CampaignExecutor._export_shared_golden(
+                backend, (job.campaign.kernel for job in jobs if job.has_work())
+            )
             pool = CampaignExecutor._make_pool(
                 backend, workers,
                 payload=export.payload if export is not None else None,
@@ -411,7 +417,7 @@ class CampaignScheduler:
             while True:
                 now = self._clock()
                 if deadline is not None and now >= deadline:
-                    raise SchedulerTimeoutError(
+                    raise ExecutorTimeoutError(
                         f"scheduler ({backend}, {slots} slots) did not "
                         f"drain {self.pending} jobs within {timeout:g}s"
                     )
@@ -442,11 +448,11 @@ class CampaignScheduler:
                     if exc is not None:
                         if not isinstance(exc, Exception):
                             raise exc
-                        self._on_chunk_failure(
+                        self._chunk_failed(
                             task, exc, backend, tracer, metrics
                         )
                     else:
-                        completed += self._on_chunk_success(
+                        completed += self._chunk_done(
                             task, future.result(), backend, tracer, metrics
                         )
                 if progress is not None and done:
@@ -460,7 +466,10 @@ class CampaignScheduler:
             if handler_installed:
                 signal.signal(signal.SIGINT, previous_handler)
             if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                # A run that emptied its queue joins its workers, so none
+                # outlives the call; one that raises mid-flight does not
+                # wait on the chunks it abandons.
+                pool.shutdown(wait=not inflight, cancel_futures=True)
             if export is not None:
                 export.close()
             for job in jobs:
@@ -489,13 +498,17 @@ class CampaignScheduler:
 
     # -- dispatch policy ----------------------------------------------------------
 
-    def _resolve_backend(self) -> str:
-        backend = self._executor.backend
-        if backend == "auto":
-            import os
+    def _resolve_backend(self, n_strikes: int) -> str:
+        """An explicit pool on several workers as asked, else the executor's.
 
-            return "process" if hasattr(os, "fork") else "thread"
-        return backend
+        ``auto`` (and any backend on one worker) resolves like a single
+        campaign: inline below ``MIN_PARALLEL_STRIKES`` queued strikes
+        (an adaptive job counts its first round) or on one worker.
+        """
+        workers = self._executor.resolved_workers()
+        if self._executor.backend in ("process", "thread") and workers > 1:
+            return self._executor.backend
+        return self._executor.resolved_backend(n_strikes, workers)
 
     def _next_task(self, now: float) -> "_Task | None":
         """The next chunk to dispatch: due retries first, then fair share."""
@@ -555,7 +568,7 @@ class CampaignScheduler:
 
     # -- completion paths ---------------------------------------------------------
 
-    def _on_chunk_success(
+    def _chunk_done(
         self, task: _Task, result, backend, tracer, metrics
     ) -> int:
         job = task.job
@@ -566,9 +579,19 @@ class CampaignScheduler:
             backend, task.chunk_no, result,
             extra_attrs={"label": job.label, "run_id": job.run_id},
         )
-        journal_chunk_records(job.journal, result.records)
-        if job.driver is not None and result.records:
+        if job.driver is None:
+            journal_chunk_records(job.journal, result.records)
+        elif result.records:
+            job.round_records.extend(result.records)
             if job.driver.ingest(result.records):
+                # One sorted batch per round: the bytes a serial run
+                # writes, whatever order the round's chunks finished in.
+                journal_chunk_records(
+                    job.journal,
+                    sorted(job.round_records, key=lambda record: record.index),
+                )
+                job.round_records = []
+                job.rounds += 1
                 self._advance_adaptive(job)
         self._maybe_finish(job, tracer, metrics)
         return len(result.records)
@@ -586,7 +609,7 @@ class CampaignScheduler:
             advance_adaptive(job.driver, job.journal, self._plan_job_chunks)
         )
 
-    def _on_chunk_failure(
+    def _chunk_failed(
         self, task: _Task, exc: Exception, backend, tracer, metrics
     ) -> None:
         job = task.job
@@ -662,6 +685,8 @@ class CampaignScheduler:
         )
         job.result = result
         job.status = "complete"
+        if job.driver is not None:
+            note_sampling(job.driver, job.rounds, len(job.records))
         if tracer is not None:
             counts = {kind.value: n for kind, n in result.counts().items()}
             attrs = {

@@ -11,9 +11,9 @@ unrecoverable, so campaign state must survive the host.
   fluence plan);
 * :mod:`repro.store.store` — :class:`CampaignStore`:
   ``find``/``load``/``summaries`` over the journal directory;
-* :mod:`repro.store.runner` — journaled execution and ``repro resume``:
-  a run killed mid-journal restarts from its last durable record and
-  produces bit-identical output.
+* :mod:`repro.store.runner` — journaled execution and ``repro resume``
+  (one-job scheduler runs): a run killed mid-journal restarts from its
+  last durable record and produces bit-identical output.
 
 See ``docs/store.md`` for the record schema and the durability contract.
 """

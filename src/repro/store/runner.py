@@ -1,9 +1,14 @@
 """Journaled campaign execution: run, crash, resume — bit-identically.
 
 The write half of the store.  :func:`execute_spec` runs one campaign with
-every completed chunk journaled and fsync'd; :func:`resume_run` restarts
-an interrupted run from its journal's last durable record.  Three facts
-make the resumed output *bit-identical* to an uninterrupted run:
+its journal fsync'd as work lands; :func:`resume_run` restarts an
+interrupted run from its journal's last durable record.  Both are a
+one-job :class:`~repro.scheduler.CampaignScheduler` run, so every local
+journal has one writer: the scheduler commits a fixed job chunk by chunk
+and an adaptive job round by round, as one index-sorted batch.  The
+helpers below are the journal's durability units, shared by that writer
+and the fleet coordinator.  Three facts make the resumed output
+*bit-identical* to an uninterrupted run:
 
 1. every struck execution draws only from RNG streams derived from
    ``(seed, index)`` — records are a pure function of the spec and the
@@ -63,11 +68,11 @@ class RunOutcome:
 def journal_chunk_records(
     journal: Journal, records, *, max_elements: int = JOURNAL_MAX_ELEMENTS
 ) -> int:
-    """Append one chunk's records and fsync them as a single batch.
+    """Append one batch of records and fsync them as a single commit.
 
-    The one durability unit shared by the journaled runner and the
-    multi-campaign scheduler: when this returns, the chunk survives a
-    crash.  Returns the number of records made durable.
+    The scheduler's durability unit — one chunk of a fixed job, one
+    sorted round of an adaptive job: when this returns, the batch
+    survives a crash.  Returns the number of records made durable.
     """
     for record in records:
         journal.append(
@@ -118,95 +123,6 @@ def finalise_journal(journal: Journal, result, *, sampling: "dict | None" = None
     journal.commit()
 
 
-def _journal_writer(journal: Journal):
-    """The executor ``on_chunk`` hook: one fsync'd batch per chunk."""
-
-    def on_chunk(chunk_no: int, records) -> None:
-        journal_chunk_records(journal, records)
-
-    return on_chunk
-
-
-def _resolve_sampling(sampling):
-    """Normalise a sampling request (policy / wire dict / None)."""
-    if sampling is None:
-        return None
-    from repro.sampling import SamplingPolicy
-
-    if isinstance(sampling, SamplingPolicy):
-        return sampling
-    if isinstance(sampling, dict):
-        return SamplingPolicy.from_dict(sampling)
-    raise TypeError(
-        f"sampling must be a SamplingPolicy or dict, not {type(sampling).__name__}"
-    )
-
-
-def _run_adaptive_journaled(
-    campaign,
-    journal: Journal,
-    policy,
-    plan_rows: list,
-    records_by_index: dict,
-    *,
-    workers: "int | None" = None,
-    chunk_size: "int | None" = None,
-):
-    """Drive an adaptive campaign with plan rows and records journaled.
-
-    The durability protocol that makes adaptive kill-and-resume
-    byte-identical:
-
-    1. each round's ``plan`` row is committed *before* its indices
-       execute, so the decision that chose them can never be lost;
-    2. each round's records land as **one** commit batch sorted by index
-       — a torn write leaves a sorted prefix durable, and the resumed run
-       appends exactly the sorted remainder, reproducing the bytes an
-       uninterrupted run would have written;
-    3. on resume, the driver *replans* every journaled round and verifies
-       the recomputed row matches field for field
-       (:meth:`~repro.sampling.AdaptiveCampaign.replay`), so a journal
-       from a different spec or policy fails loudly instead of silently
-       diverging.
-
-    When ``plan_rows`` exist their journaled policy wins over the caller's
-    ``policy`` argument — the run must finish under the rules it started
-    with to reproduce the same stopping decision.
-    """
-    from repro.sampling import AdaptiveCampaign, SamplingPolicy
-
-    if plan_rows:
-        journaled = plan_rows[0].get("policy")
-        if journaled is None:
-            raise JournalError(
-                f"{journal.path}: first plan row carries no policy — "
-                "journal predates the sampling format"
-            )
-        policy = SamplingPolicy.from_dict(journaled)
-    driver = AdaptiveCampaign(campaign, policy)
-    missing = driver.replay(plan_rows, records_by_index) if plan_rows else []
-
-    def on_plan(plan) -> None:
-        journal.append("plan", **plan.payload)
-        journal.commit()
-
-    def on_records(records) -> None:
-        journal_chunk_records(
-            journal, sorted(records, key=lambda record: record.index)
-        )
-
-    result = campaign.run_adaptive(
-        driver=driver,
-        resume_missing=missing or None,
-        workers=workers,
-        chunk_size=chunk_size,
-        on_plan=on_plan,
-        on_records=on_records,
-    )
-    finalise_journal(journal, result, sampling=result.aux["sampling"])
-    return result
-
-
 def execute_spec(
     store: CampaignStore,
     spec: CampaignSpec,
@@ -221,10 +137,18 @@ def execute_spec(
 ) -> RunOutcome:
     """Run a spec with durable journaling (resuming/deduping via the store).
 
-    * no stored run → fresh journal, every chunk fsync'd as it lands;
+    * no stored run → fresh journal, fsync'd chunk by chunk (adaptive
+      runs: round by round);
     * stored but incomplete → resume from the last durable record;
     * stored and complete → content-addressed cache hit (with ``reuse``),
       returning the stored result without simulating anything.
+
+    The run is one :class:`~repro.scheduler.CampaignScheduler` job built
+    from these arguments.  A failing chunk is retried under the default
+    :class:`~repro.scheduler.RetryPolicy` before the job's
+    :class:`~repro.beam.executor.CampaignExecutionError` is raised here;
+    a run past ``timeout`` raises
+    :class:`~repro.beam.executor.ExecutorTimeoutError`.
 
     ``fast_path`` (``None`` = the ``REPRO_FASTPATH`` environment default)
     is safe to flip between run and resume: its records are bit-identical
@@ -241,66 +165,22 @@ def execute_spec(
     even when ``sampling`` is passed — switching strategies mid-journal
     would break the byte-identical resume guarantee.
     """
-    run_id = spec.run_id()
-    stored = store.load(run_id) if store.has(run_id) else None
-    if stored is not None and stored.status == "complete" and reuse:
-        _note_run(spec, "cached")
-        return RunOutcome(
-            run_id=run_id, result=stored.result(),
-            resumed=len(stored.rows), cached=True,
-        )
-    campaign = spec.build_campaign(
-        workers=workers, chunk_size=chunk_size, timeout=timeout,
-        backend=backend, fast_path=fast_path,
+    from repro.scheduler import CampaignScheduler
+
+    scheduler = CampaignScheduler(
+        store, workers=workers, chunk_size=chunk_size, backend=backend,
+        timeout=timeout, fast_path=fast_path, reuse=reuse,
     )
-    policy = _resolve_sampling(sampling)
-    if stored is None:
-        if policy is not None:
-            journal = store.create_run(spec)
-            try:
-                result = _run_adaptive_journaled(
-                    campaign, journal, policy, [], {},
-                    workers=workers, chunk_size=chunk_size,
-                )
-            finally:
-                journal.close()
-            _note_run(spec, "fresh")
-            return RunOutcome(run_id=run_id, result=result)
-        journal = store.create_run(spec)
-        done: set = set()
-        prior: list = []
-    else:
-        journal = store.open_run(run_id)  # truncates any torn tail
-        plan_rows = journal.records("plan")
-        if plan_rows:
-            records_by_index = {
-                record.index: record for record in stored.records()
-            }
-            try:
-                result = _run_adaptive_journaled(
-                    campaign, journal, policy, plan_rows, records_by_index,
-                    workers=workers, chunk_size=chunk_size,
-                )
-            finally:
-                journal.close()
-            _note_run(spec, "resumed")
-            return RunOutcome(
-                run_id=run_id, result=result, resumed=len(records_by_index)
-            )
-        rows = [record["row"] for record in journal.records("record")]
-        done = {row["index"] for row in rows}
-        prior = stored.records()
-    try:
-        result = campaign.run(
-            skip_indices=done or None,
-            prior_records=prior or None,
-            on_chunk=_journal_writer(journal),
-        )
-        finalise_journal(journal, result)
-    finally:
-        journal.close()
-    _note_run(spec, "resumed" if done else "fresh")
-    return RunOutcome(run_id=run_id, result=result, resumed=len(done))
+    held = store.has(spec.run_id())
+    scheduler.submit(spec, sampling=sampling)
+    (job,) = scheduler.run()
+    if job.error is not None:
+        raise job.error
+    cached = job.status == "cached"
+    _note_run(spec, "cached" if cached else "resumed" if held else "fresh")
+    return RunOutcome(
+        run_id=job.run_id, result=job.result, resumed=job.resumed, cached=cached
+    )
 
 
 def resume_run(

@@ -148,21 +148,15 @@ class CampaignSpec:
 
     # -- reconstruction ----------------------------------------------------------
 
-    def build_campaign(
-        self,
-        *,
-        workers: "int | None" = None,
-        chunk_size: "int | None" = None,
-        timeout: "float | None" = None,
-        backend: str = "auto",
-        fast_path: "bool | None" = None,
-    ):
+    def build_campaign(self, *, backend: str = "auto"):
         """Instantiate the runnable :class:`~repro.beam.campaign.Campaign`.
 
-        ``fast_path`` is an execution strategy, not part of the spec: its
-        records are bit-identical to the reference path, so the same run
-        id addresses both modes (resuming a reference journal with the
-        switch on, or vice versa, is safe by construction).
+        Execution strategy (``backend``, and the workers, chunking and
+        fast path a dispatcher picks) is not part of the spec: records are
+        bit-identical under every strategy, so one run id addresses them
+        all.  Journaled runs execute through the scheduler, which builds
+        campaigns with ``backend="serial"`` and dispatches their chunks
+        itself.
         """
         from repro.arch.registry import make_device
         from repro.beam.campaign import Campaign
@@ -175,9 +169,5 @@ class CampaignSpec:
             seed=self.seed,
             threshold_pct=self.resolved_threshold(),
             label=self.resolved_label(),
-            workers=workers,
-            chunk_size=chunk_size,
-            timeout=timeout,
             backend=backend,
-            fast_path=fast_path,
         )

@@ -175,6 +175,26 @@ class TestGoldenCache:
         assert info["misses"] == 1
         assert info["hits"] == 2
 
+    def test_exported_kernel_still_pickles_cold(self):
+        # The shared-memory export computes the golden output on the very
+        # instance every chunk then pickles; the pickle must leave it out.
+        kernel = Clamr(n=16)
+        cold = len(pickle.dumps(kernel))
+        export = CampaignExecutor._export_shared_golden("process", [kernel])
+        try:
+            assert export is not None and kernel._golden is not None
+            assert len(pickle.dumps(kernel)) == cold
+        finally:
+            export.close()
+
+    def test_export_holds_one_entry_per_cache_key(self):
+        kernels = [Dgemm(n=16), Dgemm(n=16), Dgemm(n=24)]
+        export = CampaignExecutor._export_shared_golden("process", kernels)
+        try:
+            assert len(export) == 2
+        finally:
+            export.close()
+
     def test_cached_golden_is_shared_object(self):
         clear_golden_cache()
         a, b = Dgemm(n=48), Dgemm(n=48)

@@ -164,6 +164,7 @@ def killed_adaptive_store(tmp_path, reference_bytes):
     return store
 
 
+@pytest.mark.sampling
 class TestAdaptiveKillAndResume:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_resumed_journal_is_byte_identical(self, tmp_path, backend):
