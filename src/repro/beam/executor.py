@@ -175,7 +175,10 @@ class _ChunkResult:
     Records plus the chunk's timing, the worker's golden-cache delta and
     its fast-path counters, so the parent can emit span events and fold
     metrics without the worker ever touching a sink (one trace writer per
-    campaign, regardless of backend).
+    campaign, regardless of backend).  A journaled chunk also carries its
+    sealed journal lines, one per record in record order, built by the
+    worker (:func:`repro.store.runner.seal_records`) so the parent's
+    commit is a write and an ``fsync``.
     """
 
     records: list = field(default_factory=list)
@@ -186,6 +189,7 @@ class _ChunkResult:
     cache_misses: int = 0       # golden-cache misses during this chunk
     fastpath_hits: int = 0      # delta-replay hits during this chunk
     fallbacks: "list | None" = None  # indices that fell back; None: fast path off
+    lines: "list | None" = None  # sealed journal lines; None: not journaled
 
 
 def _run_chunk(
@@ -198,7 +202,9 @@ def _run_chunk(
 ) -> _ChunkResult:
     """Worker entry point: one :meth:`Injector.inject_batch` over a chunk.
 
-    Runs in a pool worker (or inline for the serial path).  The kernel
+    Runs in a pool worker (or inline for the serial path).  It returns
+    records only; a journaled run's scheduler seals them into journal
+    lines in the same worker, after this returns.  The kernel
     instance arrives pickled and cold; its golden output is served by the
     per-process cache after the first chunk touching that configuration
     (process workers may adopt the parent's shared-memory export instead

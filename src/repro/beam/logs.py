@@ -32,6 +32,15 @@ from repro.faults.outcomes import ExecutionRecord, OutcomeKind
 _FORMAT_VERSION = 1
 
 
+def _hex_floats(values: np.ndarray) -> list:
+    """``float.hex`` of each value: an exact round trip, inf and nan too.
+
+    ``tolist`` converts the whole array at once, so no NumPy scalar is
+    built per element.
+    """
+    return list(map(float.hex, values.astype(np.float64, copy=False).tolist()))
+
+
 def _report_payload(report: CriticalityReport, max_elements: int) -> dict:
     obs = report.observation
     n = len(obs)
@@ -41,7 +50,7 @@ def _report_payload(report: CriticalityReport, max_elements: int) -> dict:
     if n > max_elements:
         keep = np.linspace(0, n - 1, max_elements).astype(int)
     else:
-        keep = np.arange(n)
+        keep = slice(None)  # fits the cap: views, not fancy-index copies
     payload = {
         "n_incorrect": report.n_incorrect,
         "mean_relative_error": report.mean_relative_error,
@@ -53,9 +62,8 @@ def _report_payload(report: CriticalityReport, max_elements: int) -> dict:
         "shape": list(obs.shape),
         "truncated": truncated,
         "indices": obs.indices[keep].tolist(),
-        # float.hex round-trips exactly, including inf/nan.
-        "read": [float(v).hex() for v in obs.read[keep]],
-        "expected": [float(v).hex() for v in obs.expected[keep]],
+        "read": _hex_floats(obs.read[keep]),
+        "expected": _hex_floats(obs.expected[keep]),
     }
     if obs.locality_indices is not None:
         payload["locality_indices"] = obs.locality_indices[keep].tolist()

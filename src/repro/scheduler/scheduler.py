@@ -14,9 +14,11 @@ simulator-side analogue for *campaigns*:
 * **The one local journal writer.**  Every completed chunk of a fixed
   job is appended to the job's store journal and fsync'd before the next
   dispatch decision, so anything the scheduler ran is resumable.  An
-  adaptive job holds its round's records and commits them as one
+  adaptive job holds its round's lines and commits them as one
   index-sorted batch when the round completes, so its journal bytes do
-  not depend on the order in which chunks finish.
+  not depend on the order in which chunks finish.  The worker that ran
+  a chunk also seals its journal lines (:func:`_run_sealed`), so the
+  parent's commit is a write and an ``fsync``.
   :func:`repro.store.runner.execute_spec` (``repro resume``) is a
   one-job run of this class, ``repro queue`` and the service a many-job
   one.
@@ -59,6 +61,7 @@ from repro.beam.executor import (
     CampaignExecutor,
     ChunkWorkerError,
     ExecutorTimeoutError,
+    _ChunkResult,
     _run_chunk,
     default_timeout,
     emit_chunk_observability,
@@ -72,7 +75,7 @@ from repro.scheduler.jobs import (
 )
 from repro.scheduler.lease import ChunkLease
 from repro.scheduler.retry import RetryPolicy
-from repro.store.runner import journal_chunk_records
+from repro.store.runner import journal_chunk_records, seal_records
 from repro.store.spec import CampaignSpec
 from repro.store.store import CampaignStore
 
@@ -112,6 +115,19 @@ class JobOutcome:
     @property
     def ok(self) -> bool:
         return self.status in ("complete", "cached")
+
+
+def _run_sealed(runner, *args) -> _ChunkResult:
+    """Worker entry point of a journaled chunk: run it, seal its lines.
+
+    ``runner`` is :func:`~repro.beam.executor._run_chunk` or the
+    scheduler's ``chunk_runner`` hook, called with ``args``.  Sealing
+    here, where the chunk ran, keeps row encoding and CRCs off the
+    parent, which only writes and ``fsync``\\ s the returned lines.
+    """
+    result = runner(*args)
+    result.lines = seal_records(result.records)
+    return result
 
 
 @dataclass
@@ -157,7 +173,7 @@ class _Job:
         self.inflight = 0               # chunks currently in the pool
         self.waiting = 0                # chunks parked in the retry heap
         self.records = []               # records completed this session
-        self.round_records = []         # adaptive: this round's, uncommitted
+        self.round_lines = []           # adaptive: this round's (index, line)
         self.rounds = 0                 # adaptive: rounds completed this session
         self.retries = 0
         self.backoff: list = []         # delays waited, in order
@@ -229,9 +245,10 @@ class CampaignScheduler:
         reuse: serve specs already complete in the store as cache hits.
         seed: seeds the jitter stream, making backoff schedules
             reproducible.
-        chunk_runner: test hook replacing the worker entry point
-            (signature of :func:`repro.beam.executor._run_chunk`); must
-            be picklable for the process backend.
+        chunk_runner: test hook replacing the chunk runner the worker
+            calls before sealing the records it returns (signature of
+            :func:`repro.beam.executor._run_chunk`); must be picklable
+            for the process backend.
         sleep: test hook replacing :func:`time.sleep` for backoff waits.
         clock: test hook replacing :func:`time.monotonic`.
     """
@@ -538,6 +555,7 @@ class CampaignScheduler:
         job = task.job
         job.inflight += 1
         args = (
+            self._chunk_runner,
             job.campaign.kernel,
             job.campaign.device,
             job.spec.seed,
@@ -548,11 +566,11 @@ class CampaignScheduler:
         if pool is None:  # serial backend: run inline, wrap as a future
             future: Future = Future()
             try:
-                future.set_result(self._chunk_runner(*args))
+                future.set_result(_run_sealed(*args))
             except Exception as exc:
                 future.set_exception(exc)
             return future
-        return pool.submit(self._chunk_runner, *args)
+        return pool.submit(_run_sealed, *args)
 
     def _tick(self, deadline, progress) -> "float | None":
         """Bound one wait round: overall deadline, next retry, progress."""
@@ -580,17 +598,19 @@ class CampaignScheduler:
             extra_attrs={"label": job.label, "run_id": job.run_id},
         )
         if job.driver is None:
-            journal_chunk_records(job.journal, result.records)
+            journal_chunk_records(job.journal, result.lines)
         elif result.records:
-            job.round_records.extend(result.records)
+            job.round_lines.extend(
+                zip((record.index for record in result.records), result.lines)
+            )
             if job.driver.ingest(result.records):
                 # One sorted batch per round: the bytes a serial run
                 # writes, whatever order the round's chunks finished in.
+                job.round_lines.sort(key=lambda pair: pair[0])
                 journal_chunk_records(
-                    job.journal,
-                    sorted(job.round_records, key=lambda record: record.index),
+                    job.journal, [line for _, line in job.round_lines]
                 )
-                job.round_records = []
+                job.round_lines = []
                 job.rounds += 1
                 self._advance_adaptive(job)
         self._maybe_finish(job, tracer, metrics)

@@ -12,9 +12,11 @@ intermediate state.  A :class:`Journal` is that state for a campaign run:
   record's canonical JSON encoding (sorted keys, compact separators)
   without the ``crc`` field itself.  A flipped bit anywhere in a line is
   detected on open.
-* **fsync'd batches.**  :meth:`append` only buffers; :meth:`commit` writes
-  the batch, flushes, and ``fsync``\\ s.  A record is *durable* exactly when
-  its commit returned — the unit the resume path can trust.
+* **fsync'd batches.**  :meth:`append` only buffers; :meth:`commit` seals
+  the batch (plus any lines already sealed elsewhere with
+  :func:`seal_line`), writes it, flushes, and ``fsync``\\ s.  A record is
+  *durable* exactly when its commit returned — the unit the resume path
+  can trust.
 * **Torn-tail truncation.**  A crash mid-write leaves a torn final line
   (unterminated, half-written, or CRC-mismatched).  :meth:`Journal.open`
   detects it, truncates the file back to the last durable record, and
@@ -44,6 +46,7 @@ __all__ = [
     "JournalCorruptError",
     "Journal",
     "scan_journal",
+    "seal_line",
 ]
 
 JOURNAL_FORMAT_VERSION = 1
@@ -84,6 +87,23 @@ def _seal(payload: dict) -> str:
     sealed = dict(payload)
     sealed["crc"] = _crc_of(payload)
     return json.dumps(sealed) + "\n"
+
+
+def seal_line(payload: dict) -> bytes:
+    """One journal line's bytes: the payload, its CRC and the newline.
+
+    The line format lives here only.  :meth:`Journal.commit` seals
+    appended records with it, and a pool worker seals the records of the
+    chunk it ran, so for those the parent's commit only writes and
+    ``fsync``\\ s.  The CRC then also covers the worker → parent hop: a
+    line damaged there fails validation at the next open.
+    """
+    return _seal(payload).encode("ascii")
+
+
+def _create_exclusive(path, flags: int) -> int:
+    """``open`` opener adding ``O_EXCL``: fail if the file already exists."""
+    return os.open(path, flags | os.O_EXCL, 0o666)
 
 
 @dataclass
@@ -173,10 +193,14 @@ class Journal:
 
     @classmethod
     def create(cls, path: "str | Path", header: "dict | None" = None) -> "Journal":
-        """Create a new journal; writes + fsyncs the ``open`` record."""
+        """Create a new journal; writes + fsyncs the ``open`` record.
+
+        The file is created exclusively (``O_EXCL``), so of two writers
+        racing to create one run's journal exactly one wins; the other
+        gets :class:`JournalError` and the file is left as the winner
+        wrote it.
+        """
         path = Path(path)
-        if path.exists():
-            raise JournalError(f"journal already exists: {path}")
         path.parent.mkdir(parents=True, exist_ok=True)
         record = {
             "kind": "open",
@@ -184,7 +208,10 @@ class Journal:
             "created": time.time(),
         }
         record.update(header or {})
-        fh = path.open("ab")
+        try:
+            fh = open(path, "ab", opener=_create_exclusive)
+        except FileExistsError:
+            raise JournalError(f"journal already exists: {path}") from None
         journal = cls(path, [], _fh=fh)
         journal._pending.append(record)
         journal.commit()
@@ -260,22 +287,26 @@ class Journal:
         self._pending.append(record)
         return record
 
-    def commit(self) -> int:
-        """Write + flush + fsync the buffered batch; returns records written.
+    def commit(self, sealed=()) -> int:
+        """Write + flush + fsync one batch; returns the lines written.
 
-        One commit is one durability unit: after it returns, every record
-        appended before it survives a crash (modulo the storage keeping its
-        fsync promise).  Metrics (``repro_journal_records_total``,
-        ``repro_journal_commits_total``) land on the PR 2 switchboard when
-        one is configured.
+        The batch is every appended record, sealed here, then ``sealed``:
+        lines :func:`seal_line` already rendered elsewhere, written
+        verbatim and not parsed back, so :meth:`records` does not list
+        them until the journal is reopened.  One commit is one durability
+        unit: after it returns, every line in the batch survives a crash
+        (modulo the storage keeping its fsync promise).  Metrics
+        (``repro_journal_records_total``, ``repro_journal_commits_total``)
+        land on the observability switchboard when one is configured.
         """
         if self._fh is None:
             raise JournalError(f"{self.path}: journal is not open for append")
-        if not self._pending:
+        batch, self._pending = self._pending, []
+        lines = [seal_line(record) for record in batch]
+        lines.extend(sealed)
+        if not lines:
             return 0
-        batch = self._pending
-        self._pending = []
-        self._fh.write("".join(_seal(record) for record in batch).encode("utf-8"))
+        self._fh.write(b"".join(lines))
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._records.extend(batch)
@@ -284,12 +315,12 @@ class Journal:
             metrics.counter(
                 "repro_journal_records_total",
                 "Records made durable in campaign journals",
-            ).inc(len(batch))
+            ).inc(len(lines))
             metrics.counter(
                 "repro_journal_commits_total",
                 "fsync'd journal commit batches",
             ).inc()
-        return len(batch)
+        return len(lines)
 
     def close(self) -> None:
         """Commit anything pending and release the file handle."""

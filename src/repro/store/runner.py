@@ -5,10 +5,13 @@ its journal fsync'd as work lands; :func:`resume_run` restarts an
 interrupted run from its journal's last durable record.  Both are a
 one-job :class:`~repro.scheduler.CampaignScheduler` run, so every local
 journal has one writer: the scheduler commits a fixed job chunk by chunk
-and an adaptive job round by round, as one index-sorted batch.  The
-helpers below are the journal's durability units, shared by that writer
-and the fleet coordinator.  Three facts make the resumed output
-*bit-identical* to an uninterrupted run:
+and an adaptive job round by round, as one index-sorted batch.  The pool
+worker that ran a chunk seals its journal lines (:func:`seal_records`:
+row plus CRC), and the writer only writes and ``fsync``\\ s them
+(:func:`journal_chunk_records`).  The helpers below are the journal's
+durability units, shared by that writer and the fleet coordinator.
+Three facts make the resumed output *bit-identical* to an uninterrupted
+run:
 
 1. every struck execution draws only from RNG streams derived from
    ``(seed, index)`` — records are a pure function of the spec and the
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 from repro.beam.logs import record_to_row
 from repro.observability import runtime as obs_runtime
-from repro.store.journal import Journal, JournalError
+from repro.store.journal import Journal, JournalError, seal_line
 from repro.store.spec import CampaignSpec
 from repro.store.store import CampaignStore
 
@@ -38,6 +41,7 @@ __all__ = [
     "RunOutcome",
     "execute_spec",
     "resume_run",
+    "seal_records",
     "journal_chunk_records",
     "finalise_journal",
 ]
@@ -65,22 +69,34 @@ class RunOutcome:
     cached: bool = False
 
 
-def journal_chunk_records(
-    journal: Journal, records, *, max_elements: int = JOURNAL_MAX_ELEMENTS
-) -> int:
-    """Append one batch of records and fsync them as a single commit.
+def seal_records(records) -> list:
+    """Each record's finished ``record`` journal line, as bytes.
+
+    Runs where the chunk ran — in the pool worker, or inline on the
+    serial backend — so the journal writer only writes and ``fsync``\\ s.
+    The lines are byte-for-byte what ``journal.append("record",
+    index=..., row=record_to_row(record))`` plus a commit writes.
+    """
+    return [
+        seal_line({
+            "kind": "record",
+            "index": record.index,
+            "row": record_to_row(record, max_elements=JOURNAL_MAX_ELEMENTS),
+        })
+        for record in records
+    ]
+
+
+def journal_chunk_records(journal: Journal, lines) -> int:
+    """Write one batch of sealed record lines and fsync it as one commit.
 
     The scheduler's durability unit — one chunk of a fixed job, one
     sorted round of an adaptive job: when this returns, the batch
-    survives a crash.  Returns the number of records made durable.
+    survives a crash.  ``lines`` come from :func:`seal_records`, built in
+    the worker that ran the chunk; nothing is encoded or kept here.
+    Returns the number of records made durable.
     """
-    for record in records:
-        journal.append(
-            "record",
-            index=record.index,
-            row=record_to_row(record, max_elements=max_elements),
-        )
-    return journal.commit()
+    return journal.commit(lines)
 
 
 def journal_chunk_rows(journal: Journal, rows) -> int:
