@@ -103,6 +103,34 @@ def record_to_row(record: ExecutionRecord, *, max_elements: int = 4096) -> dict:
     return row
 
 
+def log_header(
+    *,
+    kernel: str,
+    device: str,
+    label: str,
+    fluence: float,
+    cross_section: float,
+    n_executions: int,
+    threshold_pct: float,
+) -> str:
+    """The campaign log's first line: its metadata, JSON-encoded.
+
+    The one encoder of the header, shared by :func:`log_lines` and
+    :meth:`repro.store.StoredRun.log_lines`, which renders a sealed run
+    from its journal without rebuilding its records.
+    """
+    return json.dumps({
+        "format_version": _FORMAT_VERSION,
+        "kernel": kernel,
+        "device": device,
+        "label": label,
+        "fluence": fluence,
+        "cross_section": cross_section,
+        "n_executions": n_executions,
+        "threshold_pct": threshold_pct,
+    })
+
+
 def log_lines(result: CampaignResult, *, max_elements: int = 4096) -> list:
     """The campaign-log serialisation, line by line (without newlines).
 
@@ -112,17 +140,17 @@ def log_lines(result: CampaignResult, *, max_elements: int = 4096) -> list:
     what makes a resumed run's served result byte-for-byte comparable to an
     uninterrupted one.
     """
-    header = {
-        "format_version": _FORMAT_VERSION,
-        "kernel": result.kernel_name,
-        "device": result.device_name,
-        "label": result.label,
-        "fluence": result.fluence,
-        "cross_section": result.cross_section,
-        "n_executions": result.n_executions,
-        "threshold_pct": result.threshold_pct,
-    }
-    lines = [json.dumps(header)]
+    lines = [
+        log_header(
+            kernel=result.kernel_name,
+            device=result.device_name,
+            label=result.label,
+            fluence=result.fluence,
+            cross_section=result.cross_section,
+            n_executions=result.n_executions,
+            threshold_pct=result.threshold_pct,
+        )
+    ]
     lines.extend(
         json.dumps(record_to_row(record, max_elements=max_elements))
         for record in result.records

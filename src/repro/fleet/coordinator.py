@@ -645,6 +645,17 @@ class FleetCoordinator:
             job = self._jobs.get(run_id)
             return None if job is None else job.status
 
+    def durable(self, run_id: str) -> "int | None":
+        """Record lines durable in an admitted job's journal, or ``None``.
+
+        The lines the journal held at admission plus every committed
+        push; the same count as
+        :meth:`~repro.scheduler.CampaignScheduler.durable`.
+        """
+        with self._lock:
+            job = self._jobs.get(run_id)
+            return None if job is None else len(job.prior) + len(job.records)
+
     def snapshot(self) -> dict:
         """The ``GET /v1/workers`` payload: fleet state at a glance."""
         with self._lock:

@@ -106,10 +106,11 @@ def prepare_job(
 
     A spec already complete in the store (with ``reuse``) returns a
     ``cached`` job without touching any journal.  An incomplete stored
-    run is opened for resume — only missing indices are planned.  A
-    stored journal holding ``plan`` rows always resumes adaptively under
-    its journaled policy; ``sampling`` on a fresh spec starts (and
-    journals) the first adaptive round before returning.
+    run is opened for resume — only missing indices are planned — from
+    the one read that found it incomplete.  A stored journal holding
+    ``plan`` rows always resumes adaptively under its journaled policy;
+    ``sampling`` on a fresh spec starts (and journals) the first adaptive
+    round before returning.
     """
     run_id = spec.run_id()
     stored = store.load(run_id) if store.has(run_id) else None
@@ -128,10 +129,11 @@ def prepare_job(
         prior: list = []
         plan_rows: list = []
     else:
-        journal = store.open_run(run_id)  # drops any torn tail
+        journal = stored.journal
+        journal.open_for_append()  # drops any torn tail, reads nothing again
         done = stored.done_indices()
         prior = stored.records()
-        plan_rows = journal.records("plan")
+        plan_rows = stored.plans
     driver = None
     if plan_rows or (stored is None and policy is not None):
         driver, chunks = plan_adaptive(

@@ -18,7 +18,9 @@ simulator-side analogue for *campaigns*:
   index-sorted batch when the round completes, so its journal bytes do
   not depend on the order in which chunks finish.  The worker that ran
   a chunk also seals its journal lines (:func:`_run_sealed`), so the
-  parent's commit is a write and an ``fsync``.
+  parent's commit is a write and an ``fsync``.  The writer counts the
+  lines each commit made durable (:meth:`CampaignScheduler.durable`),
+  and the campaign service reports that count as a job's progress.
   :func:`repro.store.runner.execute_spec` (``repro resume``) is a
   one-job run of this class, ``repro queue`` and the service a many-job
   one.
@@ -98,6 +100,8 @@ class JobOutcome:
         error: the surfaced :class:`CampaignExecutionError` for failed
             jobs, else ``None``.
         resumed: durable records reused from a prior journal.
+        durable: record lines durable in the job's journal when it ended:
+            ``resumed`` plus what each fsync'd commit of this run added.
         retries: chunk re-dispatches this run performed for the job.
         backoff: the delays (seconds) actually waited before retries,
             in order — the schedule tests pin.
@@ -109,6 +113,7 @@ class JobOutcome:
     result: object = None
     error: "CampaignExecutionError | None" = None
     resumed: int = 0
+    durable: int = 0
     retries: int = 0
     backoff: tuple = ()
 
@@ -206,7 +211,7 @@ class _Job:
             token=token,
         )
 
-    def outcome(self) -> JobOutcome:
+    def outcome(self, durable: int) -> JobOutcome:
         return JobOutcome(
             run_id=self.run_id,
             label=self.label,
@@ -214,6 +219,7 @@ class _Job:
             result=self.result,
             error=self.failed,
             resumed=len(self.prior),
+            durable=durable,
             retries=self.retries,
             backoff=tuple(self.backoff),
         )
@@ -281,6 +287,7 @@ class CampaignScheduler:
         self._sleep = sleep
         self._clock = clock
         self._queue: list = []          # _Job | JobOutcome (cache hits)
+        self._durable: dict = {}        # run id -> record lines durable
         self._retry_heap: list = []     # (ready_at, seq, _Task)
         self._retry_seq = itertools.count()
         self._draining = False
@@ -322,6 +329,7 @@ class CampaignScheduler:
             self.store, spec, self._plan_job_chunks,
             sampling=sampling, reuse=self.reuse,
         )
+        self._durable[run_id] = prepared.resumed
         if prepared.cached is not None:
             self._queue.append(
                 JobOutcome(
@@ -330,6 +338,7 @@ class CampaignScheduler:
                     status="cached",
                     result=prepared.cached,
                     resumed=prepared.resumed,
+                    durable=prepared.resumed,
                 )
             )
             return run_id
@@ -353,6 +362,17 @@ class CampaignScheduler:
     def pending(self) -> int:
         """Jobs queued and not yet resolved by a :meth:`run`."""
         return sum(1 for entry in self._queue if isinstance(entry, _Job))
+
+    def durable(self, run_id: str) -> "int | None":
+        """Record lines durable in a submitted job's journal, or ``None``.
+
+        The count the writer keeps: the lines the journal held when the
+        job was submitted, plus what each commit made durable once its
+        ``fsync`` returned.  Safe to read from another thread while
+        :meth:`run` goes, and it keeps the final count after ``run`` has
+        returned and reset the queue, so a reader never sees it fall.
+        """
+        return self._durable.get(run_id)
 
     # -- drain --------------------------------------------------------------------
 
@@ -496,7 +516,8 @@ class CampaignScheduler:
             self._retry_heap.clear()
 
         outcomes = [
-            entry if isinstance(entry, JobOutcome) else entry.outcome()
+            entry if isinstance(entry, JobOutcome)
+            else entry.outcome(self._durable[entry.run_id])
             for entry in self._queue
         ]
         self._queue = []
@@ -598,7 +619,9 @@ class CampaignScheduler:
             extra_attrs={"label": job.label, "run_id": job.run_id},
         )
         if job.driver is None:
-            journal_chunk_records(job.journal, result.lines)
+            self._durable[job.run_id] += journal_chunk_records(
+                job.journal, result.lines
+            )
         elif result.records:
             job.round_lines.extend(
                 zip((record.index for record in result.records), result.lines)
@@ -607,7 +630,7 @@ class CampaignScheduler:
                 # One sorted batch per round: the bytes a serial run
                 # writes, whatever order the round's chunks finished in.
                 job.round_lines.sort(key=lambda pair: pair[0])
-                journal_chunk_records(
+                self._durable[job.run_id] += journal_chunk_records(
                     job.journal, [line for _, line in job.round_lines]
                 )
                 job.round_lines = []

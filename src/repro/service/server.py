@@ -9,8 +9,10 @@ PR 3 store + scheduler with a small HTTP API (stdlib only):
 ========================================  =======================================
 ``POST /v1/campaigns``                    submit a :class:`CampaignSpec` (JSON);
                                           content-addressed dedupe + enqueue
-``GET  /v1/campaigns/{run_id}``           status + live progress from the journal
+``GET  /v1/campaigns/{run_id}``           status + live progress (the journal
+                                          writer's count of durable records)
 ``GET  /v1/campaigns/{run_id}/result``    the final campaign log (JSONL),
+                                          rendered from the journaled rows,
                                           ``ETag`` = run id
 ``GET  /v1/campaigns/{run_id}/report``    criticality/telemetry analysis (JSON),
                                           ``ETag`` = run id
@@ -156,14 +158,19 @@ class JobState:
 
     run_id: str
     spec: CampaignSpec
-    status: str = "queued"  # queued|running|complete|failed|interrupted
+    #: queued|running|complete|failed|interrupted, or incomplete for a
+    #: stored run found on boot and not resumed
+    status: str = "queued"
     cached: bool = False
     resumed: bool = False
     dedup_hits: int = 0
     submitted_at: float = 0.0
     started_at: "float | None" = None
     finished_at: "float | None" = None
-    initial_done: int = 0
+    initial_done: int = 0   # records durable when the job was admitted
+    #: records durable in the run's journal, as its writer counted them;
+    #: while the job runs, the live count is the writer's own
+    done: int = 0
     error: "str | None" = None
     sampling: "dict | None" = None  # adaptive policy (wire dict) if any
 
@@ -254,32 +261,37 @@ class CampaignService:
         waits for ready never races the resume scan.  ``start_worker=False``
         leaves admission open but nothing draining (tests use it to pin
         backpressure deterministically; call :meth:`start_worker` later).
+
+        Each stored journal is read once, and every stored run becomes a
+        known job, so status polls never read a journal.  An incomplete
+        run is queued as a resume (``resume_incomplete``) or else kept
+        ``incomplete``, so that its next submission resumes it.
         """
-        for summary in self.store.summaries():
-            if (
-                self.config.resume_incomplete
-                and summary.status == RunStatus.INCOMPLETE
-            ):
-                run = self.store.load(summary.run_id)
-                with self._cond:
-                    state = JobState(
-                        run_id=summary.run_id,
-                        spec=run.spec,
-                        submitted_at=time.time(),
-                        resumed=True,
-                    )
-                    self._jobs[summary.run_id] = state
-                    self._admission.append(summary.run_id)
-            else:
-                # Completed runs are served from the store; remember them
-                # so status answers do not re-read the journal header.
-                self._jobs[summary.run_id] = JobState(
-                    run_id=summary.run_id,
-                    spec=self.store.load(summary.run_id).spec,
-                    status="complete",
-                    cached=True,
-                    submitted_at=time.time(),
+        runs = []
+        for run_id in self.store.run_ids():
+            run = self.store.load(run_id)
+            runs.append(
+                (run.created, run.run_id, run.spec, run.status, len(run.rows))
+            )
+        runs.sort(key=lambda entry: entry[:2])  # resumes in creation order
+        with self._cond:
+            for _, run_id, spec, status, done in runs:
+                resume = (
+                    self.config.resume_incomplete
+                    and status == RunStatus.INCOMPLETE
                 )
+                self._jobs[run_id] = JobState(
+                    run_id=run_id,
+                    spec=spec,
+                    status="queued" if resume else status,
+                    cached=status == RunStatus.COMPLETE,
+                    resumed=resume,
+                    submitted_at=time.time(),
+                    initial_done=done,
+                    done=done,
+                )
+                if resume:
+                    self._admission.append(run_id)
         self._set_queue_gauge()
         if start_worker:
             self.start_worker()
@@ -414,10 +426,11 @@ class CampaignService:
             stored = (
                 self.store.load(run_id) if self.store.has(run_id) else None
             )
+            done = len(stored.rows) if stored is not None else 0
             if stored is not None and stored.status == RunStatus.COMPLETE:
                 self._jobs[run_id] = JobState(
                     run_id=run_id, spec=spec, status="complete",
-                    cached=True, submitted_at=time.time(),
+                    cached=True, submitted_at=time.time(), done=done,
                 )
                 self._submissions.inc(disposition="cached")
                 return 200, dict(
@@ -434,8 +447,7 @@ class CampaignService:
                 )
             state = JobState(
                 run_id=run_id, spec=spec, submitted_at=time.time(),
-                resumed=stored is not None,
-                initial_done=len(stored.rows) if stored is not None else 0,
+                resumed=stored is not None, initial_done=done, done=done,
                 sampling=sampling,
             )
             self._jobs[run_id] = state
@@ -471,36 +483,58 @@ class CampaignService:
             "jobs": by_status,
         }
 
-    def _durable_progress(self, run_id: str) -> "tuple[int, int | None, bool]":
-        """(records durable, expected total, closed?) from the journal."""
+    def _durable_progress(self, run_id: str) -> "JobState | None":
+        """A stored run this service never saw, from a full load, or ``None``.
+
+        Such a run was written into the same store by someone else (e.g.
+        ``repro queue`` against the same directory), so no writer of this
+        service counted its records.
+        """
         if not self.store.has(run_id):
-            return 0, None, False
+            return None
         try:
             run = self.store.load(run_id)
         except JournalError:
-            return 0, None, False
-        return len(run.rows), run.spec.n_faulty, run.close is not None
+            return None
+        return JobState(
+            run_id=run_id, spec=run.spec, status=run.status, done=len(run.rows)
+        )
+
+    def _live_done(self, run_id: str) -> "int | None":
+        """The running job's durable count, from the writer committing it."""
+        writer = (
+            self.coordinator
+            if self.coordinator is not None
+            else self._active_scheduler
+        )
+        return None if writer is None else writer.durable(run_id)
 
     def job_status(self, run_id: str) -> dict:
-        """The ``GET /v1/campaigns/{run_id}`` payload (or a 404)."""
+        """The ``GET /v1/campaigns/{run_id}`` payload (or a 404).
+
+        A run this service knows reads no journal: ``progress.done`` is
+        the count of records whose fsync'd commit has returned, from the
+        scheduler (or fleet coordinator) while the job runs and from
+        :attr:`JobState.done` before and after.
+        """
         with self._cond:
             job = self._jobs.get(run_id)
             snapshot = None
             if job is not None:
                 snapshot = JobState(**vars(job))
-        done, total, closed = self._durable_progress(run_id)
+                if job.status == "running":
+                    live = self._live_done(run_id)
+                    if live is not None:
+                        snapshot.done = max(snapshot.done, live)
         if snapshot is None:
-            if total is None:
+            snapshot = self._durable_progress(run_id)
+            if snapshot is None:
                 raise _ApiError(
                     404, "unknown_run",
                     f"no campaign with run id {run_id!r} "
                     "(submitted, stored, or otherwise)",
                 )
-            # In the store but never submitted to this server instance
-            # (e.g. written by `repro queue` against the same directory).
-            status = "complete" if closed else "incomplete"
-            spec = self.store.load(run_id).spec
-            snapshot = JobState(run_id=run_id, spec=spec, status=status)
+        done, total = snapshot.done, snapshot.spec.n_faulty
         payload = {
             "run_id": run_id,
             "label": snapshot.label,
@@ -508,10 +542,7 @@ class CampaignService:
             "cached": snapshot.cached,
             "resumed": snapshot.resumed,
             "deduped_hits": snapshot.dedup_hits,
-            "progress": {
-                "done": done,
-                "total": total if total is not None else snapshot.spec.n_faulty,
-            },
+            "progress": {"done": done, "total": total},
             "eta_seconds": None,
             "submitted_at": snapshot.submitted_at or None,
             "started_at": snapshot.started_at,
@@ -547,10 +578,13 @@ class CampaignService:
         return run
 
     def result_lines(self, run_id: str) -> list:
-        """The final campaign log for a complete run, line by line."""
-        from repro.beam.logs import log_lines
+        """The final campaign log for a complete run, line by line.
 
-        return log_lines(self._complete_run(run_id).result())
+        Rendered from the journaled rows (:meth:`StoredRun.log_lines`):
+        the one read is the store's CRC-checked load, and no record is
+        rebuilt.
+        """
+        return self._complete_run(run_id).log_lines()
 
     def report(self, run_id: str) -> dict:
         """Criticality + telemetry analysis of a complete run (JSON)."""
@@ -633,36 +667,44 @@ class CampaignService:
                 job.status = "running"
                 job.started_at = time.time()
                 scheduler.submit(job.spec, sampling=job.sampling)
-        self._active_scheduler = scheduler
+            # Under the lock that marks the jobs running: a poll that sees
+            # a job running reads its count from this scheduler.
+            self._active_scheduler = scheduler
         if self._shutdown.is_set():
             scheduler.request_drain()
+        outcomes, error = None, None
         try:
             with obs_runtime.observe(metrics=self.metrics):
                 outcomes = scheduler.run()
         except Exception as exc:  # never kill the worker thread
-            with self._cond:
+            error = f"{type(exc).__name__}: {exc}"
+        with self._cond:
+            if outcomes is None:
                 for run_id in batch:
                     job = self._jobs[run_id]
                     job.status = "failed"
-                    job.error = f"{type(exc).__name__}: {exc}"
+                    job.error = error
+                    job.done = scheduler.durable(run_id)
                     job.finished_at = time.time()
-                self._cond.notify_all()
-            return
-        finally:
+            else:
+                for outcome in outcomes:
+                    job = self._jobs.get(outcome.run_id)
+                    if job is None:  # pragma: no cover - defensive
+                        continue
+                    job.status = (
+                        "complete" if outcome.status == "cached"
+                        else outcome.status
+                    )
+                    job.cached = job.cached or outcome.status == "cached"
+                    job.error = (
+                        str(outcome.error) if outcome.error is not None
+                        else None
+                    )
+                    job.done = outcome.durable
+                    job.finished_at = time.time()
+            # Dropped only once every job holds its final count, so no
+            # poll in between falls back to the count from admission.
             self._active_scheduler = None
-        with self._cond:
-            for outcome in outcomes:
-                job = self._jobs.get(outcome.run_id)
-                if job is None:  # pragma: no cover - defensive
-                    continue
-                job.status = (
-                    "complete" if outcome.status == "cached" else outcome.status
-                )
-                job.cached = job.cached or outcome.status == "cached"
-                job.error = (
-                    str(outcome.error) if outcome.error is not None else None
-                )
-                job.finished_at = time.time()
             self._cond.notify_all()
 
     # -- the fleet coordinator worker ----------------------------------------------
@@ -720,6 +762,7 @@ class CampaignService:
             if admission.disposition == "cached":
                 job.status = "complete"
                 job.cached = True
+                job.done = len(admission.result.records)
                 job.finished_at = time.time()
             elif job.status == "queued":
                 # "queued"/"deduped": leases are grantable from now on.
@@ -731,12 +774,14 @@ class CampaignService:
 
     def _on_fleet_finish(self, run_id, status, result, error) -> None:
         """Coordinator callback (fires outside its lock) on terminal jobs."""
+        done = self.coordinator.durable(run_id)
         with self._cond:
             job = self._jobs.get(run_id)
             if job is None:  # pragma: no cover - defensive
                 return
             job.status = status
             job.error = str(error) if error is not None else None
+            job.done = done
             job.finished_at = time.time()
             self._cond.notify_all()
 

@@ -45,6 +45,7 @@ __all__ = [
     "JournalError",
     "JournalCorruptError",
     "Journal",
+    "read_header",
     "scan_journal",
     "seal_line",
 ]
@@ -116,6 +117,53 @@ class ScanResult:
     torn_reason: str = ""       # why the tail was judged torn ("" if clean)
 
 
+def _parse_line(raw: bytes) -> "tuple[dict | None, str]":
+    """One line, without its newline: ``(payload, "")`` when it is a valid
+    record, else ``(None, why it is not)``."""
+    if not raw.strip():
+        return None, "blank line"
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None, "unparsable JSON"
+    if not isinstance(payload, dict) or "crc" not in payload:
+        return None, "record without crc"
+    if payload["crc"] != _crc_of(payload):
+        return None, "crc mismatch"
+    return payload, ""
+
+
+def _check_header(path: Path, head: dict) -> None:
+    """Raise :class:`JournalError` unless ``head`` is a v1 ``open`` record."""
+    if head.get("kind") != "open":
+        raise JournalError(f"{path}: first record is not an open header")
+    version = head.get("journal_format_version")
+    if version != JOURNAL_FORMAT_VERSION:
+        raise JournalError(f"{path}: unsupported journal format {version!r}")
+
+
+def read_header(path: "str | Path") -> dict:
+    """A journal's ``open`` record, read and CRC-checked from its first line.
+
+    Nothing after the header is read, so nothing after it is validated:
+    this is for callers that need only a run's identity before they read
+    the whole journal (``repro resume`` takes the spec from it).
+    """
+    path = Path(path)
+    try:
+        with path.open("rb") as fh:
+            raw = fh.readline()
+    except FileNotFoundError:
+        raise JournalError(f"no such journal: {path}") from None
+    if not raw.endswith(b"\n"):
+        raise JournalError(f"{path}: no durable records (empty journal)")
+    head, reason = _parse_line(raw[:-1])
+    if reason:
+        raise JournalError(f"{path}: {reason} in the header line")
+    _check_header(path, head)
+    return head
+
+
 def scan_journal(path: "str | Path") -> ScanResult:
     """Validate a journal file line by line.
 
@@ -139,20 +187,7 @@ def scan_journal(path: "str | Path") -> ScanResult:
                 result.torn_reason = "unterminated final line"
             break
         line_bytes = len(raw) + 1  # + newline
-        torn_reason = ""
-        payload = None
-        if not raw.strip():
-            torn_reason = "blank line"
-        else:
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                torn_reason = "unparsable JSON"
-        if payload is not None and not torn_reason:
-            if not isinstance(payload, dict) or "crc" not in payload:
-                torn_reason = "record without crc"
-            elif payload["crc"] != _crc_of(payload):
-                torn_reason = "crc mismatch"
+        payload, torn_reason = _parse_line(raw)
         if torn_reason:
             # Only the *tail* may be torn: every byte after this line must
             # belong to the same interrupted write (i.e. nothing but this
@@ -188,6 +223,9 @@ class Journal:
         self._pending: list[dict] = []
         self._fh = _fh
         self._closed_fh = _fh is None
+        #: (durable bytes, file bytes) as :meth:`open` read them, until
+        #: :meth:`open_for_append` starts writing
+        self._read_extent: "tuple[int, int] | None" = None
 
     # -- constructors ------------------------------------------------------------
 
@@ -223,6 +261,8 @@ class Journal:
 
         With ``read_only`` the torn tail (if any) is *ignored* rather than
         truncated and no file handle is kept open — the mode queries use.
+        :meth:`open_for_append` can still turn such a journal into the
+        appendable one later, without reading the file again.
         """
         path = Path(path)
         if not path.exists():
@@ -230,22 +270,44 @@ class Journal:
         scan = scan_journal(path)
         if not scan.records:
             raise JournalError(f"{path}: no durable records (empty journal)")
-        head = scan.records[0]
-        if head.get("kind") != "open":
-            raise JournalError(f"{path}: first record is not an open header")
-        version = head.get("journal_format_version")
-        if version != JOURNAL_FORMAT_VERSION:
-            raise JournalError(f"{path}: unsupported journal format {version!r}")
-        if read_only:
-            return cls(path, scan.records, _fh=None)
-        if scan.torn_bytes:
-            # Drop the torn tail so the append stream restarts cleanly at
-            # the last durable record.
-            with path.open("r+b") as fh:
-                fh.truncate(scan.valid_bytes)
+        _check_header(path, scan.records[0])
+        journal = cls(path, scan.records)
+        journal._read_extent = (
+            scan.valid_bytes, scan.valid_bytes + scan.torn_bytes
+        )
+        if not read_only:
+            journal.open_for_append()
+        return journal
+
+    def open_for_append(self) -> None:
+        """Start appending to a journal :meth:`open` read ``read_only``.
+
+        Drops the torn tail the read ignored, so the append stream
+        restarts cleanly at the last durable record, and opens the file
+        for appending.  The file is not validated again: a resume reads
+        the run once, then decides to append to it.  The file must still
+        be as it was read; if another writer changed its size since,
+        this raises :class:`JournalError` rather than truncating that
+        writer's bytes away.  A no-op on a journal already open for
+        appending.
+        """
+        if self._fh is not None:
+            return
+        if self._read_extent is None:
+            raise JournalError(f"{self.path}: journal was not read; open it")
+        valid_bytes, read_bytes = self._read_extent
+        if self.path.stat().st_size != read_bytes:
+            raise JournalError(
+                f"{self.path}: journal changed since it was read; "
+                "open it again"
+            )
+        if read_bytes > valid_bytes:
+            with self.path.open("r+b") as fh:
+                fh.truncate(valid_bytes)
                 fh.flush()
                 os.fsync(fh.fileno())
-        return cls(path, scan.records, _fh=path.open("ab"))
+        self._fh = self.path.open("ab")
+        self._read_extent = None  # from now on this writer changes the file
 
     # -- querying ----------------------------------------------------------------
 

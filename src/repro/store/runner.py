@@ -218,13 +218,15 @@ def resume_run(
     close record.  Completing an already-complete run is a no-op cache
     hit.  An adaptive journal (one holding ``plan`` rows) resumes
     adaptively under its journaled policy regardless of ``sampling``.
+    The spec comes from the header line alone, so the journal is read
+    whole once, by the scheduler's :func:`~repro.scheduler.prepare_job`.
     """
     if not store.has(run_id):
         raise JournalError(
             f"no stored run {run_id!r} under {store.root} "
             f"(known: {', '.join(store.run_ids()) or 'none'})"
         )
-    spec = store.load(run_id).spec
+    spec = store.spec_of(run_id)
     return execute_spec(
         store, spec, workers=workers, chunk_size=chunk_size,
         timeout=timeout, backend=backend, fast_path=fast_path,

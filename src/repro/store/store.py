@@ -15,18 +15,20 @@ stores built from the same specs agree on every file name.
 :class:`CampaignStore` is the query half the analysis layer and CLI
 reuse — ``find``/``load``/``summaries`` answer "which runs do I have,
 how far did they get, give me one back as a
-:class:`~repro.beam.campaign.CampaignResult`" without touching the
-simulator.  The write half (journaling records as they land, resuming
-after a crash) lives in :mod:`repro.store.runner` and the scheduler.
+:class:`~repro.beam.campaign.CampaignResult`" (or as its campaign log,
+:meth:`StoredRun.log_lines`) without touching the simulator.  The write
+half (journaling records as they land, resuming after a crash) lives in
+:mod:`repro.store.runner` and the scheduler.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro._util.text import format_table
-from repro.store.journal import Journal, JournalError
+from repro.store.journal import Journal, JournalError, read_header
 from repro.store.spec import CampaignSpec
 
 __all__ = ["RunStatus", "RunSummary", "StoredRun", "CampaignStore"]
@@ -90,6 +92,10 @@ class StoredRun:
     created: float
     path: Path
     plans: list = field(default_factory=list)  # adaptive "plan" rows, in order
+    #: the read-only journal this run was loaded from; a resume makes it
+    #: appendable (:meth:`~repro.store.journal.Journal.open_for_append`)
+    #: instead of reading the file a second time
+    journal: "Journal | None" = field(default=None, repr=False, compare=False)
 
     @property
     def adaptive(self) -> bool:
@@ -121,12 +127,7 @@ class StoredRun:
         """
         from repro.beam.campaign import CampaignResult
 
-        if self.close is None:
-            raise JournalError(
-                f"run {self.run_id} is incomplete "
-                f"({len(self.rows)}/{self.spec.n_faulty} records durable); "
-                "resume it with `repro resume` before analysing"
-            )
+        self._require_complete()
         result = CampaignResult(
             kernel_name=self.spec.kernel,
             device_name=self.spec.device,
@@ -142,6 +143,41 @@ class StoredRun:
             # close record (see repro.store.runner.finalise_journal).
             result.aux["sampling"] = self.close["sampling"]
         return result
+
+    def log_lines(self) -> list:
+        """The complete run's campaign log, line by line, from its rows.
+
+        Byte-for-byte :func:`repro.beam.logs.log_lines` of :meth:`result`,
+        without rebuilding a record or encoding a row from one: the header
+        comes from the spec and the close record, and each following line
+        is ``json.dumps`` of a journaled row, in index order.  A journal
+        row is :func:`~repro.beam.logs.record_to_row` at the log's own
+        4096-element cap, and JSON floats round-trip exactly, so the two
+        agree.  Incomplete runs raise, as :meth:`result` does.
+        """
+        from repro.beam.logs import log_header
+
+        self._require_complete()
+        header = log_header(
+            kernel=self.spec.kernel,
+            device=self.spec.device,
+            label=self.spec.resolved_label(),
+            fluence=self.close["fluence"],
+            cross_section=self.close["cross_section"],
+            n_executions=self.close["n_executions"],
+            threshold_pct=self.spec.resolved_threshold(),
+        )
+        rows = sorted(self.rows, key=lambda row: row["index"])
+        return [header, *map(json.dumps, rows)]
+
+    def _require_complete(self) -> None:
+        """Incomplete runs raise — resume them first."""
+        if self.close is None:
+            raise JournalError(
+                f"run {self.run_id} is incomplete "
+                f"({len(self.rows)}/{self.spec.n_faulty} records durable); "
+                "resume it with `repro resume` before analysing"
+            )
 
 
 class CampaignStore:
@@ -180,10 +216,9 @@ class CampaignStore:
     # -- loading -----------------------------------------------------------------
 
     @staticmethod
-    def _spec_of(journal: Journal) -> CampaignSpec:
-        header = journal.header
+    def _spec_from(header: dict, path: Path) -> CampaignSpec:
         if "spec" not in header:
-            raise JournalError(f"{journal.path}: journal header has no spec")
+            raise JournalError(f"{path}: journal header has no spec")
         return CampaignSpec.from_dict(header["spec"])
 
     def load(self, run_id: str) -> StoredRun:
@@ -192,13 +227,24 @@ class CampaignStore:
         rows = [record["row"] for record in journal.records("record")]
         return StoredRun(
             run_id=journal.header.get("run_id", run_id),
-            spec=self._spec_of(journal),
+            spec=self._spec_from(journal.header, journal.path),
             rows=rows,
             close=journal.close_record,
             created=journal.header.get("created", 0.0),
             path=journal.path,
             plans=journal.records("plan"),
+            journal=journal,
         )
+
+    def spec_of(self, run_id: str) -> CampaignSpec:
+        """A stored run's spec, from its journal's header line alone.
+
+        Only the CRC-checked first line is read, for callers that need the
+        run's identity before they read the whole journal (``repro
+        resume``).
+        """
+        path = self.path_for(run_id)
+        return self._spec_from(read_header(path), path)
 
     def load_spec(self, spec: CampaignSpec) -> "StoredRun | None":
         """Content-addressed lookup: this spec's run, if any is stored."""
