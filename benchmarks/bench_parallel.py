@@ -115,11 +115,10 @@ def resolved_execution(args, workers: int,
                        faulty: "int | None" = None) -> "tuple[str, int]":
     """The backend and pool size the executor will *actually* use.
 
-    Mirrors :meth:`CampaignExecutor.run`'s resolution: the requested
-    worker count is downshifted to the chunk count, and too-small pools
-    or workloads fall back to the serial loop.  Timing rows record this
-    (not the requested count) so a "parallel" row on a single-core
-    machine is visibly a serial run.
+    Asks :meth:`CampaignExecutor.resolved_backend`, the rule every run
+    follows: one worker or a too-small workload runs inline.  Timing
+    rows record this (not the requested count) so a "parallel" row on a
+    single-core machine is visibly a serial run.
     """
     from repro.beam.executor import CampaignExecutor
 
@@ -127,14 +126,7 @@ def resolved_execution(args, workers: int,
     executor = CampaignExecutor(workers=workers, chunk_size=args.chunk_size)
     resolved = executor.resolved_workers()
     backend = executor.resolved_backend(faulty, resolved)
-    if backend != "serial":
-        chunks = executor.plan_chunks(range(faulty), resolved)
-        resolved = min(resolved, len(chunks))
-        if resolved <= 1:
-            backend = "serial"
-    if backend == "serial":
-        resolved = 1
-    return backend, resolved
+    return backend, 1 if backend == "serial" else resolved
 
 
 def bench(args) -> "tuple[str, float | None]":

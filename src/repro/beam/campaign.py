@@ -387,58 +387,22 @@ class Campaign:
             chunk_size: override the campaign's chunk size for this run.
 
         Journaled (resumable) adaptive runs go through
-        :func:`repro.store.runner.execute_spec` with ``sampling=``.
+        :func:`repro.store.runner.execute_spec` with ``sampling=``.  This
+        run is one in-memory scheduler job: every round runs over one
+        worker pool, and each completed round emits a ``sampling`` span.
         """
-        from repro.sampling.adaptive import AdaptiveCampaign
-
-        driver = AdaptiveCampaign(self, policy)
-        executor = self._executor(workers, chunk_size)
-        tracer = obs_runtime.get_tracer()
-
-        def run_round(indices, number: int) -> list:
-            span = (
-                tracer.span(
-                    "sampling",
-                    f"{self.label}/round{number}",
-                    round=number,
-                    strikes=len(indices),
-                    executed=driver.executed,
-                    kernel=self.kernel.name,
-                    device=self.device.name,
-                )
-                if tracer is not None
-                else contextlib.nullcontext()
-            )
-            with span:
-                return executor.run(
-                    self.kernel,
-                    self.device,
-                    seed=self.seed,
-                    threshold_pct=self.threshold_pct,
-                    indices=list(indices),
-                    label=self.label,
-                )
-
         with self._campaign_span("adaptive", self.n_faulty) as span:
-            while True:
-                plan = driver.next_round()
-                if plan is None:
-                    break
-                driver.ingest(run_round(plan.indices, plan.number))
-            estimate = driver.estimate()
-            records = driver.records()
-            result = self.result_from_records(
-                records, n_executions=len(records)
+            result = self._executor(workers, chunk_size)._run_in_memory(
+                self, policy=policy
             )
-            result.aux["sampling"] = estimate.to_dict()
             if span is not None:
+                sampling = result.aux["sampling"]
                 span.set(
-                    sampling_rounds=len(driver.rounds),
-                    sampling_stop=driver.stop_reason,
-                    sampling_pool=driver.pool,
+                    sampling_rounds=sampling["rounds"],
+                    sampling_stop=sampling["stop_reason"],
+                    sampling_pool=sampling["pool"],
                 )
             self._note_campaign("adaptive", result, span)
-            note_sampling(driver, len(driver.rounds), driver.executed)
         return result
 
     def run_natural(
@@ -509,10 +473,10 @@ class Campaign:
 def note_sampling(driver, rounds: int, strikes: int) -> None:
     """Fold one adaptive session into the ``repro_sampling_*`` metrics.
 
-    Shared by :meth:`Campaign.run_adaptive` and the scheduler, which
-    calls it when it seals an adaptive job.  ``rounds`` and ``strikes``
-    count this session's work only, so a resumed run never recounts the
-    rounds its journal already held.
+    The scheduler calls it when it seals an adaptive job, in memory
+    (:meth:`Campaign.run_adaptive`) or journaled.  ``rounds`` and
+    ``strikes`` count this session's work only, so a resumed run never
+    recounts the rounds its journal already held.
     """
     metrics = obs_runtime.get_metrics()
     if metrics is None:

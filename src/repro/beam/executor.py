@@ -1,10 +1,16 @@
-"""Parallel campaign execution engine.
+"""Parallel campaign execution: chunk planning, pools and the chunk runner.
 
 The paper's beam sessions scale by exposing several boards at once, and
 two-level SDC-rate estimators (Hari et al.) scale by fanning per-site
 injections out over many workers.  This module gives the simulator the same
-shape: :class:`CampaignExecutor` fans struck executions out over a process
-pool, with thread and serial fallbacks.
+shape.  :class:`CampaignExecutor` holds one run's execution settings and
+decides how it runs: it plans contiguous chunks, resolves the backend (a
+process pool, with thread and serial fallbacks), builds the pool and
+stages the shared golden export.  :func:`_run_chunk` is what a worker
+runs for one chunk.  The dispatch loop itself is
+:class:`~repro.scheduler.CampaignScheduler`'s: :meth:`CampaignExecutor.run`,
+the in-memory entry point behind ``Campaign.run`` and ``run_natural``, is
+a one-job scheduler run with no journal.
 
 **Why parallel execution is bit-identical to the serial loop.**  Every
 struck execution ``i`` draws from the derived stream
@@ -22,9 +28,10 @@ per index is large and the per-record payload is small — the regime where
 ``ProcessPoolExecutor`` wins.  Chunks amortise worker start-up and let the
 per-process golden-output cache (:mod:`repro.kernels.base`) compute the
 clean reference once per worker rather than once per chunk.  For small
-campaigns the pool overhead dominates, so the executor falls back to a
-plain in-process loop; on platforms without ``fork`` it prefers threads,
-which still overlap the NumPy-heavy kernel re-executions.
+campaigns the pool overhead dominates, so ``auto`` runs them inline (see
+:meth:`CampaignExecutor.resolved_backend`); on platforms without ``fork``
+it prefers threads, which still overlap the NumPy-heavy kernel
+re-executions.
 
 **Deadlock guard.**  A ``timeout`` (seconds) bounds the wall-clock wait for
 outstanding chunks; a wedged pool raises :class:`ExecutorTimeoutError`
@@ -37,13 +44,9 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Sequence
-from concurrent.futures import (
-    FIRST_EXCEPTION,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+# Unused here: kept only because perfbench/layers.py patches it by name.
+from concurrent.futures import wait  # noqa: F401
 from dataclasses import dataclass, field
 
 from repro.arch.device import DeviceModel
@@ -52,7 +55,6 @@ from repro.faults.injector import Injector, StrikeError
 from repro.faults.outcomes import ExecutionRecord
 from repro.kernels.base import Kernel, capture_cache_events
 from repro.kernels.sharedmem import SharedGoldenExport, adopt_shared_golden
-from repro.observability import runtime as obs_runtime
 from repro.observability.trace import worker_id
 
 #: Below this many struck executions a pool costs more than it saves.
@@ -295,14 +297,21 @@ class CampaignExecutor:
         return bool(self.fast_path)
 
     def resolved_backend(self, n_indices: int, workers: int) -> str:
-        """The execution strategy actually used for ``n_indices`` strikes."""
-        if self.backend == "serial":
+        """The execution strategy for ``n_indices`` strikes on ``workers``.
+
+        The one backend rule of every local run: inline (``"serial"``)
+        on one worker; an explicit ``"process"``/``"thread"`` on several
+        workers keeps its pool however few the strikes; ``"auto"`` runs
+        inline below :data:`MIN_PARALLEL_STRIKES` strikes, else on
+        processes where ``fork`` exists and threads elsewhere.
+        """
+        if self.backend == "serial" or workers <= 1:
             return "serial"
-        if workers <= 1 or n_indices < max(2, MIN_PARALLEL_STRIKES):
+        if self.backend != "auto":
+            return self.backend
+        if n_indices < MIN_PARALLEL_STRIKES:
             return "serial"
-        if self.backend == "auto":
-            return "process" if _fork_available() else "thread"
-        return self.backend
+        return "process" if _fork_available() else "thread"
 
     def plan_chunks(self, indices: Sequence[int], workers: int) -> list[list[int]]:
         """Split indices into contiguous chunks (order preserved)."""
@@ -334,21 +343,19 @@ class CampaignExecutor:
         bit-identical to one ``Injector.inject_batch`` over the same
         indices in a single process.
 
-        ``label`` names the campaign/board in trace spans and error
-        context; it never affects the records.  When observability is
-        configured (:mod:`repro.observability.runtime`), the executor
-        emits one ``chunk`` span per worker task and one ``execution``
-        span per struck execution — timings are measured where the work
-        runs and re-emitted here, so a trace always has a single writer
-        (an execution span carries its chunk's amortised per-strike
-        time).
-        A worker failure raises :class:`CampaignExecutionError` carrying
-        the failing execution index, chunk and label.
-
-        Runs are in memory; journaled runs go through
-        :class:`~repro.scheduler.CampaignScheduler`, which shares this
-        class's chunk planning, pool construction and golden export.
+        ``label`` names the campaign/board in error context; it never
+        affects the records.  The run is one in-memory
+        :class:`~repro.scheduler.CampaignScheduler` job, so it traces
+        like any scheduled chunk: one ``chunk`` span per worker task and
+        one ``execution`` span per struck execution, measured where the
+        work runs and re-emitted by the parent (an execution span carries
+        its chunk's amortised per-strike time).  A worker failure raises
+        :class:`CampaignExecutionError` carrying the failing execution
+        index, chunk and label, with the :class:`ChunkWorkerError` as its
+        ``__cause__``; nothing is retried.
         """
+        from repro.beam.campaign import Campaign
+
         if (count is None) == (indices is None):
             raise ValueError("pass exactly one of count= or indices=")
         if indices is None:
@@ -358,162 +365,35 @@ class CampaignExecutor:
         indices = list(indices)
         if not indices:
             return []
-
-        tracer = obs_runtime.get_tracer()
-        metrics = obs_runtime.get_metrics()
-        progress = obs_runtime.get_progress()
-        fast_path = self.resolved_fast_path()
-
-        workers = self.resolved_workers()
-        backend = self.resolved_backend(len(indices), workers)
-        chunks = self.plan_chunks(indices, workers)
-        if backend != "serial":
-            workers = min(workers, len(chunks))
-            if workers <= 1:
-                backend = "serial"
-
-        if backend == "serial":
-            return self._run_serial(
-                kernel, device, seed, threshold_pct, chunks,
-                label=label, tracer=tracer, metrics=metrics,
-                progress=progress, fast_path=fast_path,
-            )
-        return self._run_pooled(
-            kernel, device, seed, threshold_pct, chunks, backend, workers,
-            label=label, tracer=tracer, metrics=metrics,
-            progress=progress, fast_path=fast_path,
+        campaign = Campaign(
+            kernel=kernel, device=device, n_faulty=len(indices), seed=seed,
+            threshold_pct=threshold_pct,
         )
+        return self._run_in_memory(campaign, indices, label=label).records
 
-    # -- serial ------------------------------------------------------------------
+    def _run_in_memory(self, campaign, indices=None, *, policy=None,
+                       label=None):
+        """Run one in-memory scheduler job with these settings; no retries.
 
-    def _run_serial(
-        self, kernel, device, seed, threshold_pct, chunks, *,
-        label, tracer, metrics, progress, fast_path=False,
-    ) -> list[ExecutionRecord]:
-        """In-process path: same chunk runner, no pool."""
-        n_total = sum(len(chunk) for chunk in chunks)
-        if tracer is None and metrics is None and progress is None:
-            # Nothing observes the chunks: one runner call, records out.
-            flat = [index for chunk in chunks for index in chunk]
-            try:
-                return _run_chunk(
-                    kernel, device, seed, threshold_pct, flat, fast_path,
-                ).records
-            except ChunkWorkerError as err:
-                raise CampaignExecutionError.wrap(
-                    err, label=label, backend="serial", chunk=0, indices=flat,
-                ) from err
-        records: list[ExecutionRecord] = []
-        completed = 0
-        for chunk_no, chunk in enumerate(chunks):
-            try:
-                result = _run_chunk(
-                    kernel, device, seed, threshold_pct, chunk, fast_path,
-                )
-            except ChunkWorkerError as err:
-                raise CampaignExecutionError.wrap(
-                    err, label=label, backend="serial", chunk=chunk_no,
-                    indices=chunk,
-                ) from err
-            records.extend(result.records)
-            completed += len(result.records)
-            self._emit_chunk(
-                tracer, metrics, kernel, device, "serial", chunk_no, result
-            )
-            if progress is not None:
-                progress.update(completed, total=n_total)
-        records.sort(key=lambda record: record.index)
-        return records
+        A fixed job runs ``indices`` of ``campaign``; without them the
+        job is adaptive under ``policy`` (see
+        :meth:`~repro.scheduler.CampaignScheduler.submit_campaign`).
+        Returns the job's :class:`~repro.beam.campaign.CampaignResult`,
+        or raises its error.  A deterministic kernel error fails the same
+        way on every attempt, so in-memory runs do not retry.
+        """
+        from repro.scheduler import CampaignScheduler, RetryPolicy
 
-    # -- pooled ------------------------------------------------------------------
-
-    def _run_pooled(
-        self, kernel, device, seed, threshold_pct, chunks, backend, workers, *,
-        label, tracer, metrics, progress, fast_path=False,
-    ) -> list[ExecutionRecord]:
-        """Fan chunks over a pool; drain incrementally for progress/metrics."""
-        timeout = self.timeout if self.timeout is not None else default_timeout()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        n_total = sum(len(chunk) for chunk in chunks)
-        queue_gauge = (
-            metrics.gauge(
-                "repro_pool_queue_depth",
-                "Campaign chunks submitted but not yet finished",
-            )
-            if metrics is not None
-            else None
+        scheduler = CampaignScheduler(
+            None, workers=self.workers, chunk_size=self.chunk_size,
+            backend=self.backend, timeout=self.timeout,
+            fast_path=self.fast_path, retry=RetryPolicy(max_retries=0),
         )
-        # Process workers start with an empty per-process golden cache;
-        # export the parent's golden state (and HotSpot's iteration chain)
-        # over shared memory so each worker attaches read-only views
-        # instead of re-executing the clean kernel.  Best-effort: an
-        # export/adoption failure just leaves workers computing their own.
-        export = self._export_shared_golden(backend, [kernel])
-        try:
-            with self._make_pool(
-                backend, workers,
-                payload=export.payload if export is not None else None,
-            ) as pool:
-                chunk_of = {}
-                for chunk_no, chunk in enumerate(chunks):
-                    future = pool.submit(
-                        _run_chunk, kernel, device, seed, threshold_pct, chunk,
-                        fast_path,
-                    )
-                    chunk_of[future] = chunk_no
-                pending = set(chunk_of)
-                if queue_gauge is not None:
-                    queue_gauge.set(len(pending))
-                by_chunk: dict[int, _ChunkResult] = {}
-                completed = 0
-                while pending:
-                    done, pending = wait(
-                        pending,
-                        timeout=self._wait_tick(deadline, progress),
-                        return_when=FIRST_EXCEPTION,
-                    )
-                    for future in done:
-                        exc = future.exception()
-                        if exc is not None:
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            chunk_no = chunk_of[future]
-                            if isinstance(exc, ChunkWorkerError):
-                                raise CampaignExecutionError.wrap(
-                                    exc, label=label, backend=backend,
-                                    chunk=chunk_no, indices=chunks[chunk_no],
-                                ) from exc
-                            raise exc
-                        chunk_no = chunk_of[future]
-                        result = future.result()
-                        by_chunk[chunk_no] = result
-                        completed += len(result.records)
-                        self._emit_chunk(
-                            tracer, metrics, kernel, device, backend, chunk_no,
-                            result,
-                        )
-                    if queue_gauge is not None:
-                        queue_gauge.set(len(pending))
-                    if progress is not None:
-                        progress.update(completed, total=n_total)
-                    if (
-                        pending
-                        and deadline is not None
-                        and time.monotonic() >= deadline
-                    ):
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise ExecutorTimeoutError(
-                            f"campaign pool ({backend}, {workers} workers) did "
-                            f"not finish {len(pending)}/{len(chunks)} chunks "
-                            f"within {timeout:g}s"
-                        )
-        finally:
-            if export is not None:
-                export.close()
-        records: list[ExecutionRecord] = []
-        for chunk_no in sorted(by_chunk):
-            records.extend(by_chunk[chunk_no].records)
-        records.sort(key=lambda record: record.index)
-        return records
+        scheduler.submit_campaign(campaign, indices, policy=policy, label=label)
+        (outcome,) = scheduler.run()
+        if outcome.error is not None:
+            raise outcome.error
+        return outcome.result
 
     @staticmethod
     def _export_shared_golden(
@@ -544,33 +424,6 @@ class CampaignExecutor:
             export.close()
             return None
         return export
-
-    @staticmethod
-    def _wait_tick(deadline: "float | None", progress) -> "float | None":
-        """How long one ``wait`` round may block.
-
-        Bounded by the remaining overall timeout and — when a progress
-        reporter is attached — its print interval, so throughput lines
-        keep flowing while slow chunks run.
-        """
-        tick = None
-        if deadline is not None:
-            tick = max(0.001, deadline - time.monotonic())
-        if progress is not None:
-            beat = progress.interval if progress.interval > 0 else 1.0
-            tick = beat if tick is None else min(tick, beat)
-        return tick
-
-    # -- observability -----------------------------------------------------------
-
-    @staticmethod
-    def _emit_chunk(
-        tracer, metrics, kernel, device, backend, chunk_no,
-        result: _ChunkResult,
-    ) -> None:
-        emit_chunk_observability(
-            tracer, metrics, kernel, device, backend, chunk_no, result,
-        )
 
     @staticmethod
     def _make_pool(
@@ -616,9 +469,9 @@ def emit_chunk_observability(
     with ``mirror_metrics=False`` under a capture scope), so each
     successful chunk's deltas are counted exactly once regardless of
     backend — and a chunk that failed partway and was retried contributes
-    only its successful attempt.  Shared by :class:`CampaignExecutor`, the
-    multi-campaign scheduler (:mod:`repro.scheduler`) and the fleet
-    coordinator, which pass ``extra_attrs`` (job label, run id) so
+    only its successful attempt.  Shared by the scheduler
+    (:mod:`repro.scheduler`, every local run) and the fleet coordinator;
+    journaled jobs pass ``extra_attrs`` (job label, run id) so
     interleaving is visible span by span.
     """
     if tracer is None and metrics is None:

@@ -19,7 +19,9 @@ on everything that happens around dispatch:
 Keeping these in one place is what makes the fleet path byte-identical
 to the pool path: both sides journal the same rows in the same shapes,
 so a campaign finished by remote agents renders the same log, report
-and result as one finished by the local pool.
+and result as one finished by the local pool.  The scheduler's in-memory
+jobs use the same round planning and sealing with ``journal=None``, which
+writes no plan row and no close record.
 
 The ``planner`` argument threaded through this module is any callable
 ``planner(indices) -> list_of_chunks``; callers typically bind it to
@@ -154,7 +156,8 @@ def plan_adaptive(campaign, journal, policy, plan_rows, prior, planner):
     Returns ``(driver, chunks)``: either the in-progress round's missing
     indices (journal resume) or the freshly planned — and journaled —
     first round.  The journaled policy wins over the caller's, so a
-    resumed run reproduces its own stopping decision.
+    resumed run reproduces its own stopping decision.  An in-memory job
+    passes ``journal=None`` and no plan rows.
     """
     from repro.sampling import AdaptiveCampaign, SamplingPolicy
 
@@ -173,15 +176,8 @@ def plan_adaptive(campaign, journal, policy, plan_rows, prior, planner):
         else []
     )
     if missing:
-        indices = sorted(missing)
-    else:
-        plan = driver.next_round()
-        if plan is None:  # replayed straight to a stopping decision
-            return driver, []
-        journal.append("plan", **plan.payload)
-        journal.commit()
-        indices = list(plan.indices)
-    return driver, planner(indices)
+        return driver, planner(sorted(missing))
+    return driver, advance_adaptive(driver, journal, planner)
 
 
 def advance_adaptive(driver, journal, planner) -> list:
@@ -189,13 +185,15 @@ def advance_adaptive(driver, journal, planner) -> list:
 
     Returns the next round's chunks (``[]`` when the stopping rule
     fired).  The plan row is durable before any chunk is handed out —
-    the same order :func:`plan_adaptive` enforces on resume.
+    the same order :func:`plan_adaptive` enforces on resume.  An
+    in-memory job (``journal is None``) writes no plan row.
     """
     plan = driver.next_round()
     if plan is None:
         return []  # stopping rule fired; seal_job takes it from here
-    journal.append("plan", **plan.payload)
-    journal.commit()
+    if journal is not None:
+        journal.append("plan", **plan.payload)
+        journal.commit()
     return planner(list(plan.indices))
 
 
@@ -216,9 +214,10 @@ def seal_job(journal, campaign, prior, records, driver):
     """Seal a job whose every chunk is durable: close record + result.
 
     Returns ``(result, sampling_dict_or_None)``.  The journal is closed;
-    callers must not append to it afterwards.  Callers are responsible
-    for checking :func:`driver_settled` (and their own chunk accounting)
-    first.
+    callers must not append to it afterwards.  An in-memory job
+    (``journal is None``) gets its result and writes nothing.  Callers
+    are responsible for checking :func:`driver_settled` (and their own
+    chunk accounting) first.
     """
     sampling = None
     if driver is not None:
@@ -233,6 +232,7 @@ def seal_job(journal, campaign, prior, records, driver):
             list(prior) + list(records), key=lambda record: record.index
         )
         result = campaign.result_from_records(all_records)
-    finalise_journal(journal, result, sampling=sampling)
-    journal.close()
+    if journal is not None:
+        finalise_journal(journal, result, sampling=sampling)
+        journal.close()
     return result, sampling

@@ -24,6 +24,13 @@ simulator-side analogue for *campaigns*:
   :func:`repro.store.runner.execute_spec` (``repro resume``) is a
   one-job run of this class, ``repro queue`` and the service a many-job
   one.
+* **The one local dispatch loop.**  In-memory runs are jobs too
+  (:meth:`CampaignScheduler.submit_campaign`): a job with no journal,
+  whose chunks return bare records and whose result is never sealed.
+  ``Campaign.run`` and ``run_natural`` (through
+  :meth:`~repro.beam.executor.CampaignExecutor.run`) and
+  ``Campaign.run_adaptive`` are one-job runs with no retries, so every
+  adaptive round of a run shares one pool.
 * **Bounded retry with backoff.**  A chunk whose worker fails is
   re-dispatched up to :attr:`RetryPolicy.max_retries` times, waiting an
   exponentially growing, jittered delay between attempts; only then does
@@ -40,11 +47,14 @@ simulator-side analogue for *campaigns*:
   request; only a run that raises with chunks in flight cancels the
   queued ones and does not wait for the running ones.
 
-Observability rides the runtime switchboard: chunk spans carry the job's
-``label`` and ``run_id`` (so interleaving is visible span by span),
-retries emit ``retry`` events and ``repro_retries_total``, each job
-lands a ``job`` span plus ``repro_scheduler_jobs_total{outcome}``, and a
-sealed adaptive job folds this session's ``repro_sampling_*`` counters.
+Observability rides the runtime switchboard: a journaled job's chunk
+spans carry its ``label`` and ``run_id`` (so interleaving is visible span
+by span), retries emit ``retry`` events and ``repro_retries_total``, each
+job counts in ``repro_scheduler_jobs_total{outcome}`` and a journaled one
+lands a ``job`` span.  Each completed adaptive round emits a ``sampling``
+span, and a sealed adaptive job folds this session's ``repro_sampling_*``
+counters.  ``repro_pool_queue_depth`` gauges the chunks planned but not
+yet finished, over all jobs, and reads 0 once ``run`` returns.
 """
 
 from __future__ import annotations
@@ -72,6 +82,7 @@ from repro.observability import runtime as obs_runtime
 from repro.scheduler.jobs import (
     advance_adaptive,
     driver_settled,
+    plan_adaptive,
     prepare_job,
     seal_job,
 )
@@ -89,7 +100,8 @@ class JobOutcome:
     """How one submitted campaign ended up.
 
     Attributes:
-        run_id: the store's content-addressed id for the spec.
+        run_id: the store's content-addressed id for the spec (``""``
+            for an in-memory job).
         label: the campaign's display label.
         status: ``"complete"`` (ran to the close record), ``"cached"``
             (store already held the finished run), ``"failed"`` (a chunk
@@ -160,13 +172,18 @@ class _Task:
 
 
 class _Job:
-    """Scheduler-internal state of one submitted campaign."""
+    """Scheduler-internal state of one submitted campaign.
 
-    def __init__(self, order, spec, run_id, campaign, journal, chunks, prior,
-                 driver=None):
+    An in-memory job has no journal (``journal is None``) and no run id
+    (``""``): nothing it runs is sealed or committed.
+    """
+
+    def __init__(self, order, run_id, label, priority, campaign, journal,
+                 chunks, prior, driver=None):
         self.order = order              # submit order (fair-share tiebreak)
-        self.spec = spec
         self.run_id = run_id
+        self.label = label
+        self.priority = priority
         self.campaign = campaign
         self.journal = journal
         self.chunks = chunks            # index chunks still to dispatch
@@ -186,18 +203,16 @@ class _Job:
         self.result = None
         self.status = "running"
         self.started = time.time()
-
-    @property
-    def priority(self) -> int:
-        return self.spec.priority
-
-    @property
-    def label(self) -> str:
-        return self.spec.resolved_label()
+        self.round_started = self.started  # adaptive: current round's start
 
     def has_work(self) -> bool:
         """Has undispatched chunks (and is still eligible to run)."""
         return self.failed is None and self.next_chunk < len(self.chunks)
+
+    @property
+    def unfinished(self) -> int:
+        """Chunks planned and not yet finished (queued, running, retrying)."""
+        return len(self.chunks) - self.next_chunk + self.inflight + self.waiting
 
     def grant(self, chunk_no: int) -> ChunkLease:
         """Grant (or regrant, with a bumped token) one chunk's lease."""
@@ -226,20 +241,19 @@ class _Job:
 
 
 class CampaignScheduler:
-    """Runs queued campaign specs over one shared pool (see module doc).
+    """Runs queued campaign jobs over one shared pool (see module doc).
 
     Args:
-        store: the campaign store journaling every run (and answering
-            dedup/resume lookups).
+        store: the campaign store journaling every spec job (and
+            answering dedup/resume lookups); ``None`` for a scheduler
+            that runs only in-memory jobs (:meth:`submit_campaign`).
         workers: shared pool size (``None``/``0`` = auto).
         chunk_size: executions per dispatched chunk (``None`` = auto).
-        backend: ``"auto"``/``"process"``/``"thread"``/``"serial"``.
-            ``"auto"`` picks like the single-campaign executor: inline
-            on one worker or below ``MIN_PARALLEL_STRIKES`` queued
-            strikes, else processes (threads without ``fork``).  An
-            explicit ``"process"``/``"thread"`` on several workers keeps
-            its pool however small the queue; ``"serial"`` runs chunks
-            inline for deterministic tests.
+        backend: ``"auto"``/``"process"``/``"thread"``/``"serial"``,
+            resolved over the queued strikes (an adaptive job counts its
+            first round) by
+            :meth:`~repro.beam.executor.CampaignExecutor.resolved_backend`;
+            ``"serial"`` runs chunks inline for deterministic tests.
         timeout: wall-clock bound on one :meth:`run` (``None`` = the
             ``REPRO_POOL_TIMEOUT`` environment default); a run past it
             raises :class:`~repro.beam.executor.ExecutorTimeoutError`.
@@ -252,16 +266,16 @@ class CampaignScheduler:
         seed: seeds the jitter stream, making backoff schedules
             reproducible.
         chunk_runner: test hook replacing the chunk runner the worker
-            calls before sealing the records it returns (signature of
-            :func:`repro.beam.executor._run_chunk`); must be picklable
-            for the process backend.
+            calls (signature of :func:`repro.beam.executor._run_chunk`;
+            a journaled job's worker then seals the records it returns);
+            must be picklable for the process backend.
         sleep: test hook replacing :func:`time.sleep` for backoff waits.
         clock: test hook replacing :func:`time.monotonic`.
     """
 
     def __init__(
         self,
-        store: CampaignStore,
+        store: "CampaignStore | None",
         *,
         workers: "int | None" = None,
         chunk_size: "int | None" = None,
@@ -344,13 +358,43 @@ class CampaignScheduler:
             return run_id
         self._queue.append(
             _Job(
-                order=len(self._queue), spec=spec, run_id=run_id,
+                order=len(self._queue), run_id=run_id,
+                label=spec.resolved_label(), priority=spec.priority,
                 campaign=prepared.campaign, journal=prepared.journal,
                 chunks=prepared.chunks, prior=prepared.prior,
                 driver=prepared.driver,
             )
         )
         return run_id
+
+    def submit_campaign(self, campaign, indices=None, *, policy=None,
+                        label=None) -> None:
+        """Queue one in-memory job: no journal, no run id, no dedup.
+
+        With ``indices`` the job runs exactly those strikes of
+        ``campaign``.  Without them it is adaptive: rounds over the
+        campaign's ``n_faulty`` candidate pool under ``policy`` (a
+        :class:`~repro.sampling.SamplingPolicy`; ``None`` = the
+        default), planned as earlier rounds land.  Chunks return bare
+        records, nothing is sealed or committed, and the outcome's
+        ``result`` is the :class:`~repro.beam.campaign.CampaignResult`
+        (an adaptive one with ``aux["sampling"]``).  ``label`` names the
+        job in errors and ``sampling`` spans (default: the campaign's).
+        """
+        if indices is None:
+            driver, chunks = plan_adaptive(
+                campaign, None, policy, [], [], self._plan_job_chunks
+            )
+        else:
+            driver, chunks = None, self._plan_job_chunks(list(indices))
+        self._queue.append(
+            _Job(
+                order=len(self._queue), run_id="",
+                label=campaign.label if label is None else label, priority=1,
+                campaign=campaign, journal=None, chunks=chunks, prior=[],
+                driver=driver,
+            )
+        )
 
     def _plan_job_chunks(self, indices) -> list:
         """The ``planner`` bound for :mod:`repro.scheduler.jobs` helpers."""
@@ -405,8 +449,8 @@ class CampaignScheduler:
         total = sum(
             sum(len(chunk) for chunk in job.chunks) for job in jobs
         )
-        backend = self._resolve_backend(total)
         workers = self._executor.resolved_workers()
+        backend = self._executor.resolved_backend(total, workers)
         slots = 1 if backend == "serial" else workers
         timeout = (
             self._executor.timeout
@@ -415,14 +459,6 @@ class CampaignScheduler:
         )
         deadline = None if timeout is None else self._clock() + timeout
         completed = 0
-        queue_gauge = (
-            metrics.gauge(
-                "repro_scheduler_queue_depth",
-                "Campaign jobs queued or running in the scheduler",
-            )
-            if metrics is not None
-            else None
-        )
 
         pool = None
         export = None
@@ -464,8 +500,8 @@ class CampaignScheduler:
                         break
                     future = self._submit_task(pool, task)
                     inflight[future] = task
-                if queue_gauge is not None:
-                    queue_gauge.set(self.pending)
+                if metrics is not None:
+                    self._set_depths(metrics, jobs)
                 if not inflight:
                     if self._draining:
                         break
@@ -492,7 +528,8 @@ class CampaignScheduler:
                         completed += self._chunk_done(
                             task, future.result(), backend, tracer, metrics
                         )
-                if progress is not None and done:
+                if progress is not None:
+                    # Every tick, as a heartbeat while slow chunks run.
                     # Adaptive jobs grow their chunk list round by round,
                     # so the total is recomputed rather than cached.
                     total = sum(
@@ -512,12 +549,13 @@ class CampaignScheduler:
             for job in jobs:
                 if job.status == "running":
                     job.status = "interrupted"
-                job.journal.close()
+                if job.journal is not None:
+                    job.journal.close()
             self._retry_heap.clear()
 
         outcomes = [
             entry if isinstance(entry, JobOutcome)
-            else entry.outcome(self._durable[entry.run_id])
+            else entry.outcome(self._durable.get(entry.run_id, 0))
             for entry in self._queue
         ]
         self._queue = []
@@ -530,23 +568,21 @@ class CampaignScheduler:
             )
             for outcome in outcomes:
                 jobs_total.inc(outcome=outcome.status)
-        if queue_gauge is not None:
-            queue_gauge.set(0)
+            self._set_depths(metrics, [])
         return outcomes
 
+    def _set_depths(self, metrics, jobs) -> None:
+        """Gauge the jobs still queued and their chunks not yet finished."""
+        metrics.gauge(
+            "repro_scheduler_queue_depth",
+            "Campaign jobs queued or running in the scheduler",
+        ).set(self.pending)
+        metrics.gauge(
+            "repro_pool_queue_depth",
+            "Campaign chunks planned but not yet finished",
+        ).set(sum(job.unfinished for job in jobs))
+
     # -- dispatch policy ----------------------------------------------------------
-
-    def _resolve_backend(self, n_strikes: int) -> str:
-        """An explicit pool on several workers as asked, else the executor's.
-
-        ``auto`` (and any backend on one worker) resolves like a single
-        campaign: inline below ``MIN_PARALLEL_STRIKES`` queued strikes
-        (an adaptive job counts its first round) or on one worker.
-        """
-        workers = self._executor.resolved_workers()
-        if self._executor.backend in ("process", "thread") and workers > 1:
-            return self._executor.backend
-        return self._executor.resolved_backend(n_strikes, workers)
 
     def _next_task(self, now: float) -> "_Task | None":
         """The next chunk to dispatch: due retries first, then fair share."""
@@ -576,33 +612,43 @@ class CampaignScheduler:
         job = task.job
         job.inflight += 1
         args = (
-            self._chunk_runner,
             job.campaign.kernel,
             job.campaign.device,
-            job.spec.seed,
+            job.campaign.seed,
             job.campaign.threshold_pct,
             task.indices,
             self._executor.resolved_fast_path(),
         )
+        fn = self._chunk_runner
+        if job.journal is not None:
+            # Sealed where it ran, so the parent only writes and fsyncs;
+            # an in-memory chunk writes nothing and pays no row encoding.
+            fn, args = _run_sealed, (fn, *args)
         if pool is None:  # serial backend: run inline, wrap as a future
             future: Future = Future()
             try:
-                future.set_result(_run_sealed(*args))
+                future.set_result(fn(*args))
             except Exception as exc:
                 future.set_exception(exc)
             return future
-        return pool.submit(_run_sealed, *args)
+        return pool.submit(fn, *args)
 
     def _tick(self, deadline, progress) -> "float | None":
-        """Bound one wait round: overall deadline, next retry, progress."""
+        """Bound one wait round: overall deadline, next retry, progress.
+
+        With a progress reporter the wait wakes at least once per print
+        interval (every second at interval 0), so its heartbeat keeps
+        flowing while slow chunks run.
+        """
         tick = None
         if deadline is not None:
             tick = max(0.001, deadline - self._clock())
         if self._retry_heap:
             ready = max(0.001, self._retry_heap[0][0] - self._clock())
             tick = ready if tick is None else min(tick, ready)
-        if progress is not None and progress.interval > 0:
-            tick = progress.interval if tick is None else min(tick, progress.interval)
+        if progress is not None:
+            beat = progress.interval if progress.interval > 0 else 1.0
+            tick = beat if tick is None else min(tick, beat)
         return tick
 
     # -- completion paths ---------------------------------------------------------
@@ -616,28 +662,57 @@ class CampaignScheduler:
         emit_chunk_observability(
             tracer, metrics, job.campaign.kernel, job.campaign.device,
             backend, task.chunk_no, result,
-            extra_attrs={"label": job.label, "run_id": job.run_id},
+            extra_attrs=(
+                None if job.journal is None
+                else {"label": job.label, "run_id": job.run_id}
+            ),
         )
         if job.driver is None:
-            self._durable[job.run_id] += journal_chunk_records(
-                job.journal, result.lines
-            )
+            self._commit(job, result.lines)
         elif result.records:
-            job.round_lines.extend(
-                zip((record.index for record in result.records), result.lines)
-            )
+            if result.lines is not None:
+                job.round_lines.extend(
+                    zip((record.index for record in result.records),
+                        result.lines)
+                )
             if job.driver.ingest(result.records):
                 # One sorted batch per round: the bytes a serial run
                 # writes, whatever order the round's chunks finished in.
                 job.round_lines.sort(key=lambda pair: pair[0])
-                self._durable[job.run_id] += journal_chunk_records(
-                    job.journal, [line for _, line in job.round_lines]
-                )
+                self._commit(job, [line for _, line in job.round_lines])
                 job.round_lines = []
-                job.rounds += 1
+                self._round_done(job, tracer)
                 self._advance_adaptive(job)
         self._maybe_finish(job, tracer, metrics)
         return len(result.records)
+
+    def _commit(self, job: _Job, lines) -> None:
+        """Write and ``fsync`` a journaled job's sealed lines, counting them."""
+        if job.journal is not None:
+            self._durable[job.run_id] += journal_chunk_records(
+                job.journal, lines
+            )
+
+    def _round_done(self, job: _Job, tracer) -> None:
+        """An adaptive job's round landed: count it and emit its span."""
+        job.rounds += 1
+        now = time.time()
+        if tracer is not None:
+            plan = job.driver.rounds[-1]
+            tracer.emit(
+                "sampling",
+                f"{job.label}/round{plan.number}",
+                start=job.round_started,
+                duration=now - job.round_started,
+                attrs={
+                    "round": plan.number,
+                    "strikes": len(plan.indices),
+                    "executed": plan.payload["executed"],
+                    "kernel": job.campaign.kernel.name,
+                    "device": job.campaign.device.name,
+                },
+            )
+        job.round_started = now
 
     def _advance_adaptive(self, job: _Job) -> None:
         """A sampling job's round completed: plan (and journal) the next.
@@ -708,14 +783,20 @@ class CampaignScheduler:
                 index=first, label=job.label, backend=backend,
                 chunk=task.chunk_no,
             )
+        if error is not exc:
+            error.__cause__ = exc
         job.failed = error
         job.status = "failed"
 
     def _maybe_finish(self, job: _Job, tracer, metrics) -> None:
-        """Seal a job whose every chunk is durable: close record + span."""
+        """Seal a job whose every chunk is durable: close record + span.
+
+        An in-memory job gets its result and no ``job`` span: its
+        caller's ``campaign`` span carries the outcome.
+        """
         if job.status != "running" or job.failed is not None:
             return
-        if job.next_chunk < len(job.chunks) or job.inflight or job.waiting:
+        if job.unfinished:
             return
         if not driver_settled(job.driver):
             return  # round outstanding, or drained before the stopping rule
@@ -730,7 +811,7 @@ class CampaignScheduler:
         job.status = "complete"
         if job.driver is not None:
             note_sampling(job.driver, job.rounds, len(job.records))
-        if tracer is not None:
+        if tracer is not None and job.journal is not None:
             counts = {kind.value: n for kind, n in result.counts().items()}
             attrs = {
                 "run_id": job.run_id,

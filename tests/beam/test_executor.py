@@ -285,6 +285,10 @@ class TestPlanning:
         assert executor.resolved_backend(4, workers=8) == "serial"
         assert executor.resolved_backend(400, workers=1) == "serial"
         assert executor.resolved_backend(400, workers=8) in ("process", "thread")
+        # An explicit pool on several workers is kept however few strikes.
+        assert CampaignExecutor(backend="thread").resolved_backend(
+            8, workers=2
+        ) == "thread"
 
     def test_serial_backend_forced(self):
         executor = CampaignExecutor(workers=8, backend="serial")
