@@ -470,15 +470,15 @@ class Campaign:
         return result
 
 
-def note_sampling(driver, rounds: int, strikes: int) -> None:
-    """Fold one adaptive session into the ``repro_sampling_*`` metrics.
+def note_sampling(driver, rounds: int, strikes: int, metrics) -> None:
+    """Fold one adaptive session into ``metrics``' ``repro_sampling_*``.
 
     The scheduler calls it when it seals an adaptive job, in memory
-    (:meth:`Campaign.run_adaptive`) or journaled.  ``rounds`` and
+    (:meth:`Campaign.run_adaptive`), journaled or leased to a fleet, with
+    the registry of its caller (``None`` = count nothing).  ``rounds`` and
     ``strikes`` count this session's work only, so a resumed run never
     recounts the rounds its journal already held.
     """
-    metrics = obs_runtime.get_metrics()
     if metrics is None:
         return
     campaign = driver.campaign

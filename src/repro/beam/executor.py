@@ -469,8 +469,8 @@ def emit_chunk_observability(
     with ``mirror_metrics=False`` under a capture scope), so each
     successful chunk's deltas are counted exactly once regardless of
     backend — and a chunk that failed partway and was retried contributes
-    only its successful attempt.  Shared by the scheduler
-    (:mod:`repro.scheduler`, every local run) and the fleet coordinator;
+    only its successful attempt.  The scheduler (:mod:`repro.scheduler`)
+    calls it for every chunk, pool-run or pushed by a fleet agent;
     journaled jobs pass ``extra_attrs`` (job label, run id) so
     interleaving is visible span by span.
     """

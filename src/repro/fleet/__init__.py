@@ -9,12 +9,12 @@ production.  This package is that split for the simulator:
 * :mod:`repro.fleet.leases` — :class:`LeaseTable`: time-bounded grants
   of :class:`~repro.scheduler.lease.ChunkLease` with fencing tokens,
   heartbeat extension, expiry reaping and exactly-once settlement;
-* :mod:`repro.fleet.coordinator` — :class:`FleetCoordinator`: admits
-  specs with the same prepare/plan/seal lifecycle as the in-process
-  scheduler (:mod:`repro.scheduler.jobs`), hands out leases fair-share,
-  and is the **single merge point**: pushed result batches are validated
-  against the lease's fencing token and committed to the run journal
-  exactly once;
+* :mod:`repro.fleet.coordinator` — :class:`FleetCoordinator`: a lease
+  front over one :class:`~repro.scheduler.CampaignScheduler`, which keeps
+  the jobs, fair share, commits, round planning and sealing as for a
+  local pool.  The coordinator grants the scheduler's chunks as leases
+  and validates each pushed batch against its lease's fencing token
+  before the scheduler commits it, exactly once;
 * :mod:`repro.fleet.agent` — :class:`FleetAgent`: the remote worker
   loop (pull → execute with the existing fast-path machinery →
   heartbeat → push), drains on SIGINT, behind the ``repro agent`` CLI

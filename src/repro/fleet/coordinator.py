@@ -1,34 +1,31 @@
-"""The fleet coordinator: admits campaigns, leases chunks, merges results.
+"""The fleet coordinator: a lease front over the campaign scheduler.
 
-:class:`FleetCoordinator` is the scheduler's distributed sibling.  Both
-run the same job lifecycle (:mod:`repro.scheduler.jobs`: prepare → plan
-rounds → seal) over the same unit of work (a chunk of fault indices);
-they differ only in *who executes*.  The scheduler owns a pool of
-futures it can cancel; the coordinator owns nothing — remote agents
-come and go — so every grant is a time-bounded
-:class:`~repro.scheduler.lease.ChunkLease` and every write passes one
-gate:
+:class:`FleetCoordinator` keeps one long-lived
+:class:`~repro.scheduler.CampaignScheduler` that never starts a pool and
+never calls ``run``.  The scheduler keeps the job book as it does for a
+local pool (jobs, dedup, cache and resume, fair share, commits, round
+planning, sealing, the durable count); the coordinator keeps leases,
+fencing, expiry, worker stats and push validation.
 
-* **Single merge point.**  Only the coordinator appends to run
-  journals.  A push is validated against the lease ledger
-  (:class:`~repro.fleet.leases.LeaseTable`) — correct fencing token,
-  exact index set, matching tally delta — then committed in one fsync'd
-  batch.  A stale push (the lease expired and the chunk was regranted)
-  gets a structured 409 upstream and journals nothing; a duplicate push
-  (the ack was lost, the agent retried) is answered idempotently.
-* **Failure costs one chunk.**  Expired leases are reaped on every
-  grant request and on the service's periodic tick; their chunks go
-  back to the *front* of the job's queue, so a SIGKILL'd agent delays a
+* **One merge point.**  A push is decoded, tally-checked and sealed into
+  journal lines before the coordinator lock.  Under it the push must
+  match its lease (:class:`~repro.fleet.leases.LeaseTable`: current
+  fencing token, exact index set); the lease is settled and the
+  scheduler's ``chunk_done`` commits a fixed job's push as one fsync'd
+  batch, or an adaptive job's round as one index-sorted batch.  A stale
+  push gets a structured 409 upstream and journals nothing; a duplicate
+  push (the ack was lost, the agent retried) is answered idempotently.
+* **Failure costs one chunk.**  Expired leases are reaped on every grant
+  request and on the service's periodic tick, and their chunks go back
+  to the front of the scheduler's queue, so a SIGKILL'd agent delays a
   campaign by one lease ttl, not forever.
-* **Adaptive rounds stay home.**  Agents only execute granted indices;
-  :func:`~repro.scheduler.jobs.advance_adaptive` plans (and journals)
-  the next round coordinator-side when a round's last push lands —
-  exactly as the in-process scheduler does, so a fleet-run adaptive
-  campaign makes the same stopping decision as a pool-run one.
+* **A failed commit fails the job.**  The lease is settled first, so a
+  retried push never writes its chunk twice; the job ends ``failed``,
+  its other leases are revoked, and admitting the spec again resumes it.
 
-Because execution is a pure function of ``(spec, index)``, the records
-agents push are bit-identical to what the local pool would have
-produced, and the sealed journal renders the same log and report.
+Execution is a pure function of ``(spec, index)`` and the scheduler
+writes the journal, so a fleet run renders the pool run's log and
+report, and an adaptive fleet journal is its bytes after the header.
 
 All public methods are thread-safe (HTTP handler threads call them
 concurrently); ``on_finish`` callbacks fire *outside* the lock so
@@ -39,19 +36,14 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.beam.executor import CampaignExecutor, _ChunkResult, emit_chunk_observability
+from repro.beam.executor import CampaignExecutionError, _ChunkResult, default_fast_path
 from repro.beam.logs import row_to_record
 from repro.fleet.leases import LeaseError, LeaseTable
 from repro.sampling.tallies import tally_of
-from repro.scheduler.jobs import (
-    advance_adaptive,
-    driver_settled,
-    prepare_job,
-    seal_job,
-)
-from repro.store.runner import journal_chunk_rows
+from repro.scheduler.scheduler import CampaignScheduler, JobOutcome
+from repro.store.journal import seal_line
 from repro.store.spec import CampaignSpec
 from repro.store.store import CampaignStore
 
@@ -111,39 +103,6 @@ class _WorkerState:
         }
 
 
-class _FleetJob:
-    """Coordinator-internal state of one admitted campaign."""
-
-    def __init__(self, order, prepared):
-        self.order = order
-        self.spec = prepared.spec
-        self.run_id = prepared.run_id
-        self.campaign = prepared.campaign
-        self.journal = prepared.journal
-        self.chunks = prepared.chunks        # chunk_no -> indices (grows)
-        self.prior = prepared.prior
-        self.driver = prepared.driver
-        self.pending = list(range(len(prepared.chunks)))  # chunk_nos to grant
-        self.leased: dict = {}               # chunk_no -> lease_id
-        self.records: list = []              # records committed this session
-        self.granted = 0                     # grants, incl. regrants
-        self.result = None
-        self.error: "str | None" = None
-        self.status = "running"
-        self.started = time.time()
-
-    @property
-    def priority(self) -> int:
-        return self.spec.priority
-
-    @property
-    def label(self) -> str:
-        return self.spec.resolved_label()
-
-    def has_work(self) -> bool:
-        return self.status == "running" and bool(self.pending)
-
-
 class FleetCoordinator:
     """Leases chunks to agents and merges their pushes (see module doc).
 
@@ -159,9 +118,10 @@ class FleetCoordinator:
             only — records are bit-identical either way.
         reuse: serve specs already complete in the store as cache hits.
         metrics: a :class:`~repro.observability.MetricsRegistry` for the
-            lease/fleet counters (``None`` = no metrics).
-        tracer: a tracer for ``lease``/``chunk`` events (``None`` = no
-            tracing).
+            lease/fleet counters and the scheduler's chunk and sampling
+            metrics (``None`` = no metrics).
+        tracer: a tracer for ``lease`` events and the scheduler's
+            ``chunk``/``sampling``/``job`` spans (``None`` = no tracing).
         on_finish: callback ``(run_id, status, result, error)`` invoked
             outside the coordinator lock whenever a job reaches a
             terminal status.
@@ -183,19 +143,21 @@ class FleetCoordinator:
         clock=time.time,
     ):
         self.store = store
-        self._executor = CampaignExecutor(
-            workers=workers, chunk_size=chunk_size, backend="serial",
-            fast_path=fast_path,
+        self._scheduler = CampaignScheduler(
+            store, workers=workers, chunk_size=chunk_size, backend="serial",
+            reuse=reuse, clock=clock,
         )
-        self.reuse = reuse
+        self._fast_path = (
+            default_fast_path() if fast_path is None else bool(fast_path)
+        )
         self._metrics = metrics
         self._tracer = tracer
         self._on_finish = on_finish
         self._clock = clock
         self._lock = threading.RLock()
         self._leases = LeaseTable(ttl=lease_ttl, clock=clock)
-        self._jobs: dict = {}        # run_id -> _FleetJob
-        self._order = 0
+        self._jobs: dict = {}        # run_id -> the scheduler's latest job
+        self._tasks: dict = {}       # lease_id -> the scheduler task it grants
         self._workers: dict = {}     # name -> _WorkerState
         self._draining = False
         self._closed = False
@@ -243,47 +205,36 @@ class FleetCoordinator:
     def lease_ttl(self) -> float:
         return self._leases.ttl
 
-    def _plan_job_chunks(self, indices) -> list:
-        return self._executor.plan_chunks(
-            indices, self._executor.resolved_workers()
-        )
-
     # -- admission ----------------------------------------------------------------
 
     def admit(self, spec: CampaignSpec, *, sampling=None,
               priority: "int | None" = None) -> Admission:
         """Admit one spec; its chunks become leasable immediately.
 
-        Same dedup/cache/resume semantics as
-        :meth:`~repro.scheduler.scheduler.CampaignScheduler.submit`
-        (both delegate to :func:`repro.scheduler.jobs.prepare_job`).
+        The scheduler's :meth:`~repro.scheduler.CampaignScheduler.submit`
+        decides dedup, cache and resume; a resume that already holds
+        every record seals here.
         """
-        finished = None
         with self._lock:
             if self._closed:
                 raise RuntimeError("coordinator is closed")
             if priority is not None:
                 spec = spec.with_priority(priority)
             run_id = spec.run_id()
-            job = self._jobs.get(run_id)
-            if job is not None and job.status == "running":
+            known = self._jobs.get(run_id)
+            self._scheduler.submit(spec, sampling=sampling)
+            job = self._scheduler.job(run_id)
+            if isinstance(job, JobOutcome):
+                return Admission(run_id, "cached", job.result)
+            if job is known:
                 return Admission(run_id, "deduped")
-            prepared = prepare_job(
-                self.store, spec, self._plan_job_chunks,
-                sampling=sampling, reuse=self.reuse,
-            )
-            if prepared.cached is not None:
-                return Admission(run_id, "cached", prepared.cached)
-            job = _FleetJob(self._order, prepared)
-            self._order += 1
             self._jobs[run_id] = job
-            # A resume that already holds every record seals on admission.
-            if self._seal_if_done(job):
-                finished = job
-        if finished is not None:
-            self._notify_finish(finished)
-            return Admission(run_id, "complete", finished.result)
-        return Admission(run_id, "queued")
+            self._scheduler.maybe_finish(job, self._tracer, self._metrics)
+            if job.status == "running":
+                return Admission(run_id, "queued")
+            self._count_job(job)
+        self._notify_finish(job)
+        return Admission(run_id, "complete", job.result)
 
     # -- the lease surface (what agents call) -------------------------------------
 
@@ -301,21 +252,14 @@ class FleetCoordinator:
             self._reap_locked()
             if self._draining or self._closed:
                 return None
-            candidates = [
-                job for job in self._jobs.values() if job.has_work()
-            ]
-            if not candidates:
+            task = self._scheduler.next_task(now)
+            if task is None:
                 return None
-            job = min(
-                candidates,
-                key=lambda j: (j.granted / j.priority, j.order),
-            )
-            chunk_no = job.pending.pop(0)
+            job = task.job
             lease = self._leases.grant(
-                job.run_id, chunk_no, job.chunks[chunk_no], worker
+                job.run_id, task.chunk_no, task.indices, worker
             )
-            job.leased[chunk_no] = lease.lease_id
-            job.granted += 1
+            self._tasks[lease.lease_id] = task
             state = self._workers[worker]
             state.leases_granted += 1
             if self._grants is not None:
@@ -324,7 +268,7 @@ class FleetCoordinator:
                 self._reassignments.inc()
             if self._tracer is not None:
                 self._tracer.emit(
-                    "lease", f"{job.label}/chunk{chunk_no}",
+                    "lease", f"{job.label}/chunk{task.chunk_no}",
                     start=now, duration=0.0,
                     attrs={
                         "event": "grant", "run_id": job.run_id,
@@ -337,7 +281,7 @@ class FleetCoordinator:
                 spec=job.spec.to_dict(),
                 label=job.label,
                 ttl=self._leases.ttl,
-                fast_path=self._executor.resolved_fast_path(),
+                fast_path=self._fast_path,
             )
             return payload
 
@@ -369,14 +313,17 @@ class FleetCoordinator:
         :class:`~repro.fleet.leases.StaleLeaseError` /
         :class:`~repro.fleet.leases.UnknownLeaseError` for fenced-off or
         unknown grants and :class:`PushError` for batches that
-        contradict their lease.
+        contradict their lease (a malformed batch is refused before its
+        lease is looked at).  A commit that raises fails the job: the
+        answer says ``committed: 0, status: "failed"``.
         """
+        result = _decode_push(lease_id, payload)
         finished = None
         with self._lock:
             now = self._touch(worker) if worker else self._clock()
             settled = self._leases.settled(lease_id)
             if settled is not None:
-                # The commit already happened; the ack was lost.  Answer
+                # The push was already taken; the ack was lost.  Answer
                 # idempotently so agent-side transport retries are safe.
                 job = self._jobs.get(settled.run_id)
                 if self._pushes is not None:
@@ -401,40 +348,39 @@ class FleetCoordinator:
                                "worker": worker},
                     )
                 raise
-            job = self._jobs.get(lease.run_id)
-            if job is None or job.status != "running":
-                status = job.status if job is not None else "unknown"
+            pushed = sorted(record.index for record in result.records)
+            if pushed != sorted(lease.indices):
                 raise PushError(
-                    f"lease {lease_id!r} belongs to a job that is no "
-                    f"longer running (status {status!r})"
+                    f"push for lease {lease_id!r} covers indices {pushed} "
+                    f"but the lease grants {sorted(lease.indices)}"
                 )
-            rows, records = self._validate_batch(lease, payload)
-            # The single merge point: one fsync'd batch, exactly once.
-            journal_chunk_rows(job.journal, rows)
+            # Settled before the commit: a retry of this push is a
+            # duplicate even when the commit below raises.
             self._leases.settle(lease_id)
-            job.leased.pop(lease.chunk_no, None)
-            job.records.extend(records)
-            if worker and worker in self._workers:
+            task = self._tasks.pop(lease_id)
+            job = task.job
+            result.worker = worker or lease.worker
+            try:
+                self._scheduler.chunk_done(
+                    task, result, "fleet", self._tracer, self._metrics
+                )
+            except Exception as exc:  # the job fails, the fleet keeps serving
+                self._fail_locked(job, task, exc)
+            failed = job.failed is not None
+            committed = 0 if failed else len(result.records)
+            if not failed and worker and worker in self._workers:
                 state = self._workers[worker]
                 state.chunks_committed += 1
-                state.records_pushed += len(records)
+                state.records_pushed += committed
             if self._pushes is not None:
-                self._pushes.inc(disposition="committed")
+                self._pushes.inc(disposition="failed" if failed else "committed")
             if self._fleet_records is not None:
-                self._fleet_records.inc(len(records))
-            self._emit_chunk(job, lease, records, payload, worker)
-            if job.driver is not None and records:
-                if job.driver.ingest(records):
-                    new_chunks = advance_adaptive(
-                        job.driver, job.journal, self._plan_job_chunks
-                    )
-                    base = len(job.chunks)
-                    job.chunks.extend(new_chunks)
-                    job.pending.extend(range(base, base + len(new_chunks)))
-            if self._seal_if_done(job):
+                self._fleet_records.inc(committed)
+            if job.status != "running":
+                self._count_job(job)
                 finished = job
             answer = {
-                "committed": len(records),
+                "committed": committed,
                 "duplicate": False,
                 "status": job.status,
             }
@@ -442,75 +388,26 @@ class FleetCoordinator:
             self._notify_finish(finished)
         return answer
 
-    def _validate_batch(self, lease, payload):
-        """Check a pushed batch against its lease; return (rows, records)."""
-        rows = payload.get("records")
-        if not isinstance(rows, list) or not all(
-            isinstance(row, dict) and "index" in row for row in rows
-        ):
-            raise PushError(
-                "push body must carry 'records': a list of journal rows"
-            )
-        pushed = sorted(int(row["index"]) for row in rows)
-        expected = sorted(lease.indices)
-        if pushed != expected:
-            raise PushError(
-                f"push for lease {lease.lease_id!r} covers indices "
-                f"{pushed} but the lease grants {expected}"
-            )
-        try:
-            records = [row_to_record(row) for row in rows]
-        except Exception as exc:
-            raise PushError(
-                f"push for lease {lease.lease_id!r} carries a row that "
-                f"does not decode: {type(exc).__name__}: {exc}"
-            ) from None
-        claimed = payload.get("tally")
-        if claimed is not None:
-            actual = tally_of(records).as_row()
-            if list(claimed) != actual:
-                raise PushError(
-                    f"push for lease {lease.lease_id!r} claims tally "
-                    f"{list(claimed)} but its records fold to {actual}"
-                )
-        return rows, records
+    def _fail_locked(self, job, task, exc: Exception) -> None:
+        """A commit raised: end the job ``failed`` and revoke its leases.
 
-    def _emit_chunk(self, job, lease, records, payload, worker) -> None:
-        """Fold the agent's counters into the shared registry and emit the
-        chunk's spans, once."""
-        counters = payload.get("counters") or {}
-
-        def _count(name):
-            try:
-                return int(counters.get(name, 0))
-            except (TypeError, ValueError):
-                return 0
-
-        # Only indices of this push's records count as fallbacks.
-        pushed = {record.index for record in records}
-        fallbacks = payload.get("fallbacks")
-        result = _ChunkResult(
-            records=records,
-            start=float(payload.get("start") or 0.0),
-            duration=float(payload.get("duration") or 0.0),
-            worker=worker or lease.worker,
-            cache_hits=_count("cache_hits"),
-            cache_misses=_count("cache_misses"),
-            fastpath_hits=_count("fastpath_hits"),
-            fallbacks=(
-                sorted({i for i in fallbacks if isinstance(i, int) and i in pushed})
-                if isinstance(fallbacks, list) else None
-            ),
+        Its journal is closed with every earlier commit durable, so
+        admitting the spec again resumes it.
+        """
+        error = CampaignExecutionError(
+            f"campaign {job.label!r} (fleet) chunk {task.chunk_no} could "
+            f"not be committed: {type(exc).__name__}: {exc}",
+            index=task.indices[0] if task.indices else -1,
+            label=job.label, backend="fleet", chunk=task.chunk_no,
         )
-        emit_chunk_observability(
-            self._tracer, self._metrics, job.campaign.kernel,
-            job.campaign.device, "fleet", lease.chunk_no, result,
-            extra_attrs={
-                "label": job.label, "run_id": job.run_id,
-                "worker": worker or lease.worker,
-                "lease_id": lease.lease_id, "token": lease.token,
-            },
-        )
+        error.__cause__ = exc
+        job.failed = error
+        job.status = "failed"
+        for lease in self._leases.active():
+            if lease.run_id == job.run_id:
+                self._leases.revoke(lease.lease_id, "revoked")
+                self._tasks.pop(lease.lease_id, None)
+        job.journal.close()
 
     # -- coordinator-side upkeep --------------------------------------------------
 
@@ -522,7 +419,6 @@ class FleetCoordinator:
     def _reap_locked(self) -> list:
         reaped = self._leases.reap()
         for lease in reaped:
-            job = self._jobs.get(lease.run_id)
             if self._expirations is not None:
                 self._expirations.inc()
             if self._tracer is not None:
@@ -535,12 +431,10 @@ class FleetCoordinator:
                         "worker": lease.worker, "chunk": lease.chunk_no,
                     },
                 )
-            if job is None or job.status != "running":
-                continue
-            if job.leased.get(lease.chunk_no) == lease.lease_id:
-                del job.leased[lease.chunk_no]
+            task = self._tasks.pop(lease.lease_id, None)
+            if task is not None:
                 # Front of the queue: a lost chunk is the oldest work.
-                job.pending.insert(0, lease.chunk_no)
+                self._scheduler.requeue(task)
         self._update_liveness()
         return reaped
 
@@ -567,43 +461,25 @@ class FleetCoordinator:
         )
         self._alive_gauge.set(alive)
 
-    def _seal_if_done(self, job) -> bool:
-        """Seal a job whose every chunk is committed (under the lock)."""
-        if job.status != "running":
-            return False
-        if job.pending or job.leased:
-            return False
-        if not driver_settled(job.driver):
-            return False
-        result, _ = seal_job(
-            job.journal, job.campaign, job.prior, job.records, job.driver
-        )
-        job.result = result
-        job.status = "complete"
+    def _count_job(self, job) -> None:
         if self._jobs_total is not None:
-            self._jobs_total.inc(outcome="complete")
-        if self._tracer is not None:
-            self._tracer.emit(
-                "job", job.label,
-                start=job.started, duration=time.time() - job.started,
-                attrs={
-                    "run_id": job.run_id, "status": "complete",
-                    "priority": job.priority, "resumed": len(job.prior),
-                    "n_records": result.n_executions, "dispatch": "fleet",
-                },
-            )
-        return True
+            self._jobs_total.inc(outcome=job.status)
 
     def _notify_finish(self, job) -> None:
         if self._on_finish is not None:
-            self._on_finish(job.run_id, job.status, job.result, job.error)
+            self._on_finish(job.run_id, job.status, job.result, job.failed)
 
     # -- drain / shutdown ---------------------------------------------------------
 
     def request_drain(self) -> None:
-        """Stop granting leases; in-flight pushes are still accepted."""
+        """Stop granting leases; in-flight pushes are still accepted.
+
+        An adaptive job whose round lands during the drain starts no new
+        round; :meth:`close` then ends it ``interrupted``.
+        """
         with self._lock:
             self._draining = True
+            self._scheduler.request_drain()
 
     @property
     def draining(self) -> bool:
@@ -617,7 +493,6 @@ class FleetCoordinator:
         exactly where the fleet left off.  Returns the interrupted run
         ids.
         """
-        interrupted = []
         with self._lock:
             if self._closed:
                 return []
@@ -625,17 +500,12 @@ class FleetCoordinator:
             self._closed = True
             for lease in self._leases.active():
                 self._leases.revoke(lease.lease_id, "revoked")
-            for job in self._jobs.values():
-                if job.status != "running":
-                    continue
-                job.status = "interrupted"
-                job.journal.close()
-                interrupted.append(job.run_id)
-                if self._jobs_total is not None:
-                    self._jobs_total.inc(outcome="interrupted")
+            self._tasks.clear()
+            interrupted = self._scheduler.close_jobs()
+            for run_id in interrupted:
+                self._count_job(self._jobs[run_id])
         for run_id in interrupted:
-            job = self._jobs[run_id]
-            self._notify_finish(job)
+            self._notify_finish(self._jobs[run_id])
         return interrupted
 
     # -- introspection ------------------------------------------------------------
@@ -648,13 +518,11 @@ class FleetCoordinator:
     def durable(self, run_id: str) -> "int | None":
         """Record lines durable in an admitted job's journal, or ``None``.
 
-        The lines the journal held at admission plus every committed
-        push; the same count as
-        :meth:`~repro.scheduler.CampaignScheduler.durable`.
+        The scheduler's count
+        (:meth:`~repro.scheduler.CampaignScheduler.durable`): the lines the
+        journal held at admission plus what each commit made durable.
         """
-        with self._lock:
-            job = self._jobs.get(run_id)
-            return None if job is None else len(job.prior) + len(job.records)
+        return self._scheduler.durable(run_id)
 
     def snapshot(self) -> dict:
         """The ``GET /v1/workers`` payload: fleet state at a glance."""
@@ -671,8 +539,8 @@ class FleetCoordinator:
                     "label": job.label,
                     "status": job.status,
                     "chunks": len(job.chunks),
-                    "pending": len(job.pending),
-                    "leased": len(job.leased),
+                    "pending": len(job.chunks) - job.next_chunk + job.waiting,
+                    "leased": job.inflight,
                     "committed": len(job.records),
                     "resumed": len(job.prior),
                 }
@@ -686,3 +554,62 @@ class FleetCoordinator:
                 "leases": self._leases.counts(),
                 "jobs": jobs,
             }
+
+
+def _decode_push(lease_id: str, payload: dict) -> _ChunkResult:
+    """Decode one push into the chunk result the scheduler commits.
+
+    Runs before the coordinator lock: each row decodes to its record,
+    the claimed tally is checked against the records, and each row is
+    sealed, as pushed, into its journal line.  Only the counted fallbacks
+    that are indices of this push are kept.
+    """
+    rows = payload.get("records")
+    if not isinstance(rows, list) or not all(
+        isinstance(row, dict) and type(row.get("index")) is int
+        for row in rows
+    ):
+        raise PushError(
+            "push body must carry 'records': a list of journal rows"
+        )
+    try:
+        records = [row_to_record(row) for row in rows]
+    except Exception as exc:
+        raise PushError(
+            f"push for lease {lease_id!r} carries a row that does not "
+            f"decode: {type(exc).__name__}: {exc}"
+        ) from None
+    claimed = payload.get("tally")
+    if claimed is not None:
+        actual = tally_of(records).as_row()
+        if list(claimed) != actual:
+            raise PushError(
+                f"push for lease {lease_id!r} claims tally "
+                f"{list(claimed)} but its records fold to {actual}"
+            )
+    counters = payload.get("counters") or {}
+
+    def _count(name):
+        try:
+            return int(counters.get(name, 0))
+        except (TypeError, ValueError):
+            return 0
+
+    pushed = {record.index for record in records}
+    fallbacks = payload.get("fallbacks")
+    return _ChunkResult(
+        records=records,
+        start=float(payload.get("start") or 0.0),
+        duration=float(payload.get("duration") or 0.0),
+        cache_hits=_count("cache_hits"),
+        cache_misses=_count("cache_misses"),
+        fastpath_hits=_count("fastpath_hits"),
+        fallbacks=(
+            sorted({i for i in fallbacks if isinstance(i, int) and i in pushed})
+            if isinstance(fallbacks, list) else None
+        ),
+        lines=[
+            seal_line({"kind": "record", "index": row["index"], "row": row})
+            for row in rows
+        ],
+    )

@@ -8,14 +8,15 @@ one beam.
 * :mod:`repro.scheduler.retry` — :class:`RetryPolicy`: bounded
   exponential backoff with seeded jitter;
 * :mod:`repro.scheduler.lease` — :class:`ChunkLease`: the chunk-grant
-  protocol (fencing token + deadline) shared by the in-process pool and
-  the distributed fleet (:mod:`repro.fleet`);
-* :mod:`repro.scheduler.jobs` — the job lifecycle both dispatchers
-  share: :func:`prepare_job` / :func:`advance_adaptive` /
-  :func:`seal_job`;
+  value (fencing token + deadline) the distributed fleet
+  (:mod:`repro.fleet`) hands to remote agents;
+* :mod:`repro.scheduler.jobs` — the job lifecycle the scheduler runs:
+  :func:`prepare_job` / :func:`advance_adaptive` / :func:`seal_job`;
 * :mod:`repro.scheduler.scheduler` — :class:`CampaignScheduler`:
   priority/fair-share chunk interleaving, per-chunk journaling, bounded
-  retry of transient worker failures, and SIGINT-safe draining.
+  retry of transient worker failures, and SIGINT-safe draining.  It is
+  the one job book: the fleet coordinator leases its chunks instead of
+  keeping jobs of its own.
 
 The CLI verb ``repro queue`` is a thin wrapper over this package.
 """

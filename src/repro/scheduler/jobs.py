@@ -1,10 +1,10 @@
-"""Shared campaign-job lifecycle: prepare, plan rounds, seal.
+"""The campaign-job lifecycle: prepare, plan rounds, seal.
 
-:class:`~repro.scheduler.scheduler.CampaignScheduler` (one shared pool,
-in-process; also behind :func:`repro.store.runner.execute_spec`) and
-:class:`~repro.fleet.coordinator.FleetCoordinator` (leases over HTTP,
-remote agents) dispatch the same unit of work and must agree *exactly*
-on everything that happens around dispatch:
+:class:`~repro.scheduler.scheduler.CampaignScheduler` is the one caller.
+It runs every job: on its own pool (also behind
+:func:`repro.store.runner.execute_spec`), or leased to remote agents by
+:class:`~repro.fleet.coordinator.FleetCoordinator`, which drives a
+scheduler without a pool.  The steps around dispatch are:
 
 * how a spec becomes a job — build the campaign, create or resume the
   journal, recover prior records, replay or start the adaptive driver
@@ -16,12 +16,11 @@ on everything that happens around dispatch:
   the sampling estimate, write the close record, close the journal
   (:func:`seal_job`).
 
-Keeping these in one place is what makes the fleet path byte-identical
-to the pool path: both sides journal the same rows in the same shapes,
-so a campaign finished by remote agents renders the same log, report
-and result as one finished by the local pool.  The scheduler's in-memory
-jobs use the same round planning and sealing with ``journal=None``, which
-writes no plan row and no close record.
+Because one scheduler runs them for pool and fleet alike, a campaign
+finished by remote agents journals the same rows in the same order, and
+renders the same log, report and result, as one finished by the local
+pool.  In-memory jobs use the same round planning and sealing with
+``journal=None``, which writes no plan row and no close record.
 
 The ``planner`` argument threaded through this module is any callable
 ``planner(indices) -> list_of_chunks``; callers typically bind it to

@@ -1,8 +1,9 @@
 """The chunk-lease protocol: who may execute a chunk, and until when.
 
-Both dispatch paths in this codebase hand out the same unit of work — a
-chunk of fault indices belonging to one content-addressed run — and both
-need the same two guarantees when the holder dies mid-chunk:
+The fleet coordinator (:mod:`repro.fleet`) hands remote agents the
+scheduler's unit of work — a chunk of fault indices belonging to one
+content-addressed run — and needs two guarantees when the holder dies
+mid-chunk:
 
 * **Reassignment.**  A chunk whose holder stopped responding must be
   grantable to someone else, so a dead worker costs one chunk of wasted
@@ -15,11 +16,10 @@ need the same two guarantees when the holder dies mid-chunk:
 chunk number and its index range, a monotonically increasing **fencing
 token** (one per grant of the same chunk — a push carrying an old token
 is stale by construction), a **deadline** after which the grant may be
-revoked, and the holder's name.  The in-process
-:class:`~repro.scheduler.scheduler.CampaignScheduler` uses leases with
-an infinite deadline (a pool worker cannot outlive its future), while
-the fleet coordinator (:mod:`repro.fleet`) grants time-bounded leases to
-remote agents over HTTP and reaps the expired ones.
+revoked, and the holder's name.  The coordinator's
+:class:`~repro.fleet.leases.LeaseTable` grants them over HTTP, reaps the
+expired ones and fences stale pushes; a local pool needs no lease, since
+its worker cannot outlive its future.
 
 Leases are value objects: immutable, order-preserving in their index
 tuple, and wire-serialisable via :meth:`ChunkLease.to_dict` /

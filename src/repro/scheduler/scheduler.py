@@ -11,7 +11,7 @@ simulator-side analogue for *campaigns*:
   the job with the smallest ``dispatched / priority`` ratio (ties broken
   by submit order), so equal-priority campaigns interleave chunk-for-chunk
   and a priority-2 campaign gets twice the share of a priority-1 one.
-* **The one local journal writer.**  Every completed chunk of a fixed
+* **The one journal writer.**  Every completed chunk of a fixed
   job is appended to the job's store journal and fsync'd before the next
   dispatch decision, so anything the scheduler ran is resumable.  An
   adaptive job holds its round's lines and commits them as one
@@ -23,7 +23,7 @@ simulator-side analogue for *campaigns*:
   and the campaign service reports that count as a job's progress.
   :func:`repro.store.runner.execute_spec` (``repro resume``) is a
   one-job run of this class, ``repro queue`` and the service a many-job
-  one.
+  one, and the fleet coordinator commits through it too (below).
 * **The one local dispatch loop.**  In-memory runs are jobs too
   (:meth:`CampaignScheduler.submit_campaign`): a job with no journal,
   whose chunks return bare records and whose result is never sealed.
@@ -31,6 +31,10 @@ simulator-side analogue for *campaigns*:
   :meth:`~repro.beam.executor.CampaignExecutor.run`) and
   ``Campaign.run_adaptive`` are one-job runs with no retries, so every
   adaptive round of a run shares one pool.
+* **The one job book.**  The fleet coordinator drives a scheduler that
+  never starts a pool: it leases ``next_task``'s chunks to remote agents,
+  hands each accepted push to ``chunk_done`` and ``requeue``\\ s a lost
+  lease's chunk, so pool and fleet share every rule of a job's progress.
 * **Bounded retry with backoff.**  A chunk whose worker fails is
   re-dispatched up to :attr:`RetryPolicy.max_retries` times, waiting an
   exponentially growing, jittered delay between attempts; only then does
@@ -61,6 +65,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 import signal
 import time
@@ -86,7 +91,6 @@ from repro.scheduler.jobs import (
     prepare_job,
     seal_job,
 )
-from repro.scheduler.lease import ChunkLease
 from repro.scheduler.retry import RetryPolicy
 from repro.store.runner import journal_chunk_records, seal_records
 from repro.store.spec import CampaignSpec
@@ -149,39 +153,29 @@ def _run_sealed(runner, *args) -> _ChunkResult:
 
 @dataclass
 class _Task:
-    """One dispatchable unit: a chunk of one job, under an in-process lease.
+    """One dispatchable unit: a chunk of one job.
 
-    The pool path uses the same :class:`~repro.scheduler.lease.ChunkLease`
-    protocol as the fleet coordinator, with an infinite deadline (a pool
-    worker cannot outlive its future, so leases never expire) — the
-    fencing token still advances on every re-dispatch, mirroring the
-    remote contract.
+    A pool worker runs it, or the fleet coordinator leases it to an agent.
     """
 
     job: "_Job"
-    lease: ChunkLease
+    chunk_no: int
+    indices: list
     attempt: int = 0  # failures so far
-
-    @property
-    def chunk_no(self) -> int:
-        return self.lease.chunk_no
-
-    @property
-    def indices(self) -> list:
-        return list(self.lease.indices)
 
 
 class _Job:
     """Scheduler-internal state of one submitted campaign.
 
-    An in-memory job has no journal (``journal is None``) and no run id
-    (``""``): nothing it runs is sealed or committed.
+    An in-memory job has no journal (``journal is None``), no run id
+    (``""``) and no spec: nothing it runs is sealed or committed.
     """
 
     def __init__(self, order, run_id, label, priority, campaign, journal,
-                 chunks, prior, driver=None):
+                 chunks, prior, driver=None, spec=None):
         self.order = order              # submit order (fair-share tiebreak)
         self.run_id = run_id
+        self.spec = spec                # the submitted spec (priority applied)
         self.label = label
         self.priority = priority
         self.campaign = campaign
@@ -189,10 +183,9 @@ class _Job:
         self.chunks = chunks            # index chunks still to dispatch
         self.prior = prior              # records resumed from the journal
         self.driver = driver            # AdaptiveCampaign for sampling jobs
-        self._tokens: dict = {}         # chunk_no -> last fencing token
         self.next_chunk = 0
-        self.dispatched = 0             # chunks submitted (incl. retries)
-        self.inflight = 0               # chunks currently in the pool
+        self.dispatched = 0             # chunks handed out (incl. retries)
+        self.inflight = 0               # chunks handed out, not yet back
         self.waiting = 0                # chunks parked in the retry heap
         self.records = []               # records completed this session
         self.round_lines = []           # adaptive: this round's (index, line)
@@ -207,24 +200,12 @@ class _Job:
 
     def has_work(self) -> bool:
         """Has undispatched chunks (and is still eligible to run)."""
-        return self.failed is None and self.next_chunk < len(self.chunks)
+        return self.status == "running" and self.next_chunk < len(self.chunks)
 
     @property
     def unfinished(self) -> int:
         """Chunks planned and not yet finished (queued, running, retrying)."""
         return len(self.chunks) - self.next_chunk + self.inflight + self.waiting
-
-    def grant(self, chunk_no: int) -> ChunkLease:
-        """Grant (or regrant, with a bumped token) one chunk's lease."""
-        token = self._tokens.get(chunk_no, 0) + 1
-        self._tokens[chunk_no] = token
-        return ChunkLease(
-            lease_id=f"{self.run_id[:12]}:{chunk_no}:{token}",
-            run_id=self.run_id,
-            chunk_no=chunk_no,
-            indices=tuple(self.chunks[chunk_no]),
-            token=token,
-        )
 
     def outcome(self, durable: int) -> JobOutcome:
         return JobOutcome(
@@ -317,8 +298,9 @@ class CampaignScheduler:
     ) -> str:
         """Queue one campaign spec; returns its content-addressed run id.
 
-        Submitting a spec whose run id is already queued is a no-op
-        (content-addressed dedup); a spec already *complete* in the store
+        Submitting a spec whose run id is already queued and running is a
+        no-op (content-addressed dedup); a job that has finished no longer
+        blocks its run id.  A spec already *complete* in the store
         becomes an immediate ``cached`` outcome (with ``reuse``); an
         incomplete stored run is queued as a resume — only the missing
         indices are dispatched.
@@ -337,7 +319,7 @@ class CampaignScheduler:
             spec = spec.with_priority(priority)
         run_id = spec.run_id()
         for entry in self._queue:
-            if entry.run_id == run_id:
+            if entry.run_id == run_id and entry.status in ("running", "cached"):
                 return run_id
         prepared = prepare_job(
             self.store, spec, self._plan_job_chunks,
@@ -362,7 +344,7 @@ class CampaignScheduler:
                 label=spec.resolved_label(), priority=spec.priority,
                 campaign=prepared.campaign, journal=prepared.journal,
                 chunks=prepared.chunks, prior=prepared.prior,
-                driver=prepared.driver,
+                driver=prepared.driver, spec=spec,
             )
         )
         return run_id
@@ -401,6 +383,13 @@ class CampaignScheduler:
         return self._executor.plan_chunks(
             indices, self._executor.resolved_workers()
         )
+
+    def job(self, run_id: str):
+        """The latest ``_Job`` (or cache-hit :class:`JobOutcome`) of ``run_id``."""
+        for entry in reversed(self._queue):
+            if entry.run_id == run_id:
+                return entry
+        return None
 
     @property
     def pending(self) -> int:
@@ -486,7 +475,7 @@ class CampaignScheduler:
             # Resumes that already hold every record (the crash hit after
             # the last chunk but before the close) finish without work.
             for job in jobs:
-                self._maybe_finish(job, tracer, metrics)
+                self.maybe_finish(job, tracer, metrics)
             while True:
                 now = self._clock()
                 if deadline is not None and now >= deadline:
@@ -495,7 +484,7 @@ class CampaignScheduler:
                         f"drain {self.pending} jobs within {timeout:g}s"
                     )
                 while len(inflight) < slots and not self._draining:
-                    task = self._next_task(now)
+                    task = self.next_task(now)
                     if task is None:
                         break
                     future = self._submit_task(pool, task)
@@ -525,7 +514,7 @@ class CampaignScheduler:
                             task, exc, backend, tracer, metrics
                         )
                     else:
-                        completed += self._chunk_done(
+                        completed += self.chunk_done(
                             task, future.result(), backend, tracer, metrics
                         )
                 if progress is not None:
@@ -546,12 +535,7 @@ class CampaignScheduler:
                 pool.shutdown(wait=not inflight, cancel_futures=True)
             if export is not None:
                 export.close()
-            for job in jobs:
-                if job.status == "running":
-                    job.status = "interrupted"
-                if job.journal is not None:
-                    job.journal.close()
-            self._retry_heap.clear()
+            self.close_jobs()
 
         outcomes = [
             entry if isinstance(entry, JobOutcome)
@@ -571,6 +555,23 @@ class CampaignScheduler:
             self._set_depths(metrics, [])
         return outcomes
 
+    def close_jobs(self) -> list:
+        """End running jobs ``interrupted``, close journals, drop retries.
+
+        Returns the interrupted run ids; their journals are resumable.
+        """
+        interrupted = []
+        for job in self._queue:
+            if not isinstance(job, _Job):
+                continue
+            if job.status == "running":
+                job.status = "interrupted"
+                interrupted.append(job.run_id)
+            if job.journal is not None:
+                job.journal.close()
+        self._retry_heap.clear()
+        return interrupted
+
     def _set_depths(self, metrics, jobs) -> None:
         """Gauge the jobs still queued and their chunks not yet finished."""
         metrics.gauge(
@@ -584,16 +585,16 @@ class CampaignScheduler:
 
     # -- dispatch policy ----------------------------------------------------------
 
-    def _next_task(self, now: float) -> "_Task | None":
-        """The next chunk to dispatch: due retries first, then fair share."""
+    def next_task(self, now: float) -> "_Task | None":
+        """The next chunk to hand out, counted in flight: due retries
+        first, then fair share."""
         while self._retry_heap and self._retry_heap[0][0] <= now:
             _, _, task = heapq.heappop(self._retry_heap)
             task.job.waiting -= 1
             if task.job.failed is not None:
                 continue
             task.job.dispatched += 1
-            # A re-dispatch is a new grant: bump the fencing token.
-            task.lease = task.job.grant(task.chunk_no)
+            task.job.inflight += 1
             return task
         candidates = [job for job in self._queue
                       if isinstance(job, _Job) and job.has_work()]
@@ -606,11 +607,19 @@ class CampaignScheduler:
         chunk_no = job.next_chunk
         job.next_chunk += 1
         job.dispatched += 1
-        return _Task(job=job, lease=job.grant(chunk_no))
+        job.inflight += 1
+        return _Task(job, chunk_no, job.chunks[chunk_no])
+
+    def requeue(self, task: _Task) -> None:
+        """Put back a lost task at the front: due at once, no retry counted."""
+        task.job.inflight -= 1
+        task.job.waiting += 1
+        heapq.heappush(
+            self._retry_heap, (-math.inf, next(self._retry_seq), task)
+        )
 
     def _submit_task(self, pool, task: _Task) -> Future:
         job = task.job
-        job.inflight += 1
         args = (
             job.campaign.kernel,
             job.campaign.device,
@@ -653,9 +662,10 @@ class CampaignScheduler:
 
     # -- completion paths ---------------------------------------------------------
 
-    def _chunk_done(
+    def chunk_done(
         self, task: _Task, result, backend, tracer, metrics
     ) -> int:
+        """Take a finished chunk back: commit, advance rounds, seal."""
         job = task.job
         job.inflight -= 1
         job.records.extend(result.records)
@@ -683,7 +693,7 @@ class CampaignScheduler:
                 job.round_lines = []
                 self._round_done(job, tracer)
                 self._advance_adaptive(job)
-        self._maybe_finish(job, tracer, metrics)
+        self.maybe_finish(job, tracer, metrics)
         return len(result.records)
 
     def _commit(self, job: _Job, lines) -> None:
@@ -788,7 +798,7 @@ class CampaignScheduler:
         job.failed = error
         job.status = "failed"
 
-    def _maybe_finish(self, job: _Job, tracer, metrics) -> None:
+    def maybe_finish(self, job: _Job, tracer, metrics) -> None:
         """Seal a job whose every chunk is durable: close record + span.
 
         An in-memory job gets its result and no ``job`` span: its
@@ -810,7 +820,7 @@ class CampaignScheduler:
         job.result = result
         job.status = "complete"
         if job.driver is not None:
-            note_sampling(job.driver, job.rounds, len(job.records))
+            note_sampling(job.driver, job.rounds, len(job.records), metrics)
         if tracer is not None and job.journal is not None:
             counts = {kind.value: n for kind, n in result.counts().items()}
             attrs = {

@@ -3,13 +3,13 @@
 The write half of the store.  :func:`execute_spec` runs one campaign with
 its journal fsync'd as work lands; :func:`resume_run` restarts an
 interrupted run from its journal's last durable record.  Both are a
-one-job :class:`~repro.scheduler.CampaignScheduler` run, so every local
-journal has one writer: the scheduler commits a fixed job chunk by chunk
-and an adaptive job round by round, as one index-sorted batch.  The pool
-worker that ran a chunk seals its journal lines (:func:`seal_records`:
-row plus CRC), and the writer only writes and ``fsync``\\ s them
-(:func:`journal_chunk_records`).  The helpers below are the journal's
-durability units, shared by that writer and the fleet coordinator.
+one-job :class:`~repro.scheduler.CampaignScheduler` run, and the fleet
+coordinator drives a scheduler too, so every journal has one writer: the
+scheduler commits a fixed job chunk by chunk and an adaptive job round
+by round, as one index-sorted batch.  The pool worker that ran a chunk
+seals its journal lines (:func:`seal_records`: row plus CRC), and the
+writer only writes and ``fsync``\\ s them (:func:`journal_chunk_records`).
+The helpers below are that writer's durability units.
 Three facts make the resumed output *bit-identical* to an uninterrupted
 run:
 
@@ -97,23 +97,6 @@ def journal_chunk_records(journal: Journal, lines) -> int:
     Returns the number of records made durable.
     """
     return journal.commit(lines)
-
-
-def journal_chunk_rows(journal: Journal, rows) -> int:
-    """Append one chunk's *already serialised* rows as a single batch.
-
-    The fleet coordinator's merge step: agents serialise records with
-    :func:`~repro.beam.logs.record_to_row` (at :data:`JOURNAL_MAX_ELEMENTS`)
-    and push the rows over the wire; committing them verbatim — rather
-    than re-serialising reconstructed records — makes the journal
-    byte-for-byte the agent's output.  The row → record → row round trip
-    is exact (pinned by the log-format tests), so both choices agree;
-    this one keeps the merge point honest.  Returns the number of rows
-    made durable.
-    """
-    for row in rows:
-        journal.append("record", index=row["index"], row=row)
-    return journal.commit()
 
 
 def finalise_journal(journal: Journal, result, *, sampling: "dict | None" = None) -> None:
@@ -219,7 +202,7 @@ def resume_run(
     hit.  An adaptive journal (one holding ``plan`` rows) resumes
     adaptively under its journaled policy regardless of ``sampling``.
     The spec comes from the header line alone, so the journal is read
-    whole once, by the scheduler's :func:`~repro.scheduler.prepare_job`.
+    whole once, when the scheduler prepares the job.
     """
     if not store.has(run_id):
         raise JournalError(

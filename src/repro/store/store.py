@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro._util.text import format_table
-from repro.store.journal import Journal, JournalError, read_header
+from repro.store.journal import Journal, JournalCorruptError, JournalError, read_header
 from repro.store.spec import CampaignSpec
 
 __all__ = ["RunStatus", "RunSummary", "StoredRun", "CampaignStore"]
@@ -222,9 +222,22 @@ class CampaignStore:
         return CampaignSpec.from_dict(header["spec"])
 
     def load(self, run_id: str) -> StoredRun:
-        """Load one run's durable state (read-only; no tail truncation)."""
+        """Load one run's durable state (read-only; no tail truncation).
+
+        Raises :class:`~repro.store.journal.JournalCorruptError` when the
+        journal holds one index twice: every line may pass its CRC, but
+        the run would serve, report and resume the extra rows.
+        """
         journal = self.open_run(run_id, read_only=True)
-        rows = [record["row"] for record in journal.records("record")]
+        rows = []
+        seen: set = set()
+        for record in journal.records("record"):
+            if record["index"] in seen:
+                raise JournalCorruptError(
+                    f"{journal.path}: index {record['index']} is journaled twice"
+                )
+            seen.add(record["index"])
+            rows.append(record["row"])
         return StoredRun(
             run_id=journal.header.get("run_id", run_id),
             spec=self._spec_from(journal.header, journal.path),

@@ -2,20 +2,15 @@
 
 The parent of a process-backend run only writes and ``fsync``\\ s: it
 builds no journal row.  The lines a worker seals are byte-equal to the
-append path (``Journal.append("record", ...)`` plus a commit), which is
-how the fleet merge (``journal_chunk_rows``) still writes, so pool and
-fleet journals agree line for line.
+append path (``Journal.append("record", ...)`` plus a commit), so a
+journal reads the same whichever path wrote it.
 """
 
 import repro.store.runner as runner_mod
 from repro.beam.executor import _run_chunk
 from repro.beam.logs import record_to_row
 from repro.store import CampaignSpec, CampaignStore, Journal, execute_spec
-from repro.store.runner import (
-    JOURNAL_MAX_ELEMENTS,
-    journal_chunk_rows,
-    seal_records,
-)
+from repro.store.runner import JOURNAL_MAX_ELEMENTS, seal_records
 
 SPEC = CampaignSpec(
     kernel="dgemm", device="k40", config={"n": 32}, seed=6, n_faulty=24
@@ -63,10 +58,12 @@ def test_worker_sealed_lines_match_the_append_path(tmp_path):
     ).records
     path = tmp_path / "appended.jsonl"
     with Journal.create(path) as journal:
-        journal_chunk_rows(journal, [
-            record_to_row(record, max_elements=JOURNAL_MAX_ELEMENTS)
-            for record in records
-        ])
+        for record in records:
+            journal.append(
+                "record", index=record.index,
+                row=record_to_row(record, max_elements=JOURNAL_MAX_ELEMENTS),
+            )
+        journal.commit()
     appended = record_lines(path)
 
     assert seal_records(records) == appended
