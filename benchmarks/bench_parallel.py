@@ -4,7 +4,9 @@ Records the speedup of the parallel campaign execution engine
 (:mod:`repro.beam.executor`) over the legacy serial loop for a DGEMM
 campaign, and verifies the two paths produce identical outcome statistics
 while doing so.  Output lands in ``benchmarks/results/bench_parallel.txt``
-so the perf trajectory across PRs is greppable.
+so the perf trajectory across PRs is greppable.  A run rewrites only the
+sections it ran (a ``--skip-*`` refresh keeps the others as they were)
+and records paths relative to the repo.
 
 The benchmark also times the delta-replay fast path
 (``fast_path=True``, docs/performance.md) against full re-execution —
@@ -73,6 +75,7 @@ from repro.arch.registry import make_device
 from repro.beam.campaign import Campaign
 from repro.kernels.registry import make_kernel
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = Path(__file__).parent / "results" / "bench_parallel.txt"
 FASTPATH_JSON_PATH = Path(__file__).parent.parent / "BENCH_fastpath.json"
 FASTPATH_JSON_QUICK_PATH = (
@@ -844,6 +847,53 @@ def bench_observability(args) -> "tuple[str, float]":
     return text, overhead_pct
 
 
+#: The results file's sections in order, each named by its header line's
+#: start.  A run replaces the sections it ran and keeps the others.
+SECTION_HEADS = {
+    "parallel": "bench_parallel:",
+    "fastpath": "delta-replay fast path",
+    "batch": "batched",
+    "sampling": "adaptive importance sampling",
+    "fleet": "fleet:",
+    "observability": "observability overhead",
+}
+
+
+def shown(path) -> str:
+    """``path`` as printed and recorded: relative to the repo when inside it."""
+    path = Path(path).resolve()
+    try:
+        return str(path.relative_to(REPO_ROOT))
+    except ValueError:
+        return str(path)
+
+
+def split_sections(text: str) -> dict:
+    """A results file's sections by name; an unknown one by its header."""
+    sections: dict = {}
+    name = None
+    for line in text.splitlines():
+        if line and not line[0].isspace():
+            name = next(
+                (key for key, head in SECTION_HEADS.items()
+                 if line.startswith(head)),
+                line,
+            )
+            sections[name] = [line]
+        elif name is not None:
+            sections[name].append(line)
+    return {key: "\n".join(lines) for key, lines in sections.items()}
+
+
+def merge_sections(previous: str, fresh: dict) -> str:
+    """``previous`` results with the ``fresh`` sections (name -> text) in
+    place of theirs, in :data:`SECTION_HEADS` order; the rest are kept."""
+    sections = {**split_sections(previous), **fresh}
+    order = [key for key in SECTION_HEADS if key in sections]
+    order += [key for key in sections if key not in SECTION_HEADS]
+    return "\n".join(sections[key] for key in order)
+
+
 def quick_caps(n: int, faulty: int) -> "tuple[int, int]":
     """The ``--quick`` smoke workload: caps that keep the bench seconds-long
     while leaving each struck execution heavy enough (a few ms) that the
@@ -909,13 +959,13 @@ def main(argv=None) -> int:
         args.n, args.faulty = quick_caps(args.n, args.faulty)
 
     text, speedup = bench(args)
+    sections = {"parallel": text}
     fastpath_speedups: dict = {}
     fastpath_payload: dict = {}
     if not args.skip_fastpath:
         import json
 
         fp_text, fastpath_speedups, fastpath_payload = bench_fastpath(args)
-        text = text + "\n" + fp_text
         json_path = (
             FASTPATH_JSON_QUICK_PATH if args.quick else FASTPATH_JSON_PATH
         )
@@ -923,13 +973,14 @@ def main(argv=None) -> int:
         json_path.write_text(
             json.dumps(fastpath_payload, indent=2, sort_keys=True) + "\n"
         )
-        text += f"\n  baseline recorded to {json_path}"
+        sections["fastpath"] = (
+            fp_text + f"\n  baseline recorded to {shown(json_path)}"
+        )
     batch_speedup = None
     if not args.skip_batch:
         import json
 
         batch_text, batch_speedup, batch_payload = bench_batch(args)
-        text = text + "\n" + batch_text
         batch_json_path = (
             BATCH_JSON_QUICK_PATH if args.quick else BATCH_JSON_PATH
         )
@@ -937,7 +988,9 @@ def main(argv=None) -> int:
         batch_json_path.write_text(
             json.dumps(batch_payload, indent=2, sort_keys=True) + "\n"
         )
-        text += f"\n  baseline recorded to {batch_json_path}"
+        sections["batch"] = (
+            batch_text + f"\n  baseline recorded to {shown(batch_json_path)}"
+        )
     sampling_savings = None
     if not args.skip_sampling:
         import json
@@ -945,7 +998,6 @@ def main(argv=None) -> int:
         sampling_text, sampling_savings, sampling_payload = bench_sampling(
             args
         )
-        text = text + "\n" + sampling_text
         sampling_json_path = (
             SAMPLING_JSON_QUICK_PATH if args.quick else SAMPLING_JSON_PATH
         )
@@ -953,12 +1005,14 @@ def main(argv=None) -> int:
         sampling_json_path.write_text(
             json.dumps(sampling_payload, indent=2, sort_keys=True) + "\n"
         )
-        text += f"\n  baseline recorded to {sampling_json_path}"
+        sections["sampling"] = (
+            sampling_text
+            + f"\n  baseline recorded to {shown(sampling_json_path)}"
+        )
     if not args.skip_fleet:
         import json
 
         fleet_text, _, fleet_payload = bench_fleet(args)
-        text = text + "\n" + fleet_text
         fleet_json_path = (
             FLEET_JSON_QUICK_PATH if args.quick else FLEET_JSON_PATH
         )
@@ -966,20 +1020,23 @@ def main(argv=None) -> int:
         fleet_json_path.write_text(
             json.dumps(fleet_payload, indent=2, sort_keys=True) + "\n"
         )
-        text += f"\n  baseline recorded to {fleet_json_path}"
+        sections["fleet"] = (
+            fleet_text + f"\n  baseline recorded to {shown(fleet_json_path)}"
+        )
     overhead_pct = None
     if args.observability:
         obs_text, overhead_pct = bench_observability(args)
-        text = text + "\n" + obs_text
-    print(text)
+        sections["observability"] = obs_text
+    print("\n".join(sections.values()))
     results_path = (
         RESULTS_PATH.with_name("bench_parallel_quick.txt")
         if args.quick
         else RESULTS_PATH
     )
     results_path.parent.mkdir(exist_ok=True)
-    results_path.write_text(text + "\n")
-    print(f"\nrecorded to {results_path}")
+    previous = results_path.read_text() if results_path.exists() else ""
+    results_path.write_text(merge_sections(previous, sections) + "\n")
+    print(f"\nrecorded to {shown(results_path)}")
 
     if args.expect_speedup is not None:
         if speedup is None:

@@ -44,3 +44,55 @@ class TestBenchSmoke:
         assert bench_parallel.quick_caps(4096, 5000) == (192, 64)
         # already-small workloads pass through untouched
         assert bench_parallel.quick_caps(96, 20) == (96, 20)
+
+
+def test_refresh_rewrites_only_the_sections_it_ran():
+    previous = "\n".join([
+        "bench_parallel: old header",
+        "  serial        : old",
+        "delta-replay fast path vs full re-execution:",
+        "  dgemm (k40): old fast path",
+        "  baseline recorded to BENCH_fastpath.json",
+        "fleet: 2 remote agents vs one 2-worker pool:",
+        "  fleet         : old fleet",
+    ])
+    fresh = {
+        "parallel": "bench_parallel: new header\n  serial        : new",
+        "fleet": "fleet: 2 remote agents vs one 2-worker pool:\n  fleet : new",
+        "batch": "batched delta execution vs scalar replay:\n  batch : new",
+    }
+    assert bench_parallel.merge_sections(previous, fresh).splitlines() == [
+        "bench_parallel: new header",
+        "  serial        : new",
+        "delta-replay fast path vs full re-execution:",
+        "  dgemm (k40): old fast path",
+        "  baseline recorded to BENCH_fastpath.json",
+        "batched delta execution vs scalar replay:",
+        "  batch : new",
+        "fleet: 2 remote agents vs one 2-worker pool:",
+        "  fleet : new",
+    ]
+    # The committed results files keep every section they have.
+    committed = Path(bench_parallel.RESULTS_PATH).read_text()
+    assert list(bench_parallel.split_sections(committed)) == [
+        "parallel", "fastpath", "batch", "sampling", "fleet",
+    ]
+    # Each header the benchmark writes names its section.
+    headers = "\n".join([
+        "bench_parallel: dgemm(n=192) on k40, 64 struck executions",
+        "delta-replay fast path vs full re-execution:",
+        "batched execution vs one strike per inject_batch call:",
+        "adaptive importance sampling vs the fixed plan (target CI 10%):",
+        "fleet: 2 remote agents vs one 2-worker pool:",
+        "observability overhead (tracing + metrics enabled):",
+    ])
+    assert list(bench_parallel.split_sections(headers)) == list(
+        bench_parallel.SECTION_HEADS
+    )
+
+
+def test_recorded_paths_are_relative_to_the_repo():
+    assert bench_parallel.shown(bench_parallel.FLEET_JSON_PATH) == "BENCH_fleet.json"
+    assert bench_parallel.shown(bench_parallel.RESULTS_PATH) == str(
+        Path("benchmarks") / "results" / "bench_parallel.txt"
+    )

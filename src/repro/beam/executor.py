@@ -179,8 +179,9 @@ class _ChunkResult:
     metrics without the worker ever touching a sink (one trace writer per
     campaign, regardless of backend).  A journaled chunk also carries its
     sealed journal lines, one per record in record order, built by the
-    worker (:func:`repro.store.runner.seal_records`) so the parent's
-    commit is a write and an ``fsync``.
+    worker in one pass over the chunk
+    (:func:`repro.store.runner.seal_records`) so the parent's commit is
+    a write and an ``fsync``.
     """
 
     records: list = field(default_factory=list)

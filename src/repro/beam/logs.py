@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro._util.jsonarrays import PASS_ELEMENTS, hex_float_lists, int_lists
 from repro.beam.campaign import CampaignResult
 from repro.bitflip.models import flip_from_dict, flip_to_dict
 from repro.kernels.base import KernelFault
@@ -31,6 +32,19 @@ from repro.faults.outcomes import ExecutionRecord, OutcomeKind
 #: Resource-kind strings round-trip as plain values.
 _FORMAT_VERSION = 1
 
+#: A report's array fields that hold floats, as ``float.hex`` strings.
+_FLOAT_FIELDS = ("read", "expected")
+
+#: ``json.dumps``'s default style: the text of a log line.
+_LOG_ENCODER = json.JSONEncoder()
+
+#: Fewest array elements for which :func:`row_texts` renders a set of
+#: records vectorised.  Measured on real chunks of every kernel, the two
+#: paths cross between 125 and 250 elements, and from 300 elements on
+#: the vectorised one was faster on every chunk; 512 keeps a margin
+#: (docs/performance.md has the table).
+VECTOR_MIN_ELEMENTS = 512
+
 
 def _hex_floats(values: np.ndarray) -> list:
     """``float.hex`` of each value: an exact round trip, inf and nan too.
@@ -41,7 +55,13 @@ def _hex_floats(values: np.ndarray) -> list:
     return list(map(float.hex, values.astype(np.float64, copy=False).tolist()))
 
 
-def _report_payload(report: CriticalityReport, max_elements: int) -> dict:
+def _report_parts(report: CriticalityReport, max_elements: int) -> tuple:
+    """A report row's summary fields, and its array fields as arrays.
+
+    The arrays are capped at ``max_elements`` by a uniform subsample;
+    :func:`_report_payload` renders them element by element and
+    :func:`row_texts` a pass of records at a time.
+    """
     obs = report.observation
     n = len(obs)
     # A report rebuilt from a capped log already holds a subsample; the
@@ -51,7 +71,7 @@ def _report_payload(report: CriticalityReport, max_elements: int) -> dict:
         keep = np.linspace(0, n - 1, max_elements).astype(int)
     else:
         keep = slice(None)  # fits the cap: views, not fancy-index copies
-    payload = {
+    summary = {
         "n_incorrect": report.n_incorrect,
         "mean_relative_error": report.mean_relative_error,
         "max_relative_error": report.max_relative_error,
@@ -61,23 +81,28 @@ def _report_payload(report: CriticalityReport, max_elements: int) -> dict:
         "filtered_locality": report.filtered_locality.value,
         "shape": list(obs.shape),
         "truncated": truncated,
-        "indices": obs.indices[keep].tolist(),
-        "read": _hex_floats(obs.read[keep]),
-        "expected": _hex_floats(obs.expected[keep]),
+    }
+    arrays = {
+        "indices": obs.indices[keep],
+        "read": obs.read[keep],
+        "expected": obs.expected[keep],
     }
     if obs.locality_indices is not None:
-        payload["locality_indices"] = obs.locality_indices[keep].tolist()
+        arrays["locality_indices"] = obs.locality_indices[keep]
+    return summary, arrays
+
+
+def _report_payload(report: CriticalityReport, max_elements: int) -> dict:
+    payload, arrays = _report_parts(report, max_elements)
+    for key, values in arrays.items():
+        payload[key] = (
+            _hex_floats(values) if key in _FLOAT_FIELDS else values.tolist()
+        )
     return payload
 
 
-def record_to_row(record: ExecutionRecord, *, max_elements: int = 4096) -> dict:
-    """Serialise one struck execution to its JSON-able log row.
-
-    The row layout is shared by the campaign log files written here and by
-    the durable journals in :mod:`repro.store.journal`, so a journaled run
-    replayed through :func:`row_to_record` re-serialises byte-identically —
-    the property the crash-safe resume path relies on.
-    """
+def _row_head(record: ExecutionRecord) -> dict:
+    """A record's row without its report."""
     row = {
         "index": record.index,
         "outcome": record.outcome.value,
@@ -98,9 +123,124 @@ def record_to_row(record: ExecutionRecord, *, max_elements: int = 4096) -> dict:
             ),
             "flip": flip_to_dict(record.fault.flip),
         }
+    return row
+
+
+def record_to_row(record: ExecutionRecord, *, max_elements: int = 4096) -> dict:
+    """Serialise one struck execution to its JSON-able log row.
+
+    The row layout is shared by the campaign log files written here and by
+    the durable journals in :mod:`repro.store.journal`, so a journaled run
+    replayed through :func:`row_to_record` re-serialises byte-identically —
+    the property the crash-safe resume path relies on.  :func:`row_texts`
+    renders the same rows straight to text.
+    """
+    row = _row_head(record)
     if record.report is not None:
         row["report"] = _report_payload(record.report, max_elements)
     return row
+
+
+def _elements(record: ExecutionRecord, max_elements: int) -> int:
+    """The array elements a record's row holds."""
+    if record.report is None:
+        return 0
+    return min(len(record.report.observation), max_elements)
+
+
+def _passes(records, max_elements: int):
+    """Consecutive runs of records holding at most ``PASS_ELEMENTS``
+    array elements each (a larger record runs alone)."""
+    batch, held = [], 0
+    for record in records:
+        elements = _elements(record, max_elements)
+        if batch and held + elements > PASS_ELEMENTS:
+            yield batch
+            batch, held = [], 0
+        batch.append(record)
+        held += elements
+    if batch:
+        yield batch
+
+
+def _splice(text: str, key_separator: str, arrays: dict) -> str:
+    """Put each array's text where ``text`` holds its placeholder ``0``.
+
+    The array keys occur once per row, as keys of its report, and a key
+    followed by the key separator cannot occur inside a JSON string (its
+    closing quote would be escaped), so the first match is the field.
+    """
+    ends = []
+    for key in arrays:
+        field = f'"{key}"{key_separator}'
+        ends.append((text.index(field) + len(field), key))
+    pieces, at = [], 0
+    for end, key in sorted(ends):
+        pieces += (text[at:end], arrays[key])
+        at = end + 1  # past the placeholder
+    pieces.append(text[at:])
+    return "".join(pieces)
+
+
+def _render_pass(records, max_elements: int, encoders) -> list:
+    """The texts of one pass of records (:func:`row_texts`)."""
+    separators = tuple(encoder.item_separator for encoder in encoders)
+    rows = []
+    lists = {hex_float_lists: [], int_lists: []}  # -> [(row, key, array)]
+    for number, record in enumerate(records):
+        row = _row_head(record)
+        if record.report is not None:
+            summary, arrays = _report_parts(record.report, max_elements)
+            for key, values in arrays.items():
+                summary[key] = 0  # placeholder, spliced below
+                renderer = hex_float_lists if key in _FLOAT_FIELDS else int_lists
+                lists[renderer].append((number, key, values))
+            row["report"] = summary
+        rows.append(row)
+    rendered = [{} for _ in rows]
+    for renderer, items in lists.items():
+        texts = renderer([values for _, _, values in items], separators)
+        for (number, key, _), text in zip(items, texts):
+            rendered[number][key] = text
+    return [
+        tuple(
+            _splice(encoder.encode(row), encoder.key_separator, {
+                key: text[style] for key, text in arrays.items()
+            })
+            for style, encoder in enumerate(encoders)
+        )
+        for row, arrays in zip(rows, rendered)
+    ]
+
+
+def row_texts(records, *, max_elements: int = 4096, encoders=(_LOG_ENCODER,)):
+    """Each record's row as JSON text: ``encoder.encode(record_to_row(r))``.
+
+    Yields one tuple per record, with one text per encoder; an encoder's
+    item separator must be ``", "`` or ``","`` (``json.dumps``'s default
+    and the compact one).  The one renderer of record rows: campaign
+    logs take their lines from it (:func:`log_lines`), and a journal's
+    record lines their text and CRC text
+    (:func:`repro.store.runner.seal_records`).
+
+    Records whose rows together hold fewer than
+    :data:`VECTOR_MIN_ELEMENTS` array elements are encoded through
+    :func:`record_to_row`.  Larger ones are rendered a pass of at most
+    :data:`~repro._util.jsonarrays.PASS_ELEMENTS` elements at a time:
+    the array fields of every report in the pass are rendered to JSON
+    text together (:mod:`repro._util.jsonarrays`), each row's other
+    fields go through the encoders with a placeholder per array, and
+    the array texts are spliced in.  Both ways give the same bytes.
+    """
+    records = list(records)
+    held = sum(_elements(record, max_elements) for record in records)
+    if held < VECTOR_MIN_ELEMENTS:
+        for record in records:
+            row = record_to_row(record, max_elements=max_elements)
+            yield tuple(encoder.encode(row) for encoder in encoders)
+        return
+    for batch in _passes(records, max_elements):
+        yield from _render_pass(batch, max_elements, encoders)
 
 
 def log_header(
@@ -151,10 +291,8 @@ def log_lines(result: CampaignResult, *, max_elements: int = 4096) -> list:
             threshold_pct=result.threshold_pct,
         )
     ]
-    lines.extend(
-        json.dumps(record_to_row(record, max_elements=max_elements))
-        for record in result.records
-    )
+    rows = row_texts(result.records, max_elements=max_elements)
+    lines.extend(text for (text,) in rows)
     return lines
 
 
@@ -182,7 +320,8 @@ def _rebuild_report(payload: dict) -> CriticalityReport:
         ),
     )
     if not payload["truncated"]:
-        # Full data: recompute, then sanity-belongs to the stored summary.
+        # Full data: recompute the report from the elements (the stored
+        # summary is not read, nor compared with the result).
         return evaluate_execution(obs, threshold_pct=payload["threshold_pct"])
     # Truncated data: trust the stored summary, keep the subsample for
     # approximate re-filtering.

@@ -145,6 +145,9 @@ def _run_sealed(runner, *args) -> _ChunkResult:
     scheduler's ``chunk_runner`` hook, called with ``args``.  Sealing
     here, where the chunk ran, keeps row encoding and CRCs off the
     parent, which only writes and ``fsync``\\ s the returned lines.
+    The whole chunk is sealed in one :func:`~repro.store.runner.
+    seal_records` call, which renders the array fields of every row in
+    the chunk together once the chunk holds enough corrupted elements.
     """
     result = runner(*args)
     result.lines = seal_records(result.records)

@@ -48,6 +48,7 @@ __all__ = [
     "read_header",
     "scan_journal",
     "seal_line",
+    "seal_record",
 ]
 
 JOURNAL_FORMAT_VERSION = 1
@@ -65,6 +66,15 @@ class JournalCorruptError(JournalError):
     """
 
 
+#: A line's JSON style: ``json.dumps``'s defaults.
+LINE_ENCODER = json.JSONEncoder()
+
+#: The canonical style a line's CRC covers: sorted keys, compact, ASCII.
+CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True
+)
+
+
 def _canonical(body: dict) -> str:
     """Deterministic JSON for CRC purposes: sorted keys, compact.
 
@@ -74,7 +84,7 @@ def _canonical(body: dict) -> str:
     round-trip tests pin that), and ``json.dumps``/``loads`` round-trips
     them stably — which is all a checksum needs.
     """
-    return json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return CANONICAL_ENCODER.encode(body)
 
 
 def _crc_of(payload: dict) -> str:
@@ -87,7 +97,7 @@ def _seal(payload: dict) -> str:
     """Render one journal line: payload + its CRC, newline-terminated."""
     sealed = dict(payload)
     sealed["crc"] = _crc_of(payload)
-    return json.dumps(sealed) + "\n"
+    return LINE_ENCODER.encode(sealed) + "\n"
 
 
 def seal_line(payload: dict) -> bytes:
@@ -100,6 +110,23 @@ def seal_line(payload: dict) -> bytes:
     line damaged there fails validation at the next open.
     """
     return _seal(payload).encode("ascii")
+
+
+def seal_record(index: int, row_text: str, row_canonical: str) -> bytes:
+    """``seal_line({"kind": "record", "index": index, "row": row})``, from
+    the row's text in the line's style and in the canonical style.
+
+    A worker renders both texts of a chunk's rows in one pass
+    (:func:`repro.beam.logs.row_texts` with :data:`LINE_ENCODER` and
+    :data:`CANONICAL_ENCODER`), so no row is encoded a third time for
+    its CRC.  The bytes are :func:`seal_line`'s.
+    """
+    canonical = f'{{"index":{index},"kind":"record","row":{row_canonical}}}'
+    crc = zlib.crc32(canonical.encode("ascii")) & 0xFFFFFFFF
+    return (
+        f'{{"kind": "record", "index": {index}, "row": {row_text}, '
+        f'"crc": "{crc:08x}"}}\n'
+    ).encode("ascii")
 
 
 def _create_exclusive(path, flags: int) -> int:

@@ -7,7 +7,8 @@ one-job :class:`~repro.scheduler.CampaignScheduler` run, and the fleet
 coordinator drives a scheduler too, so every journal has one writer: the
 scheduler commits a fixed job chunk by chunk and an adaptive job round
 by round, as one index-sorted batch.  The pool worker that ran a chunk
-seals its journal lines (:func:`seal_records`: row plus CRC), and the
+seals its journal lines (:func:`seal_records`: each row rendered once,
+as the line's text and as the canonical text its CRC covers), and the
 writer only writes and ``fsync``\\ s them (:func:`journal_chunk_records`).
 The helpers below are that writer's durability units.
 Three facts make the resumed output *bit-identical* to an uninterrupted
@@ -17,8 +18,9 @@ run:
    ``(seed, index)`` — records are a pure function of the spec and the
    index, independent of chunking and arrival order;
 2. journal rows reuse the campaign-log serialisation
-   (:func:`repro.beam.logs.record_to_row`), which round-trips exactly
-   (hex floats), so a journaled record re-serialises byte-for-byte;
+   (:func:`repro.beam.logs.record_to_row`, rendered by
+   :func:`repro.beam.logs.row_texts`), which round-trips exactly (hex
+   floats), so a journaled record re-serialises byte-for-byte;
 3. the final result is assembled by the same
    :meth:`~repro.beam.campaign.Campaign.result_from_records` arithmetic
    either way.
@@ -31,9 +33,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.beam.logs import record_to_row
+# ``record_to_row`` is not called here: perfbench/layers.py times journal
+# row building by patching this module's name (``beam.rows``).
+from repro.beam.logs import record_to_row  # noqa: F401
+from repro.beam.logs import row_texts
 from repro.observability import runtime as obs_runtime
-from repro.store.journal import Journal, JournalError, seal_line
+from repro.store.journal import (
+    CANONICAL_ENCODER,
+    LINE_ENCODER,
+    Journal,
+    JournalError,
+    seal_record,
+)
 from repro.store.spec import CampaignSpec
 from repro.store.store import CampaignStore
 
@@ -74,16 +85,23 @@ def seal_records(records) -> list:
 
     Runs where the chunk ran — in the pool worker, or inline on the
     serial backend — so the journal writer only writes and ``fsync``\\ s.
-    The lines are byte-for-byte what ``journal.append("record",
+    The chunk's rows are rendered once, in the line's style and in the
+    canonical style its CRC covers (:func:`repro.beam.logs.row_texts`:
+    a chunk holding at least ``VECTOR_MIN_ELEMENTS`` corrupted elements
+    has its array fields rendered together, vectorised), and
+    :func:`~repro.store.journal.seal_record` wraps each pair in its
+    line.  The lines are byte-for-byte what ``journal.append("record",
     index=..., row=record_to_row(record))`` plus a commit writes.
     """
+    records = list(records)
+    texts = row_texts(
+        records,
+        max_elements=JOURNAL_MAX_ELEMENTS,
+        encoders=(LINE_ENCODER, CANONICAL_ENCODER),
+    )
     return [
-        seal_line({
-            "kind": "record",
-            "index": record.index,
-            "row": record_to_row(record, max_elements=JOURNAL_MAX_ELEMENTS),
-        })
-        for record in records
+        seal_record(record.index, line, canonical)
+        for record, (line, canonical) in zip(records, texts)
     ]
 
 
