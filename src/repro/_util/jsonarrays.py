@@ -8,12 +8,10 @@ padded with NUL, so the tokens of all lists sit in one ``(n, width)``
 byte array, built from lookup tables without a Python object per
 element.  Deleting the NUL bytes (``bytes.translate``) leaves the text.
 
-A token carries the separator in front of its element, so a list's
-first token has its separator replaced by the list's ``[`` and its last
-token gets the closing ``]`` in a padding byte.  Tokens are rendered
-with ``json.dumps``'s item separator ``", "``; the compact separator
-``","`` (sorted, canonical encodings) is the same text with its spaces
-deleted, since neither a hex float nor an integer holds a space.
+A token carries ``json.dumps``'s item separator ``", "`` in front of
+its element, so a list's first token has its separator replaced by the
+list's ``[`` and its last token gets the closing ``]`` in a padding
+byte.
 
 Each renderer reads at most :data:`PASS_ELEMENTS` elements per NumPy
 pass, so its temporaries stay bounded whatever the input's size.  The
@@ -164,7 +162,7 @@ def _float_tokens(values: np.ndarray) -> np.ndarray:
 # -- lists -------------------------------------------------------------------------
 
 
-def _render(counts, tokens_of, width, close_byte, separators) -> list:
+def _render(counts, tokens_of, width, close_byte) -> list:
     """Render lists of ``counts`` tokens, window by window; their texts.
 
     ``tokens_of(lo, hi)`` builds the ``(hi - lo, width)`` tokens of the
@@ -188,45 +186,31 @@ def _render(counts, tokens_of, width, close_byte, separators) -> list:
         pieces.append(tokens.tobytes())
     padded = b"".join(pieces)
     return [
-        _styled(
-            padded[start * width : end * width].translate(None, b"\0")
-            if end > start else b"[]",
-            separators,
-        )
+        padded[start * width : end * width].translate(None, b"\0").decode("ascii")
+        if end > start else "[]"
         for start, end in zip(starts.tolist(), ends.tolist())
     ]
 
 
-def _styled(line: bytes, separators) -> tuple:
-    """A list's text for each item separator, from its ``", "`` text."""
-    return tuple(
-        (line if sep == ", " else line.replace(b" ", b"")).decode("ascii")
-        for sep in separators
-    )
-
-
-def hex_float_lists(arrays, separators=(", ",)) -> list:
+def hex_float_lists(arrays) -> list:
     """``json.dumps(list(map(float.hex, a.tolist())))`` for each 1-D array.
 
     Values are cast to float64 first, exactly as ``float.hex`` sees them.
-    Returns one tuple per array: its list text for each item separator
-    in ``separators`` (``", "`` or ``","``).
     """
     arrays = list(arrays)
     flat = np.concatenate(arrays) if arrays else np.zeros(0)
     return _render(
         [len(values) for values in arrays],
         lambda lo, hi: _float_tokens(flat[lo:hi]),
-        _FLOAT_WIDTH, _FLOAT_WIDTH - 1, separators,
+        _FLOAT_WIDTH, _FLOAT_WIDTH - 1,
     )
 
 
-def int_lists(arrays, separators=(", ",)) -> list:
+def int_lists(arrays) -> list:
     """``json.dumps(a.tolist())`` for each 1-D or 2-D integer array.
 
     A 2-D array is a list of rows.  Other shapes, and rows without
-    columns, go through ``tolist``.  Returns one tuple per array, as
-    :func:`hex_float_lists` does.
+    columns, go through ``tolist``.
     """
     arrays = list(arrays)
     tokenised = [
@@ -234,16 +218,15 @@ def int_lists(arrays, separators=(", ",)) -> list:
         for values in arrays
     ]
     rendered = iter(_int_lists(
-        [values for values, ok in zip(arrays, tokenised) if ok], separators
+        [values for values, ok in zip(arrays, tokenised) if ok]
     ))
     return [
-        next(rendered) if ok
-        else _styled(json.dumps(values.tolist()).encode("ascii"), separators)
+        next(rendered) if ok else json.dumps(values.tolist())
         for values, ok in zip(arrays, tokenised)
     ]
 
 
-def _int_lists(arrays, separators) -> list:
+def _int_lists(arrays) -> list:
     """:func:`int_lists` of 1-D arrays and 2-D arrays with columns."""
     if not arrays:
         return []
@@ -271,4 +254,4 @@ def _int_lists(arrays, separators) -> list:
         )
 
     width = 4 * (groups + 2)
-    return _render(counts, tokens_of, width, width - 3, separators)
+    return _render(counts, tokens_of, width, width - 3)

@@ -14,6 +14,7 @@ re-filtering such a record uses the stored subsample as an estimate.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +25,7 @@ from repro._util.jsonarrays import PASS_ELEMENTS, hex_float_lists, int_lists
 from repro.beam.campaign import CampaignResult
 from repro.bitflip.models import flip_from_dict, flip_to_dict
 from repro.kernels.base import KernelFault
-from repro.core.criticality import CriticalityReport, evaluate_execution
+from repro.core.criticality import CriticalityReport
 from repro.core.locality import Locality
 from repro.core.metrics import ErrorObservation
 from repro.faults.outcomes import ExecutionRecord, OutcomeKind
@@ -163,16 +164,16 @@ def _passes(records, max_elements: int):
         yield batch
 
 
-def _splice(text: str, key_separator: str, arrays: dict) -> str:
+def _splice(text: str, arrays: dict) -> str:
     """Put each array's text where ``text`` holds its placeholder ``0``.
 
     The array keys occur once per row, as keys of its report, and a key
-    followed by the key separator cannot occur inside a JSON string (its
-    closing quote would be escaped), so the first match is the field.
+    followed by ``": "`` cannot occur inside a JSON string (its closing
+    quote would be escaped), so the first match is the field.
     """
     ends = []
     for key in arrays:
-        field = f'"{key}"{key_separator}'
+        field = f'"{key}": '
         ends.append((text.index(field) + len(field), key))
     pieces, at = [], 0
     for end, key in sorted(ends):
@@ -182,9 +183,8 @@ def _splice(text: str, key_separator: str, arrays: dict) -> str:
     return "".join(pieces)
 
 
-def _render_pass(records, max_elements: int, encoders) -> list:
+def _render_pass(records, max_elements: int) -> list:
     """The texts of one pass of records (:func:`row_texts`)."""
-    separators = tuple(encoder.item_separator for encoder in encoders)
     rows = []
     lists = {hex_float_lists: [], int_lists: []}  # -> [(row, key, array)]
     for number, record in enumerate(records):
@@ -199,29 +199,22 @@ def _render_pass(records, max_elements: int, encoders) -> list:
         rows.append(row)
     rendered = [{} for _ in rows]
     for renderer, items in lists.items():
-        texts = renderer([values for _, _, values in items], separators)
+        texts = renderer([values for _, _, values in items])
         for (number, key, _), text in zip(items, texts):
             rendered[number][key] = text
     return [
-        tuple(
-            _splice(encoder.encode(row), encoder.key_separator, {
-                key: text[style] for key, text in arrays.items()
-            })
-            for style, encoder in enumerate(encoders)
-        )
+        _splice(_LOG_ENCODER.encode(row), arrays)
         for row, arrays in zip(rows, rendered)
     ]
 
 
-def row_texts(records, *, max_elements: int = 4096, encoders=(_LOG_ENCODER,)):
-    """Each record's row as JSON text: ``encoder.encode(record_to_row(r))``.
+def row_texts(records, *, max_elements: int = 4096):
+    """Each record's row as JSON text: ``json.dumps(record_to_row(r))``.
 
-    Yields one tuple per record, with one text per encoder; an encoder's
-    item separator must be ``", "`` or ``","`` (``json.dumps``'s default
-    and the compact one).  The one renderer of record rows: campaign
-    logs take their lines from it (:func:`log_lines`), and a journal's
-    record lines their text and CRC text
-    (:func:`repro.store.runner.seal_records`).
+    The one renderer of record rows: campaign logs take their lines from
+    it (:func:`log_lines`), and a journal's record lines their row text
+    (:func:`repro.store.runner.seal_records`), so a stored run's
+    ``/result`` is its rows' texts sliced back out of its lines.
 
     Records whose rows together hold fewer than
     :data:`VECTOR_MIN_ELEMENTS` array elements are encoded through
@@ -229,18 +222,19 @@ def row_texts(records, *, max_elements: int = 4096, encoders=(_LOG_ENCODER,)):
     :data:`~repro._util.jsonarrays.PASS_ELEMENTS` elements at a time:
     the array fields of every report in the pass are rendered to JSON
     text together (:mod:`repro._util.jsonarrays`), each row's other
-    fields go through the encoders with a placeholder per array, and
-    the array texts are spliced in.  Both ways give the same bytes.
+    fields go through ``json`` with a placeholder per array, and the
+    array texts are spliced in.  Both ways give the same bytes.
     """
     records = list(records)
     held = sum(_elements(record, max_elements) for record in records)
     if held < VECTOR_MIN_ELEMENTS:
         for record in records:
-            row = record_to_row(record, max_elements=max_elements)
-            yield tuple(encoder.encode(row) for encoder in encoders)
+            yield _LOG_ENCODER.encode(
+                record_to_row(record, max_elements=max_elements)
+            )
         return
     for batch in _passes(records, max_elements):
-        yield from _render_pass(batch, max_elements, encoders)
+        yield from _render_pass(batch, max_elements)
 
 
 def log_header(
@@ -291,8 +285,7 @@ def log_lines(result: CampaignResult, *, max_elements: int = 4096) -> list:
             threshold_pct=result.threshold_pct,
         )
     ]
-    rows = row_texts(result.records, max_elements=max_elements)
-    lines.extend(text for (text,) in rows)
+    lines.extend(row_texts(result.records, max_elements=max_elements))
     return lines
 
 
@@ -305,26 +298,34 @@ def write_log(result: CampaignResult, path: str | Path, *, max_elements: int = 4
     return path
 
 
+def _from_hex(texts: list) -> np.ndarray:
+    """The float64 array of ``float.hex`` texts (:func:`_hex_floats`)."""
+    return np.fromiter(map(float.fromhex, texts), np.float64, len(texts))
+
+
 def _rebuild_report(payload: dict) -> CriticalityReport:
+    """A report from its row: the stored summary, and the elements.
+
+    The summary is the one the live run computed (exact even when the
+    elements are a capped subsample), so it is taken as stored, not
+    recomputed from the elements; ``tests/beam/test_stored_summary.py``
+    pins that it equals the recomputation for every untruncated report.
+    """
+    shape = tuple(payload["shape"])
+    indices = payload["indices"]
     obs = ErrorObservation(
-        shape=tuple(payload["shape"]),
-        indices=np.array(payload["indices"], dtype=np.intp).reshape(
-            len(payload["indices"]), len(payload["shape"])
-        ),
-        read=np.array([float.fromhex(v) for v in payload["read"]]),
-        expected=np.array([float.fromhex(v) for v in payload["expected"]]),
+        shape=shape,
+        indices=np.fromiter(
+            itertools.chain.from_iterable(indices), np.intp, len(indices) * len(shape)
+        ).reshape(len(indices), len(shape)),
+        read=_from_hex(payload["read"]),
+        expected=_from_hex(payload["expected"]),
         locality_indices=(
             np.array(payload["locality_indices"], dtype=np.intp)
             if "locality_indices" in payload
             else None
         ),
     )
-    if not payload["truncated"]:
-        # Full data: recompute the report from the elements (the stored
-        # summary is not read, nor compared with the result).
-        return evaluate_execution(obs, threshold_pct=payload["threshold_pct"])
-    # Truncated data: trust the stored summary, keep the subsample for
-    # approximate re-filtering.
     return CriticalityReport(
         n_incorrect=payload["n_incorrect"],
         max_relative_error=payload["max_relative_error"],
@@ -334,7 +335,7 @@ def _rebuild_report(payload: dict) -> CriticalityReport:
         filtered_n_incorrect=payload["filtered_n_incorrect"],
         filtered_locality=Locality(payload["filtered_locality"]),
         observation=obs,
-        truncated=True,
+        truncated=payload["truncated"],
     )
 
 

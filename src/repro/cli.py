@@ -86,12 +86,16 @@ def _input_error(message: str) -> int:
 
 
 def _parse_config(pairs: "list[str]") -> dict:
-    """Parse ``key=value`` kernel options, int-ifying where possible."""
+    """Parse ``key=value`` kernel options: ``true``/``false`` as booleans,
+    else int-ifying where possible."""
     config = {}
     for pair in pairs:
         if "=" not in pair:
             raise SystemExit(f"bad --config entry {pair!r}; expected key=value")
         key, value = pair.split("=", 1)
+        if value in ("true", "false"):
+            config[key] = value == "true"
+            continue
         try:
             config[key] = int(value)
         except ValueError:
@@ -531,7 +535,7 @@ def cmd_runs(args) -> int:
         return _input_error(str(err))
     print(f"run {run.run_id}: {run.spec.resolved_label()} ({run.status})")
     print(f"  journal : {run.path}")
-    print(f"  records : {len(run.rows)}/{run.spec.n_faulty} durable")
+    print(f"  records : {len(run.row_texts)}/{run.spec.n_faulty} durable")
     print(f"  seed    : {run.spec.seed}")
     if run.close is not None:
         print()
@@ -547,6 +551,23 @@ def cmd_runs(args) -> int:
             f"  resume  : repro resume {run.run_id} --store {args.store}"
         )
     return 0
+
+
+def cmd_store_upgrade(args) -> int:
+    from repro.store import JournalError
+    from repro.store.upgrade import store_journals, upgrade_journal
+
+    paths = store_journals(args.store)
+    if not paths:
+        print(f"no journals under {args.store}")
+    refused = 0
+    for path in paths:
+        try:
+            print(upgrade_journal(path).describe())
+        except JournalError as err:
+            print(f"error: {err} (file left unchanged)", file=sys.stderr)
+            refused += 1
+    return EXIT_BAD_INPUT if refused else 0
 
 
 def cmd_serve(args) -> int:
@@ -1057,6 +1078,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine-readable index (same schema as the service's /v1/runs)",
     )
     runs.set_defaults(func=cmd_runs)
+
+    store = sub.add_parser("store", help="maintain a campaign store")
+    store_sub = store.add_subparsers(dest="store_command", required=True)
+    upgrade = store_sub.add_parser(
+        "upgrade",
+        help="rewrite the store's format-1 journals as format 2 "
+        "(a damaged journal is refused and left unchanged)",
+    )
+    upgrade.add_argument("--store", default=DEFAULT_STORE, metavar="DIR")
+    upgrade.set_defaults(func=cmd_store_upgrade)
 
     serve = sub.add_parser(
         "serve", help="run the campaign service (HTTP daemon over a store)",

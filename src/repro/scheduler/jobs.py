@@ -118,7 +118,7 @@ def prepare_job(
     if stored is not None and stored.status == RunStatus.COMPLETE and reuse:
         return PreparedJob(
             spec=spec, run_id=run_id,
-            cached=stored.result(), resumed=len(stored.rows),
+            cached=stored.result(), resumed=len(stored.row_texts),
         )
     # Validated before any journal exists: a bad request must not leave a
     # header-only run behind that a retry would then finish as fixed.

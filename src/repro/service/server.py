@@ -271,7 +271,7 @@ class CampaignService:
         for run_id in self.store.run_ids():
             run = self.store.load(run_id)
             runs.append(
-                (run.created, run.run_id, run.spec, run.status, len(run.rows))
+                (run.created, run.run_id, run.spec, run.status, len(run.row_texts))
             )
         runs.sort(key=lambda entry: entry[:2])  # resumes in creation order
         with self._cond:
@@ -426,7 +426,7 @@ class CampaignService:
             stored = (
                 self.store.load(run_id) if self.store.has(run_id) else None
             )
-            done = len(stored.rows) if stored is not None else 0
+            done = len(stored.row_texts) if stored is not None else 0
             if stored is not None and stored.status == RunStatus.COMPLETE:
                 self._jobs[run_id] = JobState(
                     run_id=run_id, spec=spec, status="complete",
@@ -497,7 +497,7 @@ class CampaignService:
         except JournalError:
             return None
         return JobState(
-            run_id=run_id, spec=run.spec, status=run.status, done=len(run.rows)
+            run_id=run_id, spec=run.spec, status=run.status, done=len(run.row_texts)
         )
 
     def _live_done(self, run_id: str) -> "int | None":
@@ -572,7 +572,7 @@ class CampaignService:
             raise _ApiError(
                 409, "run_incomplete",
                 f"run {run_id} is still incomplete "
-                f"({len(run.rows)}/{run.spec.n_faulty} records durable); "
+                f"({len(run.row_texts)}/{run.spec.n_faulty} records durable); "
                 "poll GET /v1/campaigns/" + run_id,
             )
         return run

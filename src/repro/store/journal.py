@@ -5,23 +5,30 @@ mid-session loses unrecoverable data, which is why the paper's operational
 framing (and :mod:`repro.analysis.checkpointing`) centres on durable
 intermediate state.  A :class:`Journal` is that state for a campaign run:
 
-* **Append-only JSONL.**  One JSON object per line.  The first record is
-  always ``kind="open"`` (the run header); struck executions land as
-  ``kind="record"`` lines; a finished run ends with ``kind="close"``.
-* **CRC-checked.**  Every line carries a ``crc`` field — the CRC-32 of the
-  record's canonical JSON encoding (sorted keys, compact separators)
-  without the ``crc`` field itself.  A flipped bit anywhere in a line is
-  detected on open.
+* **Append-only JSONL.**  One JSON object per line, ``kind`` first.  The
+  first record is always ``kind="open"`` (the run header); struck
+  executions land as ``kind="record"`` lines; a finished run ends with
+  ``kind="close"``.
+* **CRC-checked bytes.**  Every line ends with a ``crc`` field: the CRC-32
+  (8 hex digits) of exactly the line's bytes before that field (format 2).
+  Validating a line is one ``zlib.crc32`` over its raw bytes; nothing is
+  decoded, so a reader decodes only the lines, and the fields, it uses.
+  A flipped bit anywhere in a line is detected on open.
 * **fsync'd batches.**  :meth:`append` only buffers; :meth:`commit` seals
   the batch (plus any lines already sealed elsewhere with
-  :func:`seal_line`), writes it, flushes, and ``fsync``\\ s.  A record is
-  *durable* exactly when its commit returned — the unit the resume path
-  can trust.
+  :func:`seal_line` or :func:`seal_record`), writes it, flushes, and
+  ``fsync``\\ s.  A record is *durable* exactly when its commit returned —
+  the unit the resume path can trust.
 * **Torn-tail truncation.**  A crash mid-write leaves a torn final line
   (unterminated, half-written, or CRC-mismatched).  :meth:`Journal.open`
   detects it, truncates the file back to the last durable record, and
   reports the dropped bytes.  Corruption *before* the tail is not
   silently repaired — it raises :class:`JournalCorruptError`.
+
+The header's ``journal_format_version`` is read before any line is
+validated, so no line is ever checked under two rules: format 2 is read,
+format 1 (whose CRC covered a canonical re-encoding) is refused with the
+verb that rewrites it (``repro store upgrade``, :mod:`repro.store.upgrade`).
 
 Journals never rewrite history: resuming a run appends to the same file,
 and the reader treats the set of ``record`` lines as unordered (records
@@ -36,6 +43,7 @@ import os
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from repro.observability import runtime as obs_runtime
@@ -45,13 +53,16 @@ __all__ = [
     "JournalError",
     "JournalCorruptError",
     "Journal",
+    "RECORD_PREFIX",
+    "durable_lines",
     "read_header",
+    "record_parts",
     "scan_journal",
     "seal_line",
     "seal_record",
 ]
 
-JOURNAL_FORMAT_VERSION = 1
+JOURNAL_FORMAT_VERSION = 2
 
 
 class JournalError(ValueError):
@@ -69,64 +80,98 @@ class JournalCorruptError(JournalError):
 #: A line's JSON style: ``json.dumps``'s defaults.
 LINE_ENCODER = json.JSONEncoder()
 
-#: The canonical style a line's CRC covers: sorted keys, compact, ASCII.
-CANONICAL_ENCODER = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), ensure_ascii=True
+#: What every line ends with: the crc field's key, then 8 hex digits and
+#: ``"}``.  The CRC covers the line's bytes before this.
+_CRC_FIELD = b', "crc": "'
+_CRC_TAIL = len(_CRC_FIELD) + 8 + 2
+
+#: Every line's first bytes: the kind comes first.
+_KIND_FIELD = b'{"kind": "'
+
+
+def _kind_prefix(kind: str) -> bytes:
+    """The first bytes of every line of ``kind``."""
+    return _KIND_FIELD + kind.encode("ascii") + b'", '
+
+
+#: The first bytes of every ``record`` line; its index and row follow.
+RECORD_PREFIX = _kind_prefix("record")
+_RECORD_HEAD = RECORD_PREFIX + b'"index": '
+_ROW_FIELD = b', "row": '
+
+#: What :func:`read_header` and :meth:`Journal.open` tell a format-1 reader.
+_UPGRADE_HINT = (
+    "journal format 1 is no longer read; rewrite the store it belongs to "
+    "with `repro store upgrade --store DIR`"
 )
 
 
-def _canonical(body: dict) -> str:
-    """Deterministic JSON for CRC purposes: sorted keys, compact.
-
-    Unlike the store's spec hashing (:mod:`repro._util.hashing`), this is
-    deliberately *lenient* about non-finite floats: criticality summaries
-    legitimately carry ``Infinity``/``NaN`` (the log layer's hex-exact
-    round-trip tests pin that), and ``json.dumps``/``loads`` round-trips
-    them stably — which is all a checksum needs.
-    """
-    return CANONICAL_ENCODER.encode(body)
-
-
-def _crc_of(payload: dict) -> str:
-    """CRC-32 (8 hex digits) over the canonical encoding sans ``crc``."""
-    body = {key: value for key, value in payload.items() if key != "crc"}
-    return f"{zlib.crc32(_canonical(body).encode('ascii')) & 0xFFFFFFFF:08x}"
-
-
-def _seal(payload: dict) -> str:
-    """Render one journal line: payload + its CRC, newline-terminated."""
-    sealed = dict(payload)
-    sealed["crc"] = _crc_of(payload)
-    return LINE_ENCODER.encode(sealed) + "\n"
+def _sealed(body: bytes) -> bytes:
+    """A line from its ``body``: a JSON object's text without its closing
+    brace.  The CRC covers exactly ``body``."""
+    return b'%s, "crc": "%08x"}\n' % (body, zlib.crc32(body))
 
 
 def seal_line(payload: dict) -> bytes:
     """One journal line's bytes: the payload, its CRC and the newline.
 
-    The line format lives here only.  :meth:`Journal.commit` seals
-    appended records with it, and a pool worker seals the records of the
-    chunk it ran, so for those the parent's commit only writes and
-    ``fsync``\\ s.  The CRC then also covers the worker → parent hop: a
-    line damaged there fails validation at the next open.
+    The payload is rendered by :data:`LINE_ENCODER` with the ``crc``
+    field last.  :meth:`Journal.commit` seals appended records with it,
+    and a pool worker seals the records of the chunk it ran
+    (:func:`seal_record`), so for those the parent's commit only writes
+    and ``fsync``\\ s.  The CRC then also covers the worker → parent hop:
+    a line damaged there fails validation at the next open.
     """
-    return _seal(payload).encode("ascii")
+    return _sealed(LINE_ENCODER.encode(payload)[:-1].encode("ascii"))
 
 
-def seal_record(index: int, row_text: str, row_canonical: str) -> bytes:
+def seal_record(index: int, row_text: str) -> bytes:
     """``seal_line({"kind": "record", "index": index, "row": row})``, from
-    the row's text in the line's style and in the canonical style.
+    the row's text (``json.dumps(row)``, rendered once per row by
+    :func:`repro.beam.logs.row_texts`).  A reader takes the same text back
+    out of the line by slicing (:func:`record_parts`)."""
+    return _sealed(
+        f'{{"kind": "record", "index": {index}, "row": {row_text}'.encode("ascii")
+    )
 
-    A worker renders both texts of a chunk's rows in one pass
-    (:func:`repro.beam.logs.row_texts` with :data:`LINE_ENCODER` and
-    :data:`CANONICAL_ENCODER`), so no row is encoded a third time for
-    its CRC.  The bytes are :func:`seal_line`'s.
+
+def _line_fault(raw: bytes) -> str:
+    """Why one line (without its newline) is not a sealed line, or ``""``."""
+    if not raw.strip():
+        return "blank line"
+    if raw[-_CRC_TAIL:-10] != _CRC_FIELD or raw[-2:] != b'"}':
+        return "record without crc"
+    if b"%08x" % zlib.crc32(raw[:-_CRC_TAIL]) != raw[-10:-2]:
+        return "crc mismatch"
+    return ""
+
+
+def _decode_line(path, raw: bytes) -> dict:
+    """A validated line's payload (``crc`` included).
+
+    The CRC only shows that the bytes are the writer's; a line that then
+    does not decode to a JSON object raises :class:`JournalCorruptError`.
     """
-    canonical = f'{{"index":{index},"kind":"record","row":{row_canonical}}}'
-    crc = zlib.crc32(canonical.encode("ascii")) & 0xFFFFFFFF
-    return (
-        f'{{"kind": "record", "index": {index}, "row": {row_text}, '
-        f'"crc": "{crc:08x}"}}\n'
-    ).encode("ascii")
+    try:
+        payload = json.loads(raw)
+    except ValueError as err:
+        raise JournalCorruptError(f"{path}: a sealed line does not decode: {err}") from None
+    if not isinstance(payload, dict):
+        raise JournalCorruptError(f"{path}: a sealed line is not a JSON object")
+    return payload
+
+
+def record_parts(path, raw: bytes) -> "tuple[int, str]":
+    """A validated ``record`` line's execution index and row text, sliced
+    out of the line without decoding it."""
+    end = raw.find(_ROW_FIELD, len(_RECORD_HEAD))
+    try:
+        if not raw.startswith(_RECORD_HEAD) or end < 0:
+            raise ValueError("no index and row where a record line has them")
+        index = int(raw[len(_RECORD_HEAD):end])
+        return index, raw[end + len(_ROW_FIELD):-_CRC_TAIL].decode("ascii")
+    except ValueError as err:
+        raise JournalCorruptError(f"{path}: bad record line: {err}") from None
 
 
 def _create_exclusive(path, flags: int) -> int:
@@ -138,33 +183,28 @@ def _create_exclusive(path, flags: int) -> int:
 class ScanResult:
     """What :func:`scan_journal` found in a journal file."""
 
-    records: list = field(default_factory=list)  # validated payloads, in order
+    lines: list = field(default_factory=list)  # CRC-valid lines, in order
     valid_bytes: int = 0        # prefix length holding only durable records
     torn_bytes: int = 0         # trailing bytes belonging to a torn write
     torn_reason: str = ""       # why the tail was judged torn ("" if clean)
 
 
-def _parse_line(raw: bytes) -> "tuple[dict | None, str]":
-    """One line, without its newline: ``(payload, "")`` when it is a valid
-    record, else ``(None, why it is not)``."""
-    if not raw.strip():
-        return None, "blank line"
+def _check_version(path: Path, raw: bytes) -> None:
+    """Read the header line's format before anything is validated.
+
+    Raise :class:`JournalError` unless ``raw`` is a format-2 ``open``
+    record.  A header that does not decode passes, for the CRC check to
+    judge: it is torn (the only line) or corrupt.
+    """
     try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None, "unparsable JSON"
-    if not isinstance(payload, dict) or "crc" not in payload:
-        return None, "record without crc"
-    if payload["crc"] != _crc_of(payload):
-        return None, "crc mismatch"
-    return payload, ""
-
-
-def _check_header(path: Path, head: dict) -> None:
-    """Raise :class:`JournalError` unless ``head`` is a v1 ``open`` record."""
-    if head.get("kind") != "open":
+        head = json.loads(raw)
+    except ValueError:
+        return
+    if not isinstance(head, dict) or head.get("kind") != "open":
         raise JournalError(f"{path}: first record is not an open header")
     version = head.get("journal_format_version")
+    if version == 1:
+        raise JournalError(f"{path}: {_UPGRADE_HINT}")
     if version != JOURNAL_FORMAT_VERSION:
         raise JournalError(f"{path}: unsupported journal format {version!r}")
 
@@ -184,23 +224,38 @@ def read_header(path: "str | Path") -> dict:
         raise JournalError(f"no such journal: {path}") from None
     if not raw.endswith(b"\n"):
         raise JournalError(f"{path}: no durable records (empty journal)")
-    head, reason = _parse_line(raw[:-1])
+    raw = raw[:-1]
+    _check_version(path, raw)
+    reason = _line_fault(raw)
     if reason:
         raise JournalError(f"{path}: {reason} in the header line")
-    _check_header(path, head)
-    return head
+    return _decode_line(path, raw)
 
 
 def scan_journal(path: "str | Path") -> ScanResult:
     """Validate a journal file line by line.
 
-    Returns every durable record plus the byte offset where durability
-    ends.  A defective *final* line (unterminated, unparsable, or CRC
-    mismatch) is reported as a torn tail; a defective line anywhere else
-    raises :class:`JournalCorruptError`.
+    Returns every durable line (its bytes, without the newline) plus the
+    byte offset where durability ends.  The header's format is read
+    first (:func:`read_header`'s rule).  A defective *final* line
+    (unterminated, blank, or CRC mismatch) is reported as a torn tail; a
+    defective line anywhere else raises :class:`JournalCorruptError`.
     """
     path = Path(path)
     data = path.read_bytes()
+    header, newline, _ = data.partition(b"\n")
+    if newline:
+        _check_version(path, header)
+    return durable_lines(path, data, _line_fault)
+
+
+def durable_lines(path: Path, data: bytes, fault) -> ScanResult:
+    """The torn-tail rule over ``data``, ``fault(line)`` judging each line.
+
+    ``fault`` returns why a line (without its newline) is defective, or
+    ``""``.  :func:`scan_journal` passes the format-2 rule; the format-1
+    rule lives only in :mod:`repro.store.upgrade`.
+    """
     result = ScanResult()
     offset = 0
     lines = data.split(b"\n")
@@ -213,8 +268,7 @@ def scan_journal(path: "str | Path") -> ScanResult:
                 result.torn_bytes = len(raw)
                 result.torn_reason = "unterminated final line"
             break
-        line_bytes = len(raw) + 1  # + newline
-        payload, torn_reason = _parse_line(raw)
+        torn_reason = fault(raw)
         if torn_reason:
             # Only the *tail* may be torn: every byte after this line must
             # belong to the same interrupted write (i.e. nothing but this
@@ -227,9 +281,9 @@ def scan_journal(path: "str | Path") -> ScanResult:
             result.torn_bytes = len(data) - offset
             result.torn_reason = torn_reason
             break
-        result.records.append(payload)
-        offset += line_bytes
-        result.valid_bytes = offset
+        result.lines.append(raw)
+        offset += len(raw) + 1  # + newline
+    result.valid_bytes = offset
     return result
 
 
@@ -244,12 +298,13 @@ class Journal:
       and truncating a torn tail; appending then resumes the run.
     """
 
-    def __init__(self, path: Path, records: list, *, _fh=None):
+    def __init__(self, path: Path, lines: list, *, _fh=None):
         self.path = Path(path)
-        self._records = records
+        #: durable lines, as sealed and without their newlines; decoded
+        #: only when a caller asks for their payloads
+        self._lines = lines
         self._pending: list[dict] = []
         self._fh = _fh
-        self._closed_fh = _fh is None
         #: (durable bytes, file bytes) as :meth:`open` read them, until
         #: :meth:`open_for_append` starts writing
         self._read_extent: "tuple[int, int] | None" = None
@@ -295,10 +350,9 @@ class Journal:
         if not path.exists():
             raise JournalError(f"no such journal: {path}")
         scan = scan_journal(path)
-        if not scan.records:
+        if not scan.lines:
             raise JournalError(f"{path}: no durable records (empty journal)")
-        _check_header(path, scan.records[0])
-        journal = cls(path, scan.records)
+        journal = cls(path, scan.lines)
         journal._read_extent = (
             scan.valid_bytes, scan.valid_bytes + scan.torn_bytes
         )
@@ -338,24 +392,32 @@ class Journal:
 
     # -- querying ----------------------------------------------------------------
 
-    @property
+    @cached_property
     def header(self) -> dict:
         """The ``open`` record (run id, spec, creation time)."""
-        return self._records[0]
+        return _decode_line(self.path, self._lines[0])
+
+    def lines(self) -> list:
+        """Durable lines (committed, CRC-valid), as sealed, without their
+        newlines, for :func:`record_parts` to slice."""
+        return list(self._lines)
 
     def records(self, kind: "str | None" = None) -> list:
-        """Durable records (committed, CRC-valid), optionally by kind."""
-        out = list(self._records)
+        """Durable records (committed, CRC-valid), decoded, optionally by
+        kind; a line of another kind is not decoded."""
+        lines = self._lines
         if kind is not None:
-            out = [record for record in out if record.get("kind") == kind]
-        return out
+            prefix = _kind_prefix(kind)
+            lines = [raw for raw in lines if raw.startswith(prefix)]
+        return [_decode_line(self.path, raw) for raw in lines]
 
     @property
     def close_record(self) -> "dict | None":
         """The ``close`` record, or ``None`` while the run is incomplete."""
-        for record in reversed(self._records):
-            if record.get("kind") == "close":
-                return record
+        prefix = _kind_prefix("close")
+        for raw in reversed(self._lines):
+            if raw.startswith(prefix):
+                return _decode_line(self.path, raw)
         return None
 
     @property
@@ -380,9 +442,9 @@ class Journal:
         """Write + flush + fsync one batch; returns the lines written.
 
         The batch is every appended record, sealed here, then ``sealed``:
-        lines :func:`seal_line` already rendered elsewhere, written
-        verbatim and not parsed back, so :meth:`records` does not list
-        them until the journal is reopened.  One commit is one durability
+        lines :func:`seal_line` or :func:`seal_record` already rendered
+        elsewhere, written verbatim and not kept, so :meth:`records` does
+        not list them until the journal is reopened.  One commit is one durability
         unit: after it returns, every line in the batch survives a crash
         (modulo the storage keeping its fsync promise).  Metrics
         (``repro_journal_records_total``, ``repro_journal_commits_total``)
@@ -391,14 +453,14 @@ class Journal:
         if self._fh is None:
             raise JournalError(f"{self.path}: journal is not open for append")
         batch, self._pending = self._pending, []
-        lines = [seal_line(record) for record in batch]
-        lines.extend(sealed)
+        appended = [seal_line(record) for record in batch]
+        lines = appended + list(sealed)
         if not lines:
             return 0
         self._fh.write(b"".join(lines))
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        self._records.extend(batch)
+        self._lines.extend(line[:-1] for line in appended)
         metrics = obs_runtime.get_metrics()
         if metrics is not None:
             metrics.counter(

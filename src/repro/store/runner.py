@@ -8,8 +8,8 @@ coordinator drives a scheduler too, so every journal has one writer: the
 scheduler commits a fixed job chunk by chunk and an adaptive job round
 by round, as one index-sorted batch.  The pool worker that ran a chunk
 seals its journal lines (:func:`seal_records`: each row rendered once,
-as the line's text and as the canonical text its CRC covers), and the
-writer only writes and ``fsync``\\ s them (:func:`journal_chunk_records`).
+its line's CRC over the line's bytes), and the writer only writes and
+``fsync``\\ s them (:func:`journal_chunk_records`).
 The helpers below are that writer's durability units.
 Three facts make the resumed output *bit-identical* to an uninterrupted
 run:
@@ -38,13 +38,7 @@ from dataclasses import dataclass
 from repro.beam.logs import record_to_row  # noqa: F401
 from repro.beam.logs import row_texts
 from repro.observability import runtime as obs_runtime
-from repro.store.journal import (
-    CANONICAL_ENCODER,
-    LINE_ENCODER,
-    Journal,
-    JournalError,
-    seal_record,
-)
+from repro.store.journal import Journal, JournalError, seal_record
 from repro.store.spec import CampaignSpec
 from repro.store.store import CampaignStore
 
@@ -85,23 +79,17 @@ def seal_records(records) -> list:
 
     Runs where the chunk ran — in the pool worker, or inline on the
     serial backend — so the journal writer only writes and ``fsync``\\ s.
-    The chunk's rows are rendered once, in the line's style and in the
-    canonical style its CRC covers (:func:`repro.beam.logs.row_texts`:
-    a chunk holding at least ``VECTOR_MIN_ELEMENTS`` corrupted elements
+    Each row is rendered once (:func:`repro.beam.logs.row_texts`: a
+    chunk holding at least ``VECTOR_MIN_ELEMENTS`` corrupted elements
     has its array fields rendered together, vectorised), and
-    :func:`~repro.store.journal.seal_record` wraps each pair in its
+    :func:`~repro.store.journal.seal_record` wraps each text in its
     line.  The lines are byte-for-byte what ``journal.append("record",
     index=..., row=record_to_row(record))`` plus a commit writes.
     """
     records = list(records)
-    texts = row_texts(
-        records,
-        max_elements=JOURNAL_MAX_ELEMENTS,
-        encoders=(LINE_ENCODER, CANONICAL_ENCODER),
-    )
+    texts = row_texts(records, max_elements=JOURNAL_MAX_ELEMENTS)
     return [
-        seal_record(record.index, line, canonical)
-        for record, (line, canonical) in zip(records, texts)
+        seal_record(record.index, text) for record, text in zip(records, texts)
     ]
 
 

@@ -28,7 +28,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro._util.text import format_table
-from repro.store.journal import Journal, JournalCorruptError, JournalError, read_header
+from repro.store.journal import (
+    RECORD_PREFIX,
+    Journal,
+    JournalCorruptError,
+    JournalError,
+    read_header,
+    record_parts,
+)
 from repro.store.spec import CampaignSpec
 
 __all__ = ["RunStatus", "RunSummary", "StoredRun", "CampaignStore"]
@@ -83,11 +90,18 @@ class RunSummary:
 
 @dataclass
 class StoredRun:
-    """A fully-loaded run: spec, durable records, completion state."""
+    """A fully-loaded run: spec, durable rows, completion state.
+
+    Each row is held as the JSON text its journal line carries, sliced
+    out of the line (:func:`~repro.store.journal.record_parts`), so
+    loading a run decodes no row: :meth:`log_lines` serves the texts as
+    they are, and :meth:`records` decodes each row once.
+    """
 
     run_id: str
     spec: CampaignSpec
-    rows: list          # durable "record" payload rows, journal order
+    #: execution index -> the durable row's JSON text, in journal order
+    row_texts: dict
     close: "dict | None"
     created: float
     path: Path
@@ -106,17 +120,42 @@ class StoredRun:
     def status(self) -> str:
         return RunStatus.COMPLETE if self.close else RunStatus.INCOMPLETE
 
+    @property
+    def rows(self) -> list:
+        """The durable rows, decoded, in journal order."""
+        return [self._row(index) for index in self.row_texts]
+
     def done_indices(self) -> set:
         """Execution indices already durable — what a resume can skip."""
-        return {row["index"] for row in self.rows}
+        return set(self.row_texts)
 
     def records(self) -> list:
-        """Durable records as :class:`ExecutionRecord`\\ s, sorted by index."""
+        """Durable records as :class:`ExecutionRecord`\\ s, sorted by index.
+
+        A row whose CRC holds but which does not decode to a record
+        raises :class:`~repro.store.journal.JournalCorruptError`.
+        """
         from repro.beam.logs import row_to_record
 
-        records = [row_to_record(row) for row in self.rows]
-        records.sort(key=lambda record: record.index)
-        return records
+        out = []
+        for index in sorted(self.row_texts):
+            row = self._row(index)
+            try:
+                out.append(row_to_record(row))
+            except (KeyError, TypeError, ValueError) as err:
+                raise JournalCorruptError(
+                    f"{self.path}: row {index} is not a record: {err!r}"
+                ) from None
+        return out
+
+    def _row(self, index: int) -> dict:
+        """Row ``index``, decoded: a row that does not decode is corrupt."""
+        try:
+            return json.loads(self.row_texts[index])
+        except ValueError as err:
+            raise JournalCorruptError(
+                f"{self.path}: row {index} does not decode: {err}"
+            ) from None
 
     def result(self):
         """The run as a :class:`~repro.beam.campaign.CampaignResult`.
@@ -148,12 +187,12 @@ class StoredRun:
         """The complete run's campaign log, line by line, from its rows.
 
         Byte-for-byte :func:`repro.beam.logs.log_lines` of :meth:`result`,
-        without rebuilding a record or encoding a row from one: the header
-        comes from the spec and the close record, and each following line
-        is ``json.dumps`` of a journaled row, in index order.  A journal
-        row is :func:`~repro.beam.logs.record_to_row` at the log's own
-        4096-element cap, and JSON floats round-trip exactly, so the two
-        agree.  Incomplete runs raise, as :meth:`result` does.
+        without decoding a row: the header comes from the spec and the
+        close record, and each following line is a journaled row's text,
+        in index order.  A journal row is
+        :func:`~repro.beam.logs.record_to_row` at the log's own
+        4096-element cap, rendered as ``json.dumps`` renders it, so the
+        two agree.  Incomplete runs raise, as :meth:`result` does.
         """
         from repro.beam.logs import log_header
 
@@ -167,15 +206,15 @@ class StoredRun:
             n_executions=self.close["n_executions"],
             threshold_pct=self.spec.resolved_threshold(),
         )
-        rows = sorted(self.rows, key=lambda row: row["index"])
-        return [header, *map(json.dumps, rows)]
+        texts = self.row_texts
+        return [header, *(texts[index] for index in sorted(texts))]
 
     def _require_complete(self) -> None:
         """Incomplete runs raise — resume them first."""
         if self.close is None:
             raise JournalError(
                 f"run {self.run_id} is incomplete "
-                f"({len(self.rows)}/{self.spec.n_faulty} records durable); "
+                f"({len(self.row_texts)}/{self.spec.n_faulty} records durable); "
                 "resume it with `repro resume` before analysing"
             )
 
@@ -224,24 +263,27 @@ class CampaignStore:
     def load(self, run_id: str) -> StoredRun:
         """Load one run's durable state (read-only; no tail truncation).
 
-        Raises :class:`~repro.store.journal.JournalCorruptError` when the
+        Only the header, plan and close lines are decoded: each record's
+        index and row text are sliced out of its line.  Raises
+        :class:`~repro.store.journal.JournalCorruptError` when the
         journal holds one index twice: every line may pass its CRC, but
         the run would serve, report and resume the extra rows.
         """
         journal = self.open_run(run_id, read_only=True)
-        rows = []
-        seen: set = set()
-        for record in journal.records("record"):
-            if record["index"] in seen:
+        texts: dict = {}
+        for raw in journal.lines():
+            if not raw.startswith(RECORD_PREFIX):
+                continue
+            index, text = record_parts(journal.path, raw)
+            if index in texts:
                 raise JournalCorruptError(
-                    f"{journal.path}: index {record['index']} is journaled twice"
+                    f"{journal.path}: index {index} is journaled twice"
                 )
-            seen.add(record["index"])
-            rows.append(record["row"])
+            texts[index] = text
         return StoredRun(
             run_id=journal.header.get("run_id", run_id),
             spec=self._spec_from(journal.header, journal.path),
-            rows=rows,
+            row_texts=texts,
             close=journal.close_record,
             created=journal.header.get("created", 0.0),
             path=journal.path,
@@ -279,7 +321,7 @@ class CampaignStore:
                     label=run.spec.resolved_label(),
                     seed=run.spec.seed,
                     status=run.status,
-                    n_records=len(run.rows),
+                    n_records=len(run.row_texts),
                     n_expected=run.spec.n_faulty,
                     created=run.created,
                     path=run.path,

@@ -206,10 +206,9 @@ def test_failed_commit_fails_the_job_and_never_writes_a_chunk_twice(
 
     journaled = [
         record["index"]
-        for record in journal_mod.scan_journal(
-            coordinator.store.path_for(run_id)
-        ).records
-        if record["kind"] == "record"
+        for record in journal_mod.Journal.open(
+            coordinator.store.path_for(run_id), read_only=True
+        ).records("record")
     ]
     assert sorted(journaled) == sorted(set(journaled)) == first["indices"]
 

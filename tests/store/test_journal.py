@@ -1,6 +1,7 @@
 """Journal durability: CRC validation, commit batching, torn-tail repair."""
 
 import json
+import zlib
 
 import pytest
 
@@ -10,7 +11,13 @@ from repro.store import (
     JournalError,
     scan_journal,
 )
-from repro.store.journal import _crc_of, _seal
+from repro.store.journal import read_header, record_parts, seal_line
+
+
+def sealed(body: bytes) -> bytes:
+    """A line by the format-2 rule: the CRC of exactly the bytes before
+    the ``crc`` field."""
+    return body + b', "crc": "%08x"}\n' % zlib.crc32(body)
 
 
 class TestCreate:
@@ -19,11 +26,11 @@ class TestCreate:
         journal = Journal.create(path, {"run_id": "abc"})
         journal.close()
         scan = scan_journal(path)
-        assert len(scan.records) == 1
-        head = scan.records[0]
+        assert len(scan.lines) == 1
+        head = json.loads(scan.lines[0])
         assert head["kind"] == "open"
         assert head["run_id"] == "abc"
-        assert head["journal_format_version"] == 1
+        assert head["journal_format_version"] == 2
         assert scan.torn_bytes == 0
 
     def test_create_refuses_existing_file(self, tmp_path):
@@ -38,9 +45,10 @@ class TestCreate:
             journal.append("record", index=0, row={"x": 1})
             journal.append("record", index=1, row={"x": 2})
             journal.commit()
-        for line in path.read_text().splitlines():
-            payload = json.loads(line)
-            assert payload["crc"] == _crc_of(payload)
+        for line in path.read_bytes().splitlines(keepends=True):
+            body, _ = line.split(b', "crc": ')
+            assert line == sealed(body)
+            assert json.loads(line)["crc"] == f"{zlib.crc32(body):08x}"
 
 
 class TestCommitBatching:
@@ -50,10 +58,10 @@ class TestCommitBatching:
         journal.append("record", index=0)
         assert journal.pending() == 1
         # Not yet on disk: only the open header is durable.
-        assert len(scan_journal(path).records) == 1
+        assert len(scan_journal(path).lines) == 1
         assert journal.commit() == 1
         assert journal.pending() == 0
-        assert len(scan_journal(path).records) == 2
+        assert len(scan_journal(path).lines) == 2
         journal.close()
 
     def test_close_commits_pending(self, tmp_path):
@@ -61,7 +69,7 @@ class TestCommitBatching:
         journal = Journal.create(path)
         journal.append("record", index=0)
         journal.close()
-        assert len(scan_journal(path).records) == 2
+        assert len(scan_journal(path).lines) == 2
 
     def test_empty_commit_is_a_noop(self, tmp_path):
         with Journal.create(tmp_path / "run.jsonl") as journal:
@@ -98,15 +106,37 @@ class TestReopen:
 
     def test_first_record_must_be_open_header(self, tmp_path):
         path = tmp_path / "odd.jsonl"
-        path.write_text(_seal({"kind": "record", "index": 0}))
+        path.write_bytes(seal_line({"kind": "record", "index": 0}))
         with pytest.raises(JournalError, match="not an open header"):
             Journal.open(path)
 
     def test_unsupported_format_version_raises(self, tmp_path):
         path = tmp_path / "future.jsonl"
-        path.write_text(_seal({"kind": "open", "journal_format_version": 99}))
+        path.write_bytes(seal_line({"kind": "open", "journal_format_version": 99}))
         with pytest.raises(JournalError, match="unsupported journal format"):
             Journal.open(path)
+
+    def test_format_1_is_refused_naming_the_upgrade_verb(self, tmp_path):
+        # A format-1 line: CRC over the canonical encoding, not the bytes.
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"kind": "open", "journal_format_version": 1, "crc": "064cc80c"}\n'
+        )
+        for read in (Journal.open, read_header, scan_journal):
+            with pytest.raises(JournalError, match="repro store upgrade --store DIR"):
+                read(path)
+
+    def test_crc_valid_line_that_does_not_decode_is_corrupt(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        Journal.create(path).close()
+        with path.open("ab") as fh:
+            fh.write(sealed(b'{"kind": "plan", "round": [0,'))
+            fh.write(sealed(b'{"kind": "record", "index": x, "row": {}'))
+        journal = Journal.open(path, read_only=True)  # every CRC holds
+        with pytest.raises(JournalCorruptError, match="does not decode"):
+            journal.records("plan")
+        with pytest.raises(JournalCorruptError, match="bad record line"):
+            record_parts(path, journal.lines()[2])
 
 
 class TestTornTail:
@@ -123,7 +153,7 @@ class TestTornTail:
             fh.write(b'{"kind": "record", "ind')  # the crash's torn write
         scan = scan_journal(path)
         assert scan.torn_reason == "unterminated final line"
-        assert len(scan.records) == 4  # open + 3 records survive
+        assert len(scan.lines) == 4  # open + 3 records survive
         journal = Journal.open(path)
         journal.close()
         assert path.stat().st_size == clean_size  # tail dropped, fsync'd
@@ -140,7 +170,7 @@ class TestTornTail:
             fh.write("\n".join(lines) + "\n")
         scan = scan_journal(path)
         assert scan.torn_reason == "crc mismatch"
-        assert len(scan.records) == 3
+        assert len(scan.lines) == 3
         journal = Journal.open(path)
         assert len(journal.records()) == 3
         journal.close()
@@ -151,7 +181,7 @@ class TestTornTail:
             fh.write(b"\n")
         scan = scan_journal(path)
         assert scan.torn_reason == "blank line"
-        assert len(scan.records) == 4
+        assert len(scan.lines) == 4
 
     def test_corruption_before_tail_raises(self, tmp_path):
         path = self._journal_with_records(tmp_path / "run.jsonl")

@@ -17,6 +17,34 @@ class TestParseConfig:
         with pytest.raises(SystemExit):
             _parse_config(["oops"])
 
+    def test_true_and_false_are_booleans(self):
+        from repro.store import CampaignSpec
+
+        assert _parse_config(["a=true", "b=false", "c=False"]) == {
+            "a": True, "b": False, "c": "False",
+        }
+        for value, channels in (("false", 1), ("true", 4)):
+            spec = CampaignSpec(
+                kernel="lavamd", device="k40", n_faulty=4,
+                config=_parse_config([f"include_forces={value}", "nb=2"]),
+            )
+            assert spec.build_campaign().kernel.channels == channels
+
+    def test_run_ids_of_number_configs_are_unchanged(self):
+        from repro.store import CampaignSpec
+
+        dgemm = CampaignSpec(
+            kernel="dgemm", device="k40", config=_parse_config(["n=16"]),
+            seed=3, n_faulty=12,
+        )
+        clamr = CampaignSpec(
+            kernel="clamr", device="xeonphi", seed=1, n_faulty=4,
+            config=_parse_config(["n=16", "coarsen_fraction=0.05", "scheme=muscl"]),
+        )
+        assert (dgemm.run_id(), clamr.run_id()) == (
+            "e3ec232598bf6405", "f3c9704ac870975d",
+        )
+
 
 class TestCommands:
     def test_tables(self, capsys):
@@ -206,6 +234,10 @@ class TestStoreVerbs:
     def test_queue_without_work_exits_with_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["queue", "--store", str(tmp_path / "store")])
+
+    def test_store_upgrade_without_journals(self, capsys, tmp_path):
+        assert main(["store", "upgrade", "--store", str(tmp_path)]) == 0
+        assert "no journals under" in capsys.readouterr().out
 
     def test_runs_detail_shows_resume_hint_for_incomplete(
         self, capsys, tmp_path
