@@ -8,8 +8,9 @@ so the perf trajectory across PRs is greppable.  A run rewrites only the
 sections it ran (a ``--skip-*`` refresh keeps the others as they were)
 and records paths relative to the repo.
 
-The benchmark also times the delta-replay fast path
-(``fast_path=True``, docs/performance.md) against full re-execution —
+The benchmark also times the delta-replay fast path (every campaign's
+path, docs/performance.md) against full re-execution — the dense
+reference path, ``Injector(fast_path=False)`` (:func:`run_campaign`) —
 one row set per kernel (DGEMM's closed-form delta, CLAMR's dt-invariant
 window replay, HotSpot's residual-capped cone; ``--fastpath-kernels``
 selects a subset) — and records a machine-readable baseline in
@@ -73,6 +74,8 @@ from pathlib import Path
 
 from repro.arch.registry import make_device
 from repro.beam.campaign import Campaign
+from repro.beam.executor import _ChunkResult
+from repro.faults import Injector
 from repro.kernels.registry import make_kernel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -95,10 +98,30 @@ FLEET_JSON_QUICK_PATH = (
 )
 
 
+def dense_chunk(kernel, device, seed, threshold_pct, indices) -> _ChunkResult:
+    """A scheduler ``chunk_runner`` on the reference path: every
+    data-reaching strike re-executed densely.  Module-level, so process
+    workers can unpickle it."""
+    injector = Injector(
+        kernel=kernel, device=device, seed=seed, threshold_pct=threshold_pct,
+        fast_path=False, mirror_metrics=False,
+    )
+    return _ChunkResult(records=injector.inject_batch(indices))
+
+
 def run_campaign(kernel_name: str, device_name: str, config: dict,
                  faulty: int, seed: int, workers: int,
                  chunk_size: "int | None", fast_path: bool = False):
-    """One timed campaign run; returns (seconds, result)."""
+    """One timed campaign run; returns (seconds, result).
+
+    ``fast_path=True`` times ``Campaign.run``.  The default times full
+    re-execution, the dense reference path: one :func:`dense_chunk` call
+    over every strike on one worker, else the same in-memory scheduler
+    job ``Campaign.run`` makes, with :func:`dense_chunk` as its
+    ``chunk_runner``.
+    """
+    from repro.scheduler import CampaignScheduler, RetryPolicy
+
     campaign = Campaign(
         kernel=make_kernel(kernel_name, **config),
         device=make_device(device_name),
@@ -107,10 +130,25 @@ def run_campaign(kernel_name: str, device_name: str, config: dict,
         workers=workers,
         chunk_size=chunk_size,
         timeout=1800.0,
-        fast_path=fast_path,
     )
     start = time.perf_counter()
-    result = campaign.run()
+    if fast_path:
+        result = campaign.run()
+    elif workers == 1:
+        result = campaign.result_from_records(dense_chunk(
+            campaign.kernel, campaign.device, seed, campaign.threshold_pct,
+            range(faulty),
+        ).records)
+    else:
+        scheduler = CampaignScheduler(
+            None, workers=workers, chunk_size=chunk_size, timeout=1800.0,
+            retry=RetryPolicy(max_retries=0), chunk_runner=dense_chunk,
+        )
+        scheduler.submit_campaign(campaign, range(faulty))
+        (outcome,) = scheduler.run()
+        if outcome.error is not None:
+            raise outcome.error
+        result = outcome.result
     return time.perf_counter() - start, result
 
 
@@ -383,7 +421,6 @@ def bench_batch(args) -> "tuple[str, float, dict]":
     """
     from repro import observability as obs
     from repro.beam.logs import record_to_row
-    from repro.faults import Injector
 
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
     repeats = max(1, args.repeats)
@@ -393,9 +430,7 @@ def bench_batch(args) -> "tuple[str, float, dict]":
         kernel = make_kernel(args.kernel, n=args.n)
         device = make_device(args.device)
         start = time.perf_counter()
-        injector = Injector(
-            kernel=kernel, device=device, seed=args.seed, fast_path=True,
-        )
+        injector = Injector(kernel=kernel, device=device, seed=args.seed)
         records = [
             injector.inject_batch([index])[0] for index in range(args.faulty)
         ]
@@ -688,7 +723,7 @@ def bench_fleet(args) -> "tuple[str, float, dict]":
             CampaignStore(Path(tmp) / "pool-store"),
             CampaignSpec.from_dict(dict(spec_dict)),
             workers=n_agents, chunk_size=args.chunk_size, timeout=1800.0,
-            backend="thread", fast_path=None, sampling=None, reuse=True,
+            backend="thread", sampling=None, reuse=True,
         )
         t_pool = time.perf_counter() - start
         pool_text = "\n".join(log_lines(pool_outcome.result)) + "\n"

@@ -83,7 +83,7 @@ class TelemetryReport:
     outcomes: dict = field(default_factory=dict)
     #: Executions resolved by the delta-replay fast path / fallen back to
     #: full re-execution (from the per-execution ``fastpath`` span
-    #: attribute; both 0 when the campaign ran with the fast path off).
+    #: attribute; both 0 when no span carries it).
     fastpath_hits: int = 0
     fastpath_fallbacks: int = 0
     #: Per-kernel split of the same counts: ``{kernel: [hits, fallbacks]}``.
@@ -110,12 +110,15 @@ class TelemetryReport:
 
     @property
     def fastpath_attempts(self) -> int:
-        """Executions that ran with the fast path enabled."""
+        """Execution spans that say ``hit`` or ``fallback``: the
+        data-reaching strikes that tried the delta replay."""
         return self.fastpath_hits + self.fastpath_fallbacks
 
     @property
     def fastpath_hit_rate(self) -> float:
-        """Delta-replay hits over fast-path attempts (0.0 when off)."""
+        """Delta-replay hits over attempts (0.0 when the trace holds no
+        ``fastpath`` span attribute: no strike reached a kernel, or the
+        trace predates the attribute)."""
         attempts = self.fastpath_attempts
         if attempts <= 0:
             return 0.0

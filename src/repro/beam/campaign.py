@@ -192,10 +192,6 @@ class Campaign:
             instead of hanging.
         backend: execution strategy (``"auto"``/``"process"``/``"thread"``/
             ``"serial"``) forwarded to the executor.
-        fast_path: attempt the delta-replay fast path per struck execution
-            (``None`` = the ``REPRO_FASTPATH`` environment default).  The
-            records are bit-identical with the switch on or off — see
-            docs/performance.md.
     """
 
     kernel: Kernel
@@ -209,7 +205,6 @@ class Campaign:
     chunk_size: "int | None" = None
     timeout: "float | None" = None
     backend: str = "auto"
-    fast_path: "bool | None" = None
 
     def __post_init__(self):
         if self.n_faulty < 1:
@@ -240,7 +235,6 @@ class Campaign:
             chunk_size=self.chunk_size if chunk_size is None else chunk_size,
             backend=self.backend,
             timeout=self.timeout,
-            fast_path=self.fast_path,
         )
 
     def _campaign_span(self, mode: str, n_executions: int):

@@ -72,10 +72,6 @@ WORKERS_ENV_VAR = "REPRO_WORKERS"
 #: run instead of hanging it.
 TIMEOUT_ENV_VAR = "REPRO_POOL_TIMEOUT"
 
-#: Environment override for the default delta-replay fast-path switch
-#: (1/true/yes/on enables).  Explicit ``fast_path=`` arguments win.
-FASTPATH_ENV_VAR = "REPRO_FASTPATH"
-
 
 class ExecutorTimeoutError(RuntimeError):
     """The pool did not drain within the executor's timeout."""
@@ -152,20 +148,6 @@ def default_timeout() -> "float | None":
     return value if value > 0 else None
 
 
-def default_fast_path() -> bool:
-    """Fast-path default used when none is requested: the env override."""
-    env = os.environ.get(FASTPATH_ENV_VAR, "").strip().lower()
-    if not env:
-        return False
-    if env in ("1", "true", "yes", "on"):
-        return True
-    if env in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(
-        f"{FASTPATH_ENV_VAR} must be a boolean (1/0/true/false), got {env!r}"
-    )
-
-
 def _fork_available() -> bool:
     return hasattr(os, "fork")
 
@@ -191,7 +173,7 @@ class _ChunkResult:
     cache_hits: int = 0         # golden-cache hits during this chunk
     cache_misses: int = 0       # golden-cache misses during this chunk
     fastpath_hits: int = 0      # delta-replay hits during this chunk
-    fallbacks: "list | None" = None  # indices that fell back; None: fast path off
+    fallbacks: "list | None" = None  # indices that fell back; None: not reported
     lines: "list | None" = None  # sealed journal lines; None: not journaled
 
 
@@ -201,7 +183,6 @@ def _run_chunk(
     seed: int,
     threshold_pct: float,
     indices: Sequence[int],
-    fast_path: bool = False,
 ) -> _ChunkResult:
     """Worker entry point: one :meth:`Injector.inject_batch` over a chunk.
 
@@ -225,7 +206,7 @@ def _run_chunk(
     """
     injector = Injector(
         kernel=kernel, device=device, seed=seed, threshold_pct=threshold_pct,
-        fast_path=fast_path, mirror_metrics=False,
+        mirror_metrics=False,
     )
     start_wall = time.time()
     t0 = time.perf_counter()
@@ -242,7 +223,7 @@ def _run_chunk(
         cache_hits=cache_events.hits,
         cache_misses=cache_events.misses,
         fastpath_hits=injector.fastpath_hits,
-        fallbacks=injector.fallback_indices if fast_path else None,
+        fallbacks=injector.fallback_indices,
     )
 
 
@@ -261,16 +242,12 @@ class CampaignExecutor:
         timeout: wall-clock seconds to wait for the pool to drain; ``None``
             waits forever.  A deadlocked pool raises
             :class:`ExecutorTimeoutError` instead of hanging.
-        fast_path: attempt delta replay per struck execution (bit-identical
-            records, sparse diffing).  ``None`` means "auto" (the
-            ``REPRO_FASTPATH`` environment variable, default off).
     """
 
     workers: int | None = None
     chunk_size: int | None = None
     backend: str = "auto"
     timeout: float | None = None
-    fast_path: bool | None = None
 
     def __post_init__(self):
         if self.backend not in ("auto", "process", "thread", "serial"):
@@ -291,11 +268,6 @@ class CampaignExecutor:
         if self.workers in (None, 0):
             return default_workers()
         return self.workers
-
-    def resolved_fast_path(self) -> bool:
-        if self.fast_path is None:
-            return default_fast_path()
-        return bool(self.fast_path)
 
     def resolved_backend(self, n_indices: int, workers: int) -> str:
         """The execution strategy for ``n_indices`` strikes on ``workers``.
@@ -388,7 +360,7 @@ class CampaignExecutor:
         scheduler = CampaignScheduler(
             None, workers=self.workers, chunk_size=self.chunk_size,
             backend=self.backend, timeout=self.timeout,
-            fast_path=self.fast_path, retry=RetryPolicy(max_retries=0),
+            retry=RetryPolicy(max_retries=0),
         )
         scheduler.submit_campaign(campaign, indices, policy=policy, label=label)
         (outcome,) = scheduler.run()
@@ -459,11 +431,11 @@ def emit_chunk_observability(
     and one ``execution`` span per record.  A chunk resolves its strikes
     as one batch, so each execution span starts at the chunk's start and
     lasts the chunk's amortised per-strike time (chunk seconds ÷
-    records); ``repro_injection_seconds`` observes the same value.  On
-    fast-path chunks every data-reaching strike's span says whether it
-    was a delta-replay ``hit`` or a dense ``fallback``; reference-path
-    spans carry no ``fastpath`` attribute, so their golden traces stay
-    byte-stable.
+    records); ``repro_injection_seconds`` observes the same value.  Every
+    data-reaching strike's span says whether it was a delta-replay
+    ``hit`` or a dense ``fallback``; a chunk that reports no fallback
+    list (a fleet push from an agent that sent none) emits its spans
+    without a ``fastpath`` attribute.
 
     Cache and fast-path counters are folded here unconditionally: chunk
     runners never mirror counters into the registry themselves (they run

@@ -171,13 +171,12 @@ def _strategy_parent(
     include_backend: bool = False,
     include_retries: bool = False,
     include_target_ci: bool = True,
-    include_fast_path: bool = True,
 ) -> argparse.ArgumentParser:
     """The shared execution-strategy flags, as an argparse parent.
 
     Every verb that executes campaigns takes the same strategy surface
     (``--workers``/``--chunk-size``, ``--backend``, ``--retries``,
-    ``--target-ci``, ``--fast-path``); each verb opts into
+    ``--target-ci``); each verb opts into
     the subset that applies via ``parents=[_strategy_parent(...)]``
     instead of repeating the declarations.  Strategy never changes what
     any execution produces — only how much runs, where, and in what
@@ -214,14 +213,6 @@ def _strategy_parent(
             "(e.g. 0.1 = ±10%%); executes only as many strikes as the "
             "estimate needs (see docs/sampling.md)",
         )
-    if include_fast_path:
-        parent.add_argument(
-            "--fast-path", action=argparse.BooleanOptionalAction,
-            default=None, dest="fast_path",
-            help="attempt delta replay instead of full re-execution "
-            "(records are bit-identical either way; default: the "
-            "REPRO_FASTPATH environment variable, else off)",
-        )
     return parent
 
 
@@ -237,7 +228,6 @@ def cmd_campaign(args) -> int:
         seed=args.seed,
         workers=args.workers,
         chunk_size=args.chunk_size,
-        fast_path=args.fast_path,
     )
     policy = _sampling_policy(args)
     if policy is not None and args.natural:
@@ -436,7 +426,6 @@ def cmd_queue(args) -> int:
         workers=args.workers,
         chunk_size=args.chunk_size,
         backend=args.backend,
-        fast_path=args.fast_path,
         retry=RetryPolicy(max_retries=args.retries),
     )
     policy = _sampling_policy(args)
@@ -499,7 +488,6 @@ def cmd_resume(args) -> int:
             workers=args.workers,
             chunk_size=args.chunk_size,
             backend=args.backend,
-            fast_path=args.fast_path,
             sampling=_sampling_policy(args),
         )
     except JournalError as err:
@@ -581,7 +569,6 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         chunk_size=args.chunk_size,
         backend=args.backend,
-        fast_path=args.fast_path,
         retries=args.retries,
         queue_limit=args.queue_limit,
         log_requests=args.log_requests,
@@ -602,7 +589,6 @@ def cmd_agent(args) -> int:
         poll=args.poll,
         idle_exit=args.idle_exit,
         max_chunks=args.max_chunks,
-        fast_path=args.fast_path,
     )
     try:
         stats = run_agent(config)
@@ -744,7 +730,6 @@ def _matrix_run_driver(args, matrix):
         workers=args.workers,
         chunk_size=args.chunk_size,
         backend=args.backend,
-        fast_path=args.fast_path,
         retries=args.retries,
         sampling=_sampling_policy(args),
         wait_timeout=getattr(args, "wait_timeout", 600.0),
@@ -1125,9 +1110,6 @@ def build_parser() -> argparse.ArgumentParser:
         "agent",
         help="run a fleet worker agent against a coordinator "
         "(`repro serve --fleet`)",
-        parents=[
-            _strategy_parent(include_workers=False, include_target_ci=False)
-        ],
     )
     agent.add_argument("--url", default="http://127.0.0.1:8765")
     agent.add_argument(
@@ -1154,7 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit", help="submit campaign(s) to a running campaign service",
         parents=[
-            _strategy_parent(include_workers=False, include_fast_path=False)
+            _strategy_parent(include_workers=False)
         ],
     )
     submit.add_argument(

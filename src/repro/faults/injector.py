@@ -72,18 +72,19 @@ class Injector:
         seed: campaign seed; execution ``i`` uses the derived stream
             ``(seed, kernel, device, i)`` and nothing else.
         threshold_pct: relative-error tolerance for the filtered metrics.
-        fast_path: attempt delta replay (``Kernel.run_delta_batch`` +
-            sparse diffing) before falling back to full re-execution.
-            Records are bit-identical either way (pinned by
-            tests/fastpath/); the switch exists so the reference path stays
-            reachable for verification.
+        fast_path: resolve data-reaching strikes by delta replay
+            (``Kernel.run_delta_batch`` + sparse diffing) and re-execute
+            densely only the faults it declines.  ``False`` selects the
+            reference path, full re-execution of every fault, which tests
+            compare the fast path against; records are bit-identical
+            either way (pinned by tests/fastpath/).
     """
 
     kernel: Kernel
     device: DeviceModel
     seed: int = 0
     threshold_pct: float = PAPER_THRESHOLD_PCT
-    fast_path: bool = False
+    fast_path: bool = True
     #: Mirror fast-path counts into the observability registry as they
     #: happen.  Chunk runners set this ``False`` and ship the instance
     #: counters with the finished chunk instead: the parent folds them
@@ -317,13 +318,13 @@ class Injector:
            streams (:class:`~repro._util.rng.FastRngBatch` replays the
            exact per-index ``default_rng`` streams), so only data-reaching
            strikes enter the kernel at all;
-        2. with :attr:`fast_path` on, the surviving faults go through
+        2. the surviving faults go through
            :meth:`~repro.kernels.base.Kernel.run_delta_batch` — one
            stacked array program per kernel — and their sparse deltas are
            observed and evaluated in one concatenated pass
            (:func:`repro.faults.batch.evaluate_sparse_batch`);
-        3. every fault without a closed-form replay (all of them with the
-           fast path off) is re-executed densely, alone.
+        3. every fault without a closed-form replay (every fault, on the
+           reference path) is re-executed densely, alone.
 
         A failure raises :class:`StrikeError` naming the strike whose
         resolution raised; a failure inside a stacked pass names the first

@@ -7,7 +7,10 @@ coordinator and the same chunk runner
 all) the local pool uses.  The loop:
 
 1. ``POST /v1/leases`` — pull the next granted chunk (spec rides along;
-   campaigns are built once per run id and cached).
+   campaigns are built once per run id and cached).  Lease keys the
+   agent does not read are ignored, so the delta-replay switch an older
+   coordinator still advertises changes nothing: every chunk runs the
+   injector's fast path.
 2. Execute the granted indices.  A background thread heartbeats the
    lease every third of its ttl, so a long chunk on a slow box is never
    reaped while the worker is genuinely alive.
@@ -66,8 +69,6 @@ class AgentConfig:
             work (``None`` = poll forever, until SIGINT).
         max_chunks: exit after committing this many chunks (``None`` =
             unbounded; the e2e tests use it to bound runtime).
-        fast_path: override the coordinator's fast-path advertisement
-            (``None`` = follow the lease).
     """
 
     url: str = DEFAULT_URL
@@ -75,7 +76,6 @@ class AgentConfig:
     poll: float = 0.5
     idle_exit: "float | None" = None
     max_chunks: "int | None" = None
-    fast_path: "bool | None" = None
 
     def resolved_name(self) -> str:
         return self.name or default_agent_name()
@@ -205,11 +205,6 @@ class FleetAgent:
     def _execute_lease(self, lease: dict) -> None:
         campaign = self._campaign_for(lease)
         spec_seed = int(lease["spec"]["seed"])
-        fast_path = (
-            self.config.fast_path
-            if self.config.fast_path is not None
-            else bool(lease.get("fast_path"))
-        )
         hold = float(os.environ.get(HOLD_ENV, "0") or 0)
         if hold > 0:  # chaos-test window (module docstring)
             self._sleep(hold)
@@ -221,7 +216,7 @@ class FleetAgent:
         try:
             result = _run_chunk(
                 campaign.kernel, campaign.device, spec_seed,
-                campaign.threshold_pct, list(lease["indices"]), fast_path,
+                campaign.threshold_pct, list(lease["indices"]),
             )
         finally:
             heartbeat.stop()

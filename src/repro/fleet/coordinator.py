@@ -22,6 +22,11 @@ fencing, expiry, worker stats and push validation.
 * **A failed commit fails the job.**  The lease is settled first, so a
   retried push never writes its chunk twice; the job ends ``failed``,
   its other leases are revoked, and admitting the spec again resumes it.
+* **A finished job is forgotten.**  Once a job ends, the coordinator
+  keeps its ``/v1/workers`` row and, per lease, what answers a late
+  push (duplicate or stale); its records, result, chunk plan and index
+  lists go, so a long-lived coordinator does not grow with every
+  campaign it serves.
 
 Execution is a pure function of ``(spec, index)`` and the scheduler
 writes the journal, so a fleet run renders the pool run's log and
@@ -38,7 +43,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.beam.executor import CampaignExecutionError, _ChunkResult, default_fast_path
+from repro.beam.executor import CampaignExecutionError, _ChunkResult
 from repro.beam.logs import row_to_record
 from repro.fleet.leases import LeaseError, LeaseTable
 from repro.sampling.tallies import tally_of
@@ -113,9 +118,6 @@ class FleetCoordinator:
             any number of agents may pull.
         chunk_size: executions per lease (``None`` = auto).
         lease_ttl: seconds a lease lives without a heartbeat.
-        fast_path: advertise delta-replay to agents (``None`` = the
-            ``REPRO_FASTPATH`` environment default).  Execution strategy
-            only — records are bit-identical either way.
         reuse: serve specs already complete in the store as cache hits.
         metrics: a :class:`~repro.observability.MetricsRegistry` for the
             lease/fleet counters and the scheduler's chunk and sampling
@@ -124,7 +126,8 @@ class FleetCoordinator:
             ``chunk``/``sampling``/``job`` spans (``None`` = no tracing).
         on_finish: callback ``(run_id, status, result, error)`` invoked
             outside the coordinator lock whenever a job reaches a
-            terminal status.
+            terminal status; the coordinator keeps no reference to the
+            result.
         clock: epoch-seconds source (test hook; drives lease expiry).
     """
 
@@ -135,7 +138,6 @@ class FleetCoordinator:
         workers: "int | None" = None,
         chunk_size: "int | None" = None,
         lease_ttl: float = 15.0,
-        fast_path: "bool | None" = None,
         reuse: bool = True,
         metrics=None,
         tracer=None,
@@ -147,16 +149,14 @@ class FleetCoordinator:
             store, workers=workers, chunk_size=chunk_size, backend="serial",
             reuse=reuse, clock=clock,
         )
-        self._fast_path = (
-            default_fast_path() if fast_path is None else bool(fast_path)
-        )
         self._metrics = metrics
         self._tracer = tracer
         self._on_finish = on_finish
         self._clock = clock
         self._lock = threading.RLock()
         self._leases = LeaseTable(ttl=lease_ttl, clock=clock)
-        self._jobs: dict = {}        # run_id -> the scheduler's latest job
+        self._jobs: dict = {}        # run_id -> the scheduler's running job
+        self._finished: dict = {}    # run_id -> a finished job's snapshot row
         self._tasks: dict = {}       # lease_id -> the scheduler task it grants
         self._workers: dict = {}     # name -> _WorkerState
         self._draining = False
@@ -225,15 +225,17 @@ class FleetCoordinator:
             self._scheduler.submit(spec, sampling=sampling)
             job = self._scheduler.job(run_id)
             if isinstance(job, JobOutcome):
+                self._scheduler.forget(run_id)
                 return Admission(run_id, "cached", job.result)
             if job is known:
                 return Admission(run_id, "deduped")
             self._jobs[run_id] = job
+            self._finished.pop(run_id, None)
             self._scheduler.maybe_finish(job, self._tracer, self._metrics)
             if job.status == "running":
                 return Admission(run_id, "queued")
-            self._count_job(job)
-        self._notify_finish(job)
+            finished = self._retire_locked(job)
+        self._notify_finish(finished)
         return Admission(run_id, "complete", job.result)
 
     # -- the lease surface (what agents call) -------------------------------------
@@ -243,9 +245,8 @@ class FleetCoordinator:
 
         Expired leases are reaped first, so a dead agent's chunk is
         regrantable the moment anyone asks for work.  The wire payload
-        carries the lease, the spec to build the campaign from, the
-        coordinator's fast-path advertisement, and the ttl the
-        agent should heartbeat against.
+        carries the lease, the spec to build the campaign from and the
+        ttl the agent should heartbeat against.
         """
         with self._lock:
             now = self._touch(worker)
@@ -281,7 +282,6 @@ class FleetCoordinator:
                 spec=job.spec.to_dict(),
                 label=job.label,
                 ttl=self._leases.ttl,
-                fast_path=self._fast_path,
             )
             return payload
 
@@ -321,17 +321,16 @@ class FleetCoordinator:
         finished = None
         with self._lock:
             now = self._touch(worker) if worker else self._clock()
-            settled = self._leases.settled(lease_id)
+            settled = self._leases.settled(lease_id)  # its run id
             if settled is not None:
                 # The push was already taken; the ack was lost.  Answer
                 # idempotently so agent-side transport retries are safe.
-                job = self._jobs.get(settled.run_id)
                 if self._pushes is not None:
                     self._pushes.inc(disposition="duplicate")
                 return {
                     "committed": 0,
                     "duplicate": True,
-                    "status": job.status if job is not None else "complete",
+                    "status": self._status_locked(settled) or "complete",
                 }
             try:
                 lease = self._leases.checkout(lease_id)
@@ -377,8 +376,7 @@ class FleetCoordinator:
             if self._fleet_records is not None:
                 self._fleet_records.inc(committed)
             if job.status != "running":
-                self._count_job(job)
-                finished = job
+                finished = self._retire_locked(job)
             answer = {
                 "committed": committed,
                 "duplicate": False,
@@ -461,13 +459,31 @@ class FleetCoordinator:
         )
         self._alive_gauge.set(alive)
 
-    def _count_job(self, job) -> None:
+    def _retire_locked(self, job) -> tuple:
+        """A job reached a terminal status: count it, keep its snapshot
+        row and forget the rest (its scheduler entry, its chunk tokens).
+
+        Returns the ``on_finish`` arguments, the last reference the
+        coordinator holds to the job's result.
+        """
         if self._jobs_total is not None:
             self._jobs_total.inc(outcome=job.status)
+        self._finished[job.run_id] = _job_row(job)
+        del self._jobs[job.run_id]
+        self._scheduler.forget(job.run_id)
+        self._leases.forget(job.run_id)
+        return job.run_id, job.status, job.result, job.failed
 
-    def _notify_finish(self, job) -> None:
+    def _notify_finish(self, finished: tuple) -> None:
         if self._on_finish is not None:
-            self._on_finish(job.run_id, job.status, job.result, job.failed)
+            self._on_finish(*finished)
+
+    def _status_locked(self, run_id: str) -> "str | None":
+        job = self._jobs.get(run_id)
+        if job is not None:
+            return job.status
+        row = self._finished.get(run_id)
+        return None if row is None else row["status"]
 
     # -- drain / shutdown ---------------------------------------------------------
 
@@ -502,18 +518,18 @@ class FleetCoordinator:
                 self._leases.revoke(lease.lease_id, "revoked")
             self._tasks.clear()
             interrupted = self._scheduler.close_jobs()
-            for run_id in interrupted:
-                self._count_job(self._jobs[run_id])
-        for run_id in interrupted:
-            self._notify_finish(self._jobs[run_id])
+            finished = [
+                self._retire_locked(self._jobs[run_id]) for run_id in interrupted
+            ]
+        for args in finished:
+            self._notify_finish(args)
         return interrupted
 
     # -- introspection ------------------------------------------------------------
 
     def job_status(self, run_id: str) -> "str | None":
         with self._lock:
-            job = self._jobs.get(run_id)
-            return None if job is None else job.status
+            return self._status_locked(run_id)
 
     def durable(self, run_id: str) -> "int | None":
         """Record lines durable in an admitted job's journal, or ``None``.
@@ -534,18 +550,10 @@ class FleetCoordinator:
                 )
                 for name, state in sorted(self._workers.items())
             ]
-            jobs = {
-                job.run_id: {
-                    "label": job.label,
-                    "status": job.status,
-                    "chunks": len(job.chunks),
-                    "pending": len(job.chunks) - job.next_chunk + job.waiting,
-                    "leased": job.inflight,
-                    "committed": len(job.records),
-                    "resumed": len(job.prior),
-                }
-                for job in self._jobs.values()
-            }
+            jobs = dict(self._finished)
+            jobs.update(
+                (run_id, _job_row(job)) for run_id, job in self._jobs.items()
+            )
             return {
                 "fleet": True,
                 "draining": self._draining,
@@ -554,6 +562,19 @@ class FleetCoordinator:
                 "leases": self._leases.counts(),
                 "jobs": jobs,
             }
+
+
+def _job_row(job) -> dict:
+    """One job's row in the ``GET /v1/workers`` payload."""
+    return {
+        "label": job.label,
+        "status": job.status,
+        "chunks": len(job.chunks),
+        "pending": len(job.chunks) - job.next_chunk + job.waiting,
+        "leased": job.inflight,
+        "committed": len(job.records),
+        "resumed": len(job.prior),
+    }
 
 
 def _decode_push(lease_id: str, payload: dict) -> _ChunkResult:

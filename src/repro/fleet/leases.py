@@ -24,7 +24,8 @@ Key policies, each load-bearing for exactly-once journaling:
   holder's push is fenced off.
 * **Settled leases are remembered.**  A duplicate push of an already
   committed chunk (e.g. the ack was lost and the agent retried) is
-  answered idempotently, never re-journaled.
+  answered idempotently, never re-journaled.  A settled or lost lease
+  is remembered by its id and run id alone, not by its index list.
 
 The table is not thread-safe by itself — the coordinator serialises all
 access under its own lock.
@@ -92,8 +93,8 @@ class LeaseTable:
         self._clock = clock
         self._seq = itertools.count(1)
         self._active: dict = {}     # lease_id -> ChunkLease
-        self._settled: dict = {}    # lease_id -> ChunkLease (committed)
-        self._lost: dict = {}       # lease_id -> (ChunkLease, reason)
+        self._settled: dict = {}    # lease_id -> run id (committed)
+        self._lost: dict = {}       # lease_id -> (run id, chunk, token, reason)
         self._tokens: dict = {}     # (run_id, chunk_no) -> latest token
 
     # -- grants -------------------------------------------------------------------
@@ -137,10 +138,9 @@ class LeaseTable:
             return lease
         lost = self._lost.get(lease_id)
         if lost is not None:
-            stale, reason = lost
+            run_id, chunk_no, token, reason = lost
             raise StaleLeaseError(
-                lease_id, reason,
-                self.current_token(stale.run_id, stale.chunk_no),
+                lease_id, reason, self._tokens.get((run_id, chunk_no), token)
             )
         raise UnknownLeaseError(lease_id)
 
@@ -155,11 +155,11 @@ class LeaseTable:
         """Mark an active grant's results as committed (exactly once)."""
         lease = self.checkout(lease_id)
         del self._active[lease_id]
-        self._settled[lease_id] = lease
+        self._settled[lease_id] = lease.run_id
         return lease
 
-    def settled(self, lease_id: str) -> "ChunkLease | None":
-        """The already committed grant for ``lease_id``, if any."""
+    def settled(self, lease_id: str) -> "str | None":
+        """The run id of the already committed grant ``lease_id``, if any."""
         return self._settled.get(lease_id)
 
     # -- coordinator-side verbs ---------------------------------------------------
@@ -188,7 +188,17 @@ class LeaseTable:
 
     def _mark_lost(self, lease: ChunkLease, reason: str) -> None:
         del self._active[lease.lease_id]
-        self._lost[lease.lease_id] = (lease, reason)
+        self._lost[lease.lease_id] = (
+            lease.run_id, lease.chunk_no, lease.token, reason
+        )
+
+    def forget(self, run_id: str) -> None:
+        """Drop a finished run's chunk tokens; a late push of one of its
+        lost leases is then told the token that lease held."""
+        self._tokens = {
+            key: token for key, token in self._tokens.items()
+            if key[0] != run_id
+        }
 
     # -- introspection ------------------------------------------------------------
 

@@ -66,7 +66,7 @@ class MatrixRun:
         store: campaign store root (also holds the manifest journal).
         client: a :class:`~repro.service.client.ServiceClient`; when given,
             cells are submitted over HTTP instead of run in-process.
-        workers/chunk_size/backend/fast_path/retries/sampling:
+        workers/chunk_size/backend/retries/sampling:
             execution strategy for the in-process scheduler path (never
             part of cell identity; ignored when ``client`` is given,
             where the server's strategy applies).
@@ -82,7 +82,6 @@ class MatrixRun:
         workers: "int | None" = None,
         chunk_size: "int | None" = None,
         backend: str = "auto",
-        fast_path: "bool | None" = None,
         retries: int = 3,
         sampling=None,
         wait_timeout: float = 600.0,
@@ -95,7 +94,6 @@ class MatrixRun:
         self.workers = workers
         self.chunk_size = chunk_size
         self.backend = backend
-        self.fast_path = fast_path
         self.retries = retries
         self.sampling = sampling
         self.wait_timeout = wait_timeout
@@ -214,7 +212,6 @@ class MatrixRun:
             workers=self.workers,
             chunk_size=self.chunk_size,
             backend=self.backend,
-            fast_path=self.fast_path,
             retry=RetryPolicy(max_retries=self.retries),
         )
         by_run_id = {}

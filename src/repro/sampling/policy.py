@@ -1,7 +1,7 @@
 """The stopping policy: execution strategy, not campaign identity.
 
-A :class:`SamplingPolicy` travels next to a campaign the way
-``fast_path``/``batch`` do — through ``Campaign``, the scheduler, the
+A :class:`SamplingPolicy` travels next to a campaign the way worker
+counts and backends do — through ``Campaign``, the scheduler, the
 store runner, the service POST body and the CLI ``--target-ci`` flag —
 but is deliberately **not** part of :class:`~repro.store.spec
 .CampaignSpec` identity.  The policy only decides *which subset* of the

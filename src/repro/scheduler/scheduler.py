@@ -241,9 +241,6 @@ class CampaignScheduler:
         timeout: wall-clock bound on one :meth:`run` (``None`` = the
             ``REPRO_POOL_TIMEOUT`` environment default); a run past it
             raises :class:`~repro.beam.executor.ExecutorTimeoutError`.
-        fast_path: attempt delta replay in workers (``None`` = the
-            ``REPRO_FASTPATH`` environment default).  Records are
-            bit-identical either way, so mixed-mode resumes are safe.
         retry: the transient-failure policy (default
             :class:`RetryPolicy`).
         reuse: serve specs already complete in the store as cache hits.
@@ -265,7 +262,6 @@ class CampaignScheduler:
         chunk_size: "int | None" = None,
         backend: str = "auto",
         timeout: "float | None" = None,
-        fast_path: "bool | None" = None,
         retry: "RetryPolicy | None" = None,
         reuse: bool = True,
         seed: int = 0,
@@ -276,7 +272,7 @@ class CampaignScheduler:
         self.store = store
         self._executor = CampaignExecutor(
             workers=workers, chunk_size=chunk_size, backend=backend,
-            timeout=timeout, fast_path=fast_path,
+            timeout=timeout,
         )
         self.retry = retry if retry is not None else RetryPolicy()
         self.reuse = reuse
@@ -288,6 +284,7 @@ class CampaignScheduler:
         self._durable: dict = {}        # run id -> record lines durable
         self._retry_heap: list = []     # (ready_at, seq, _Task)
         self._retry_seq = itertools.count()
+        self._orders = itertools.count()  # submit order, fair-share tiebreak
         self._draining = False
 
     # -- submission ---------------------------------------------------------------
@@ -312,11 +309,11 @@ class CampaignScheduler:
         dict) queues the job in adaptive importance-sampled mode: rounds
         are planned as prior rounds' chunks land, and the job seals when
         its stopping rule fires instead of when ``n_faulty`` strikes are
-        done.  Like ``fast_path`` the policy is execution
-        strategy, not spec identity.  A stored journal holding ``plan``
-        rows always resumes adaptively under its journaled policy; a
-        stored fixed journal always finishes fixed even when ``sampling``
-        is passed (see :func:`repro.store.runner.execute_spec`).
+        done.  The policy is execution strategy, not spec identity.  A
+        stored journal holding ``plan`` rows always resumes adaptively
+        under its journaled policy; a stored fixed journal always
+        finishes fixed even when ``sampling`` is passed (see
+        :func:`repro.store.runner.execute_spec`).
         """
         if priority is not None:
             spec = spec.with_priority(priority)
@@ -343,7 +340,7 @@ class CampaignScheduler:
             return run_id
         self._queue.append(
             _Job(
-                order=len(self._queue), run_id=run_id,
+                order=next(self._orders), run_id=run_id,
                 label=spec.resolved_label(), priority=spec.priority,
                 campaign=prepared.campaign, journal=prepared.journal,
                 chunks=prepared.chunks, prior=prepared.prior,
@@ -374,7 +371,7 @@ class CampaignScheduler:
             driver, chunks = None, self._plan_job_chunks(list(indices))
         self._queue.append(
             _Job(
-                order=len(self._queue), run_id="",
+                order=next(self._orders), run_id="",
                 label=campaign.label if label is None else label, priority=1,
                 campaign=campaign, journal=None, chunks=chunks, prior=[],
                 driver=driver,
@@ -393,6 +390,25 @@ class CampaignScheduler:
             if entry.run_id == run_id:
                 return entry
         return None
+
+    def forget(self, run_id: str) -> None:
+        """Drop ``run_id``'s finished jobs and cache hits, with their
+        records and results, from the queue; the durable count stays.
+
+        :meth:`run` resets the queue when it returns; a scheduler that
+        never runs (the fleet coordinator's) forgets each finished job.
+        Parked retries of jobs no longer running go too: dispatch would
+        skip them anyway.
+        """
+        self._queue = [
+            entry for entry in self._queue
+            if entry.run_id != run_id or entry.status == "running"
+        ]
+        self._retry_heap = [
+            item for item in self._retry_heap
+            if item[2].job.status == "running"
+        ]
+        heapq.heapify(self._retry_heap)
 
     @property
     def pending(self) -> int:
@@ -629,7 +645,6 @@ class CampaignScheduler:
             job.campaign.seed,
             job.campaign.threshold_pct,
             task.indices,
-            self._executor.resolved_fast_path(),
         )
         fn = self._chunk_runner
         if job.journal is not None:

@@ -108,9 +108,6 @@ class ServiceConfig:
         workers: shared scheduler pool size (``None`` = auto).
         chunk_size: executions per dispatched chunk (``None`` = auto).
         backend: ``auto``/``process``/``thread``/``serial``.
-        fast_path: attempt delta replay in workers (``None`` = the
-            ``REPRO_FASTPATH`` environment default); records are
-            bit-identical either way.
         retries: chunk retries before a job fails.
         queue_limit: admission-queue bound; a full queue answers 429.
         max_body_bytes: per-request body cap (413 above it).
@@ -139,7 +136,6 @@ class ServiceConfig:
     workers: "int | None" = None
     chunk_size: "int | None" = None
     backend: str = "auto"
-    fast_path: "bool | None" = None
     retries: int = 3
     queue_limit: int = 64
     max_body_bytes: int = 1 << 20
@@ -246,7 +242,6 @@ class CampaignService:
                 workers=config.workers,
                 chunk_size=config.chunk_size,
                 lease_ttl=config.lease_ttl,
-                fast_path=config.fast_path,
                 metrics=self.metrics,
                 on_finish=self._on_fleet_finish,
             )
@@ -658,7 +653,6 @@ class CampaignService:
             workers=config.workers,
             chunk_size=config.chunk_size,
             backend=config.backend,
-            fast_path=config.fast_path,
             retry=RetryPolicy(max_retries=config.retries),
         )
         with self._cond:

@@ -397,10 +397,22 @@ class Journal:
         """The ``open`` record (run id, spec, creation time)."""
         return _decode_line(self.path, self._lines[0])
 
-    def lines(self) -> list:
-        """Durable lines (committed, CRC-valid), as sealed, without their
-        newlines, for :func:`record_parts` to slice."""
-        return list(self._lines)
+    def take_records(self) -> list:
+        """Remove the durable ``record`` lines and return them, in order:
+        as sealed, without their newlines, for :func:`record_parts` to
+        slice.
+
+        The journal keeps its other lines (header, plans, close): all
+        that appending, :attr:`close_record` and :meth:`records` of
+        another kind read.  :meth:`CampaignStore.load
+        <repro.store.store.CampaignStore.load>` slices the removed lines
+        into row texts, so a loaded run holds each record's bytes once.
+        """
+        kept, taken = [], []
+        for raw in self._lines:
+            (taken if raw.startswith(RECORD_PREFIX) else kept).append(raw)
+        self._lines = kept
+        return taken
 
     def records(self, kind: "str | None" = None) -> list:
         """Durable records (committed, CRC-valid), decoded, optionally by

@@ -136,7 +136,6 @@ def execute_spec(
     chunk_size: "int | None" = None,
     timeout: "float | None" = None,
     backend: str = "auto",
-    fast_path: "bool | None" = None,
     sampling=None,
     reuse: bool = True,
 ) -> RunOutcome:
@@ -155,15 +154,9 @@ def execute_spec(
     a run past ``timeout`` raises
     :class:`~repro.beam.executor.ExecutorTimeoutError`.
 
-    ``fast_path`` (``None`` = the ``REPRO_FASTPATH`` environment default)
-    is safe to flip between run and resume: its records are bit-identical
-    to full re-execution, so a journal written one way resumes the other
-    way without divergence.
-
     ``sampling`` (a :class:`~repro.sampling.SamplingPolicy` or its wire
-    dict) switches the run to adaptive importance sampling — like
-    ``fast_path`` it is execution strategy, **not** spec
-    identity, so the adaptive run shares its run id and journal with the
+    dict) switches the run to adaptive importance sampling — it is
+    execution strategy, **not** spec identity, so the adaptive run shares its run id and journal with the
     fixed run of the same spec.  A journal that already holds ``plan``
     rows always resumes adaptively under its *journaled* policy; a fixed
     journal (records, no plan rows) always finishes as the fixed plan
@@ -174,7 +167,7 @@ def execute_spec(
 
     scheduler = CampaignScheduler(
         store, workers=workers, chunk_size=chunk_size, backend=backend,
-        timeout=timeout, fast_path=fast_path, reuse=reuse,
+        timeout=timeout, reuse=reuse,
     )
     held = store.has(spec.run_id())
     scheduler.submit(spec, sampling=sampling)
@@ -196,7 +189,6 @@ def resume_run(
     chunk_size: "int | None" = None,
     timeout: "float | None" = None,
     backend: str = "auto",
-    fast_path: "bool | None" = None,
     sampling=None,
 ) -> RunOutcome:
     """Resume a stored run by id (``repro resume <run-id>``).
@@ -218,8 +210,7 @@ def resume_run(
     spec = store.spec_of(run_id)
     return execute_spec(
         store, spec, workers=workers, chunk_size=chunk_size,
-        timeout=timeout, backend=backend, fast_path=fast_path,
-        sampling=sampling, reuse=True,
+        timeout=timeout, backend=backend, sampling=sampling, reuse=True,
     )
 
 

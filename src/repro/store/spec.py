@@ -18,10 +18,10 @@ Specs carry the *factory* configuration (the ``make_kernel`` keyword
 arguments), not introspected kernel attributes — kernels are free to
 normalise or derive attributes in their constructors.
 
-Execution *strategy* is deliberately not identity.  Worker counts, the
-``fast_path`` switch and the adaptive sampling policy
-(:class:`~repro.sampling.SamplingPolicy`) all change how much work runs
-and in what order, but never what any executed index produces — so an
+Execution *strategy* is deliberately not identity.  Worker counts,
+backends and the adaptive sampling policy
+(:class:`~repro.sampling.SamplingPolicy`) all change how much work runs,
+where and in what order, but never what any executed index produces — so an
 adaptive run shares its run id (and its journal) with the fixed-fluence
 run of the same spec, and the policy travels next to the spec (scheduler
 ``submit(..., sampling=...)``, the service POST body, ``--target-ci``)
@@ -151,8 +151,8 @@ class CampaignSpec:
     def build_campaign(self, *, backend: str = "auto"):
         """Instantiate the runnable :class:`~repro.beam.campaign.Campaign`.
 
-        Execution strategy (``backend``, and the workers, chunking and
-        fast path a dispatcher picks) is not part of the spec: records are
+        Execution strategy (``backend``, and the workers and chunking a
+        dispatcher picks) is not part of the spec: records are
         bit-identical under every strategy, so one run id addresses them
         all.  Journaled runs execute through the scheduler, which builds
         campaigns with ``backend="serial"`` and dispatches their chunks

@@ -29,7 +29,6 @@ from pathlib import Path
 
 from repro._util.text import format_table
 from repro.store.journal import (
-    RECORD_PREFIX,
     Journal,
     JournalCorruptError,
     JournalError,
@@ -106,9 +105,10 @@ class StoredRun:
     created: float
     path: Path
     plans: list = field(default_factory=list)  # adaptive "plan" rows, in order
-    #: the read-only journal this run was loaded from; a resume makes it
-    #: appendable (:meth:`~repro.store.journal.Journal.open_for_append`)
-    #: instead of reading the file a second time
+    #: the read-only journal this run was loaded from, without its record
+    #: lines (``row_texts`` holds them); a resume makes it appendable
+    #: (:meth:`~repro.store.journal.Journal.open_for_append`) instead of
+    #: reading the file a second time
     journal: "Journal | None" = field(default=None, repr=False, compare=False)
 
     @property
@@ -264,16 +264,15 @@ class CampaignStore:
         """Load one run's durable state (read-only; no tail truncation).
 
         Only the header, plan and close lines are decoded: each record's
-        index and row text are sliced out of its line.  Raises
+        index and row text are sliced out of its line, and the returned
+        :attr:`StoredRun.journal` keeps only the other lines.  Raises
         :class:`~repro.store.journal.JournalCorruptError` when the
         journal holds one index twice: every line may pass its CRC, but
         the run would serve, report and resume the extra rows.
         """
         journal = self.open_run(run_id, read_only=True)
         texts: dict = {}
-        for raw in journal.lines():
-            if not raw.startswith(RECORD_PREFIX):
-                continue
+        for raw in journal.take_records():
             index, text = record_parts(journal.path, raw)
             if index in texts:
                 raise JournalCorruptError(

@@ -150,8 +150,7 @@ class TestRealTrace:
         registry = MetricsRegistry()
         with obs.observe(tracer=Tracer(sink), metrics=registry):
             records = CampaignExecutor(
-                workers=2, chunk_size=5, backend="process", fast_path=True,
-                timeout=120.0,
+                workers=2, chunk_size=5, backend="process", timeout=120.0,
             ).run(kernel, device, seed=3, count=20)
         events = sink.events()
         executions = [e for e in events if e.kind == "execution"]

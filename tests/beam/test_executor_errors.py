@@ -27,13 +27,18 @@ N_FAULTY = 32
 class ExplodingDgemm(Dgemm):
     """Raises on every struck execution (golden runs stay clean).
 
-    Module-level so the process backend can pickle it into workers.
+    It declines every delta replay, so each data-reaching strike
+    re-executes densely and raises.  Module-level so the process backend
+    can pickle it into workers.
     """
 
     def _execute(self, fault):
         if fault is not None:
             raise ValueError("beam window shattered")
         return super()._execute(fault)
+
+    def _execute_delta_batch(self, faults):
+        return [None] * len(faults)
 
 
 def run_and_catch(backend: str, label: str = "boardX") -> CampaignExecutionError:
@@ -121,11 +126,10 @@ class ExplodingDeltaDgemm(Dgemm):
 
 @pytest.mark.telemetry
 @pytest.mark.parametrize(
-    "make_kernel,fast_path",
-    [(ExplodingDgemm, False), (ExplodingDeltaDgemm, True)],
+    "make_kernel", [ExplodingDgemm, ExplodingDeltaDgemm],
     ids=["dense", "stacked-delta"],
 )
-def test_batched_failure_names_the_strike_that_raised(make_kernel, fast_path):
+def test_batched_failure_names_the_strike_that_raised(make_kernel):
     """Architecturally resolved strikes never run the kernel, so the
     failure belongs to the first data-reaching strike — not to the start
     of the chunk it rides in."""
@@ -137,7 +141,6 @@ def test_batched_failure_names_the_strike_that_raised(make_kernel, fast_path):
     assert first % 4 != 0  # no chunk starts there, whatever the plan
     executor = CampaignExecutor(
         workers=2, chunk_size=4, backend="serial", timeout=POOL_TIMEOUT,
-        fast_path=fast_path,
     )
     with pytest.raises(CampaignExecutionError) as info:
         executor.run(make_kernel(n=16), k40(), seed=seed, count=N_FAULTY)

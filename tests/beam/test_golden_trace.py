@@ -157,6 +157,12 @@ class TestGoldenTrace:
             for e in executions
         ]
         assert traced == golden["outcomes"]
+        # Every data-reaching strike's span says which path resolved it.
+        assert all(
+            (e.attrs.get("fastpath") in ("hit", "fallback"))
+            == (e.attrs["site"] is not None)
+            for e in executions
+        )
 
     def test_metrics_outcome_counts_match_recorded_counts(self, case):
         """The registry's executions_total must agree with the fixture."""

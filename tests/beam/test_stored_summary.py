@@ -5,7 +5,8 @@ instead of recomputing it from the elements.  That is exact only if the
 stored summary of every untruncated report equals
 ``evaluate_execution`` over its own elements: strikes are drawn on all
 five kernels (CLAMR with its Rusanov and MUSCL schemes and a remesh
-every other step, LavaMD with forces), on the fast path and off it, and
+every other step, LavaMD with forces), on the fast path and on the dense
+reference path (``Injector(fast_path=False)``), and
 every untruncated report's summary is compared field by field with the
 recomputation.  A report over the element cap keeps its ``truncated``
 flag and its summary through the round trip.
@@ -18,9 +19,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.beam.executor import _run_chunk
 from repro.beam.logs import row_texts, row_to_record
 from repro.core.criticality import evaluate_execution
+from repro.faults import Injector
 from repro.store import CampaignSpec
 
 CONFIGS = {
@@ -60,10 +61,10 @@ def journaled(name, seed, indices, fast_path, cap):
         n_faulty=64,
     )
     campaign = spec.build_campaign(backend="serial")
-    records = _run_chunk(
-        campaign.kernel, campaign.device, seed, campaign.threshold_pct,
-        indices, fast_path,
-    ).records
+    records = Injector(
+        kernel=campaign.kernel, device=campaign.device, seed=seed,
+        threshold_pct=campaign.threshold_pct, fast_path=fast_path,
+    ).inject_batch(indices)
     return records, [json.loads(text) for text in row_texts(records, max_elements=cap)]
 
 

@@ -13,9 +13,10 @@ whatever batch it rides in.  This suite pins that contract:
 * **observation level** — ``observe_sparse`` equals ``observe`` of the
   materialised delta bitwise, over random sparse deltas including empty
   deltas and ``extent > 1`` bursts;
-* **campaign level** — pooled fast-path campaigns write byte-identical
-  JSONL logs on every backend, chunk planning covers exactly the
-  half-open index range, and an interrupted run resumes byte-identically;
+* **campaign level** — pooled campaigns write the dense reference's
+  JSONL log byte for byte on every backend, chunk planning covers
+  exactly the half-open index range, and an interrupted run resumes to
+  the dense reference's log;
 * **accounting** — chunk counters are folded into the metrics registry
   exactly once per *successful* chunk: a chunk that fails after partial
   progress and is retried must not double-count (the PR 6 fold fix);
@@ -49,9 +50,10 @@ from repro.kernels.sharedmem import (
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.scheduler import CampaignScheduler, RetryPolicy
-from repro.store import CampaignSpec, CampaignStore, execute_spec, resume_run
+from repro.store import CampaignSpec, CampaignStore, resume_run
 
 from tests.beam.test_golden_trace import POOL_TIMEOUT
+from tests.fastpath.reference import dense_chunk, dense_result
 from tests.fastpath.test_differential import KERNEL_FACTORIES
 
 
@@ -101,7 +103,6 @@ class TestInjectorBatch:
     def test_noncontiguous_indices_preserve_order(self):
         injector = Injector(
             kernel=KERNEL_FACTORIES["dgemm"](), device=k40(), seed=5,
-            fast_path=True,
         )
         picked = [31, 2, 17, 3]
         reference = [injector.inject_one(i) for i in picked]
@@ -116,7 +117,6 @@ class TestInjectorBatch:
         # in one batch without disturbing each other.
         injector = Injector(
             kernel=KERNEL_FACTORIES["clamr"](), device=xeonphi(), seed=9,
-            fast_path=True,
         )
         injector.inject_batch(range(40))
         assert injector.fastpath_hits > 0
@@ -128,7 +128,6 @@ class TestInjectorBatch:
         # never both, never neither.
         injector = Injector(
             kernel=KERNEL_FACTORIES["clamr"](), device=xeonphi(), seed=9,
-            fast_path=True,
         )
         records = injector.inject_batch(range(12))
         reached = sum(1 for r in records if r.fault is not None)
@@ -196,38 +195,31 @@ class TestCampaignBackends:
 
     @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
     def test_log_bytes_match_reference(self, backend, tmp_path):
-        def run(backend, **mode):
-            return Campaign(
-                kernel=Dgemm(n=48), device=k40(), n_faulty=24, seed=11,
-                workers=2, chunk_size=7, backend=backend,
-                timeout=POOL_TIMEOUT, **mode,
-            ).run()
-
+        campaign = Campaign(
+            kernel=Dgemm(n=48), device=k40(), n_faulty=24, seed=11,
+            workers=2, chunk_size=7, backend=backend, timeout=POOL_TIMEOUT,
+        )
         reference_path = tmp_path / "reference.jsonl"
         batched_path = tmp_path / f"batch_{backend}.jsonl"
-        write_log(run("serial"), reference_path)
-        write_log(run(backend, fast_path=True), batched_path)
+        write_log(dense_result(campaign), reference_path)
+        write_log(campaign.run(), batched_path)
         assert batched_path.read_bytes() == reference_path.read_bytes()
 
     def test_fallback_heavy_campaign_matches_reference(self, tmp_path):
-        def run(**mode):
-            return Campaign(
-                kernel=Clamr(n=16, steps=4), device=xeonphi(), n_faulty=12,
-                seed=7, timeout=POOL_TIMEOUT, **mode,
-            ).run()
-
+        campaign = Campaign(
+            kernel=Clamr(n=16, steps=4), device=xeonphi(), n_faulty=12,
+            seed=7, timeout=POOL_TIMEOUT,
+        )
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_log(run(), a)
-        write_log(run(fast_path=True), b)
+        write_log(dense_result(campaign), a)
+        write_log(campaign.run(), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_chunked_campaign_covers_exact_half_open_range(self):
         # ``count`` + ``start`` select the half-open range
         # [start, start + count) — no off-by-one at either boundary,
         # regardless of how the indices are chunked.
-        executor = CampaignExecutor(
-            backend="serial", chunk_size=4, fast_path=True,
-        )
+        executor = CampaignExecutor(backend="serial", chunk_size=4)
         records = executor.run(
             Dgemm(n=16), k40(), seed=3, count=23, start=5,
         )
@@ -245,16 +237,13 @@ class TestResume:
         store = CampaignStore(tmp_path / "store")
         holder = {}
 
-        def draining_runner(kernel, device, seed, threshold_pct, indices,
-                            fast_path=False):
-            result = _run_chunk(
-                kernel, device, seed, threshold_pct, indices, fast_path,
-            )
+        def draining_runner(kernel, device, seed, threshold_pct, indices):
+            result = _run_chunk(kernel, device, seed, threshold_pct, indices)
             holder["scheduler"].request_drain()
             return result
 
         scheduler = CampaignScheduler(
-            store, backend="serial", chunk_size=3, fast_path=True,
+            store, backend="serial", chunk_size=3,
             chunk_runner=draining_runner,
         )
         holder["scheduler"] = scheduler
@@ -262,12 +251,11 @@ class TestResume:
         (outcome,) = scheduler.run()
         assert outcome.status == "interrupted"
         assert len(store.load(run_id).rows) == 3  # one durable chunk
-        resumed = resume_run(store, run_id, backend="serial", fast_path=True)
+        resumed = resume_run(store, run_id, backend="serial")
         assert resumed.resumed == 3
-        reference = execute_spec(
-            CampaignStore(tmp_path / "ref"), CampaignSpec(**self.SPEC),
-            backend="serial",
-        ).result
+        reference = dense_result(
+            CampaignSpec(**self.SPEC).build_campaign(backend="serial")
+        )
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_log(resumed.result, a)
         write_log(reference, b)
@@ -278,25 +266,24 @@ class PartialThenFailRunner:
     """Simulates a worker dying after real partial chunk progress.
 
     The first attempt at the chunk holding index 0 executes half its
-    indices for real (cache and fast-path counters fire inside the
-    worker-side capture scope) and then fails; the retry runs clean.
+    indices for real through ``runner`` (cache and fast-path counters
+    fire inside the worker-side capture scope) and then fails; the retry
+    runs clean.
     """
 
-    def __init__(self):
+    def __init__(self, runner):
+        self.runner = runner
         self.tripped = False
 
-    def __call__(self, kernel, device, seed, threshold_pct, indices,
-                 fast_path=False):
+    def __call__(self, kernel, device, seed, threshold_pct, indices):
         if not self.tripped and 0 in indices:
             self.tripped = True
-            _run_chunk(
+            self.runner(
                 kernel, device, seed, threshold_pct,
-                indices[: max(1, len(indices) // 2)], fast_path,
+                indices[: max(1, len(indices) // 2)],
             )
             raise ChunkWorkerError(indices[0], "died after partial progress")
-        return _run_chunk(
-            kernel, device, seed, threshold_pct, indices, fast_path,
-        )
+        return self.runner(kernel, device, seed, threshold_pct, indices)
 
 
 class TestCounterFoldOnRetry:
@@ -311,15 +298,14 @@ class TestCounterFoldOnRetry:
          "Fast-path executions that fell back to full re-execution"),
     )
 
-    def _run(self, tmp_path, name, fast_path, chunk_runner=None):
+    def _run(self, tmp_path, name, chunk_runner):
         clear_golden_cache()
         registry = MetricsRegistry()
         store = CampaignStore(tmp_path / name)
-        kwargs = {"chunk_runner": chunk_runner} if chunk_runner else {}
         scheduler = CampaignScheduler(
-            store, backend="serial", chunk_size=4, fast_path=fast_path,
+            store, backend="serial", chunk_size=4,
             retry=RetryPolicy(max_retries=3, base_delay=0.001, jitter=0.0),
-            **kwargs,
+            chunk_runner=chunk_runner,
         )
         scheduler.submit(
             CampaignSpec(
@@ -343,11 +329,11 @@ class TestCounterFoldOnRetry:
 
     @pytest.mark.parametrize("fast_path", (False, True))
     def test_retried_chunk_counts_exactly_once(self, tmp_path, fast_path):
-        clean, clean_registry = self._run(tmp_path, "clean", fast_path)
-        runner = PartialThenFailRunner()
-        flaky, flaky_registry = self._run(
-            tmp_path, "flaky", fast_path, chunk_runner=runner
-        )
+        # ``fast_path=False`` runs the chunks on the dense reference path.
+        chunk = _run_chunk if fast_path else dense_chunk
+        clean, clean_registry = self._run(tmp_path, "clean", chunk)
+        runner = PartialThenFailRunner(chunk)
+        flaky, flaky_registry = self._run(tmp_path, "flaky", runner)
         assert runner.tripped  # the failure injection actually fired
         assert flaky.retries == 1
         # Identical records...
@@ -357,7 +343,7 @@ class TestCounterFoldOnRetry:
         # the attempt instead of being folded alongside the retry's.
         flaky_totals = self._totals(flaky_registry)
         clean_totals = self._totals(clean_registry)
-        # The fast-path counters fire exactly when replay is on.
+        # The fast-path counters fire exactly on the fast path.
         assert (clean_totals["repro_fastpath_hits_total"] > 0) is fast_path
         assert (
             flaky_totals["repro_fastpath_hits_total"]
@@ -432,7 +418,6 @@ class TestSharedGolden:
         kernel = HotSpot(n=32, iterations=24)
         reference = Injector(
             kernel=HotSpot(n=32, iterations=24), device=k40(), seed=5,
-            fast_path=True,
         ).inject_many(16)
         export = SharedGoldenExport()
         assert export.add_kernel(kernel)
@@ -443,7 +428,7 @@ class TestSharedGolden:
             adopted = fresh.golden()
             assert "chain" in adopted.aux  # the fast path's state chain
             got = Injector(
-                kernel=fresh, device=k40(), seed=5, fast_path=True,
+                kernel=fresh, device=k40(), seed=5,
             ).inject_batch(range(16))
             assert _rows(got) == _rows(reference)
         finally:
@@ -454,7 +439,6 @@ class TestSharedGolden:
         kernel = Clamr(n=16, steps=8)
         reference = Injector(
             kernel=Clamr(n=16, steps=8), device=xeonphi(), seed=5,
-            fast_path=True,
         ).inject_many(16)
         export = SharedGoldenExport()
         assert export.add_kernel(kernel)
@@ -467,7 +451,7 @@ class TestSharedGolden:
             # adopting side replays windows without rebuilding it.
             assert "fastpath" in adopted.aux
             got = Injector(
-                kernel=fresh, device=xeonphi(), seed=5, fast_path=True,
+                kernel=fresh, device=xeonphi(), seed=5,
             ).inject_batch(range(16))
             assert _rows(got) == _rows(reference)
         finally:
@@ -480,8 +464,7 @@ class TestSharedGolden:
         monkeypatch.setenv("REPRO_TEST_GOLDEN_SENTINEL", str(tmp_path))
         clear_golden_cache()
         executor = CampaignExecutor(
-            backend="process", workers=2, chunk_size=8, fast_path=True,
-            timeout=POOL_TIMEOUT,
+            backend="process", workers=2, chunk_size=8, timeout=POOL_TIMEOUT,
         )
         records = executor.run(
             SentinelDgemm(n=48), k40(), seed=11, count=32

@@ -10,12 +10,15 @@ level:
   crashes raise the same error, and the sparse observation reproduces the
   dense one's indices/values/locality bitwise;
 * **injector level** — full record streams (serialised to hex-float rows,
-  the ``tests/golden/`` idiom) are equal with the switch on and off;
-* **campaign level** — serial/thread/process pooled runs with the fast
-  path on write byte-identical JSONL logs to the reference serial run
-  with it off;
+  the ``tests/golden/`` idiom) are equal on the fast path and on the
+  reference path (``Injector(fast_path=False)``);
+* **campaign level** — serial/thread/process pooled campaigns write
+  byte-identical JSONL logs to the reference: the same campaign's
+  strikes run densely (:mod:`tests.fastpath.reference`) and written
+  through ``Campaign.result_from_records`` and ``write_log``;
 * **fixture level** — the recorded ``tests/golden/`` outcome sequences
-  and hex-exact summary statistics are reproduced with the fast path on;
+  and hex-exact summary statistics are reproduced by campaigns, which
+  always run the fast path;
 * **accounting** — hit/fallback counters land in the instance and the
   metrics registry, and never double-count.
 
@@ -29,7 +32,6 @@ import pytest
 from repro import observability as obs
 from repro.arch import ResourceKind, k40, xeonphi
 from repro.beam import Campaign, write_log
-from repro.beam.executor import default_fast_path
 from repro.beam.logs import record_to_row
 from repro.faults import Injector
 from repro.kernels import Clamr, Dgemm, HotSpot, LavaMD
@@ -43,6 +45,7 @@ from tests.beam.test_golden_trace import (
     outcome_rows,
     summary_payload,
 )
+from tests.fastpath.reference import dense_result
 
 #: Small-but-representative kernels; every site of every kernel is hit.
 KERNEL_FACTORIES = {
@@ -317,76 +320,64 @@ class TestInjectorRecords:
     def test_reference_path_never_counts(self):
         injector = Injector(
             kernel=KERNEL_FACTORIES["dgemm"](), device=k40(), seed=3,
+            fast_path=False,
         )
         injector.inject_many(10)
         assert injector.fastpath_hits == 0
         assert injector.fastpath_fallbacks == 0
 
 
+def assert_log_matches_reference(campaign, tmp_path, name="campaign"):
+    """``campaign.run()``'s log is byte-identical to the dense reference's."""
+    reference_path = tmp_path / "reference.jsonl"
+    log = tmp_path / f"{name}.jsonl"
+    write_log(dense_result(campaign), reference_path)
+    write_log(campaign.run(), log)
+    assert log.read_bytes() == reference_path.read_bytes()
+
+
 class TestCampaignBackends:
-    """Pooled fast-path campaigns write byte-identical logs."""
+    """Pooled campaigns write the dense reference's log, byte for byte."""
 
     @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
     def test_log_bytes_match_reference(self, backend, tmp_path):
-        def run(fast_path, backend):
-            return Campaign(
-                kernel=Dgemm(n=48), device=k40(), n_faulty=24, seed=11,
-                workers=2, chunk_size=7, backend=backend,
-                timeout=POOL_TIMEOUT, fast_path=fast_path,
-            ).run()
-
-        reference_path = tmp_path / "reference.jsonl"
-        fast_path_log = tmp_path / f"fast_{backend}.jsonl"
-        write_log(run(False, "serial"), reference_path)
-        write_log(run(True, backend), fast_path_log)
-        assert fast_path_log.read_bytes() == reference_path.read_bytes()
+        assert_log_matches_reference(Campaign(
+            kernel=Dgemm(n=48), device=k40(), n_faulty=24, seed=11,
+            workers=2, chunk_size=7, backend=backend, timeout=POOL_TIMEOUT,
+        ), tmp_path, backend)
 
     def test_fallback_heavy_campaign_matches_reference(self, tmp_path):
         # CLAMR mixes dt-invariant window hits with dt-winning fallbacks;
-        # whichever side each strike lands on, the switch must stay
-        # invisible in the log bytes.
-        def run(fast_path):
-            return Campaign(
-                kernel=Clamr(n=16, steps=4), device=xeonphi(), n_faulty=12,
-                seed=7, timeout=POOL_TIMEOUT, fast_path=fast_path,
-            ).run()
-
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_log(run(False), a)
-        write_log(run(True), b)
-        assert a.read_bytes() == b.read_bytes()
+        # whichever side each strike lands on, the path it took must
+        # stay invisible in the log bytes.
+        assert_log_matches_reference(Campaign(
+            kernel=Clamr(n=16, steps=4), device=xeonphi(), n_faulty=12,
+            seed=7, timeout=POOL_TIMEOUT,
+        ), tmp_path)
 
     @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
     def test_clamr_log_bytes_match_reference(self, backend, tmp_path):
         # The CLAMR window replay rides the same pooled machinery as the
-        # closed-form kernels: every backend's fast-path log must equal
-        # the reference serial run with the switch off, byte for byte.
-        def run(fast_path, backend):
-            return Campaign(
-                kernel=Clamr(n=16, steps=8), device=xeonphi(), n_faulty=18,
-                seed=11, workers=2, chunk_size=5, backend=backend,
-                timeout=POOL_TIMEOUT, fast_path=fast_path,
-            ).run()
-
-        reference_path = tmp_path / "reference.jsonl"
-        fast_path_log = tmp_path / f"fast_{backend}.jsonl"
-        write_log(run(False, "serial"), reference_path)
-        write_log(run(True, backend), fast_path_log)
-        assert fast_path_log.read_bytes() == reference_path.read_bytes()
+        # closed-form kernels: every backend's log must equal the dense
+        # reference's, byte for byte.
+        assert_log_matches_reference(Campaign(
+            kernel=Clamr(n=16, steps=8), device=xeonphi(), n_faulty=18,
+            seed=11, workers=2, chunk_size=5, backend=backend,
+            timeout=POOL_TIMEOUT,
+        ), tmp_path, backend)
 
     def test_registry_counters_exported(self):
         registry = MetricsRegistry()
         with obs.observe(metrics=registry):
             Campaign(
                 kernel=Dgemm(n=48), device=k40(), n_faulty=24, seed=11,
-                fast_path=True,
             ).run()
         text = registry.dumps("prometheus")
         assert "repro_fastpath_hits_total" in text
 
 
 class TestGoldenFixtures:
-    """The recorded golden campaigns reproduce with the fast path on."""
+    """The recorded golden campaigns reproduce on the fast path."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_fixture_reproduced(self, name):
@@ -398,36 +389,22 @@ class TestGoldenFixtures:
             n_faulty=config["n_faulty"],
             seed=config["seed"],
             timeout=POOL_TIMEOUT,
-            fast_path=True,
         ).run()
         assert outcome_rows(result.records) == golden["outcomes"]
         assert summary_payload(result) == golden["summary"]
 
 
 class TestEnvironmentDefault:
-    """REPRO_FASTPATH resolves exactly like the other REPRO_* switches."""
+    """``REPRO_FASTPATH`` is gone: a value left in the environment, even
+    one the old switch refused, changes nothing."""
 
-    @pytest.mark.parametrize(
-        "value,expected",
-        [("", False), ("1", True), ("true", True), ("ON", True),
-         ("0", False), ("no", False), ("off", False)],
-    )
-    def test_parse(self, monkeypatch, value, expected):
+    @pytest.mark.parametrize("value", ["0", "maybe"])
+    def test_env_is_ignored(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_FASTPATH", value)
-        assert default_fast_path() is expected
-
-    def test_unset_means_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        assert default_fast_path() is False
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH", "maybe")
-        with pytest.raises(ValueError):
-            default_fast_path()
-
-    def test_env_reaches_the_injector(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        from repro.beam.executor import CampaignExecutor
-
-        assert CampaignExecutor().resolved_fast_path() is True
-        assert CampaignExecutor(fast_path=False).resolved_fast_path() is False
+        registry = MetricsRegistry()
+        with obs.observe(metrics=registry):
+            Campaign(
+                kernel=Dgemm(n=16), device=k40(), n_faulty=12, seed=3,
+                workers=1,
+            ).run()
+        assert registry.get("repro_fastpath_hits_total").total() > 0

@@ -43,7 +43,7 @@ def reference_text(tmp_path, spec_dict):
         CampaignStore(tmp_path / "ref-store"),
         CampaignSpec.from_dict(dict(spec_dict)),
         workers=2, chunk_size=2, timeout=None, backend="serial",
-        fast_path=None, sampling=None, reuse=True,
+        sampling=None, reuse=True,
     )
     return "\n".join(log_lines(outcome.result)) + "\n"
 

@@ -42,6 +42,13 @@ class Clock:
         self.now += seconds
 
 
+class Finished(dict):
+    """An ``on_finish`` hook: run id -> the result its job finished with."""
+
+    def __call__(self, run_id, status, result, error):
+        self[run_id] = result
+
+
 def make_coordinator(tmp_path, clock, **overrides):
     overrides.setdefault("workers", 2)
     overrides.setdefault("chunk_size", 2)
@@ -63,7 +70,6 @@ def execute_lease(lease):
     result = _run_chunk(
         campaign.kernel, campaign.device, spec.seed,
         campaign.threshold_pct, list(lease["indices"]),
-        bool(lease.get("fast_path")),
     )
     return {
         "worker": lease["worker"],
@@ -102,7 +108,7 @@ def reference_lines(tmp_path, spec_dict, sampling=None):
         CampaignStore(tmp_path / "ref-store"),
         CampaignSpec.from_dict(dict(spec_dict)),
         workers=2, chunk_size=2, timeout=None, backend="serial",
-        fast_path=None, sampling=sampling, reuse=True,
+        sampling=sampling, reuse=True,
     )
     return log_lines(outcome.result)
 
@@ -112,11 +118,12 @@ def reference_lines(tmp_path, spec_dict, sampling=None):
 
 def test_fleet_run_byte_identical_to_pool_run(tmp_path):
     clock = Clock()
-    coordinator = make_coordinator(tmp_path, clock)
+    finished = Finished()
+    coordinator = make_coordinator(tmp_path, clock, on_finish=finished)
     admission = coordinator.admit(CampaignSpec.from_dict(dict(TINY_SPEC)))
     assert admission.disposition == "queued"
     drain_fleet(coordinator)
-    job_result = coordinator._jobs[admission.run_id].result
+    job_result = finished[admission.run_id]
     assert coordinator.job_status(admission.run_id) == "complete"
     assert log_lines(job_result) == reference_lines(tmp_path, TINY_SPEC)
 
@@ -148,7 +155,7 @@ def test_cached_admission_skips_the_fleet(tmp_path):
     execute_spec(
         coordinator.store, CampaignSpec.from_dict(dict(TINY_SPEC)),
         workers=2, chunk_size=2, timeout=None, backend="serial",
-        fast_path=None, sampling=None, reuse=True,
+        sampling=None, reuse=True,
     )
     admission = coordinator.admit(CampaignSpec.from_dict(dict(TINY_SPEC)))
     assert admission.disposition == "cached"
@@ -170,8 +177,9 @@ def test_running_admission_deduped(tmp_path):
 def test_expired_lease_reassigned_and_stale_push_fenced(tmp_path):
     clock = Clock()
     metrics = MetricsRegistry()
+    finished = Finished()
     coordinator = make_coordinator(
-        tmp_path, clock, lease_ttl=10.0, metrics=metrics
+        tmp_path, clock, lease_ttl=10.0, metrics=metrics, on_finish=finished
     )
     admission = coordinator.admit(CampaignSpec.from_dict(dict(TINY_SPEC)))
 
@@ -200,7 +208,7 @@ def test_expired_lease_reassigned_and_stale_push_fenced(tmp_path):
     # exactly once and the log matches the single-pool reference.
     coordinator.push_results(regrant["lease_id"], execute_lease(regrant), worker="w2")
     drain_fleet(coordinator, "w2")
-    result = coordinator._jobs[admission.run_id].result
+    result = finished[admission.run_id]
     lines = log_lines(result)
     indices = [json.loads(line)["index"] for line in lines[1:]]
     assert sorted(indices) == list(range(TINY_SPEC["n_faulty"]))
@@ -301,8 +309,7 @@ def test_traced_fast_path_fleet_spans_every_record(tmp_path):
     sink = RingBufferSink()
     metrics = MetricsRegistry()
     coordinator = make_coordinator(
-        tmp_path, Clock(), fast_path=True, metrics=metrics,
-        tracer=Tracer(sink),
+        tmp_path, Clock(), metrics=metrics, tracer=Tracer(sink),
     )
     coordinator.admit(CampaignSpec.from_dict(dict(spec)))
     while True:
@@ -317,7 +324,7 @@ def test_traced_fast_path_fleet_spans_every_record(tmp_path):
     executions = [e for e in events if e.kind == "execution"]
     assert sorted(e.attrs["index"] for e in executions) == list(range(12))
     reference = Injector(
-        kernel=Clamr(n=16, steps=8), device=xeonphi(), seed=11, fast_path=True
+        kernel=Clamr(n=16, steps=8), device=xeonphi(), seed=11
     )
     reference.inject_batch(range(12))
     assert reference.fastpath_fallbacks > 0
@@ -327,6 +334,24 @@ def test_traced_fast_path_fleet_spans_every_record(tmp_path):
         metrics.get("repro_fastpath_hits_total").value(kernel="clamr"),
         metrics.get("repro_fastpath_fallbacks_total").value(kernel="clamr"),
     ] == expected
+
+
+def test_push_without_fallbacks_spans_carry_no_fastpath(tmp_path):
+    """An older agent that ran densely pushes ``"fallbacks": null``: its
+    spans carry no ``fastpath`` attribute rather than a made-up ``hit``."""
+    from repro.observability import RingBufferSink, Tracer
+
+    sink = RingBufferSink()
+    coordinator = make_coordinator(tmp_path, Clock(), tracer=Tracer(sink))
+    coordinator.admit(CampaignSpec.from_dict(dict(TINY_SPEC)))
+    while (lease := coordinator.request_lease("w1")) is not None:
+        payload = execute_lease(lease)
+        payload["fallbacks"] = None
+        coordinator.push_results(lease["lease_id"], payload, worker="w1")
+    executions = [e for e in sink.events() if e.kind == "execution"]
+    assert len(executions) == TINY_SPEC["n_faulty"]
+    assert [e for e in executions if e.attrs["site"] is not None]
+    assert not [e for e in executions if "fastpath" in e.attrs]
 
 
 # -- drain / close ------------------------------------------------------------------
@@ -364,9 +389,10 @@ def test_close_interrupts_and_resume_completes(tmp_path):
     # A fresh coordinator over the same store resumes the journal: the
     # already-committed chunk is not re-granted, and the sealed log still
     # matches the single-pool reference byte for byte.
+    finished = Finished()
     resumed = FleetCoordinator(
         CampaignStore(store_path), workers=2, chunk_size=2,
-        lease_ttl=10.0, clock=clock,
+        lease_ttl=10.0, clock=clock, on_finish=finished,
     )
     again = resumed.admit(spec)
     assert again.disposition == "queued"
@@ -378,7 +404,7 @@ def test_close_interrupts_and_resume_completes(tmp_path):
         granted_indices.extend(grant["indices"])
         resumed.push_results(grant["lease_id"], execute_lease(grant), worker="w2")
     assert set(granted_indices).isdisjoint(lease["indices"])
-    result = resumed._jobs[again.run_id].result
+    result = finished[again.run_id]
     assert log_lines(result) == reference_lines(tmp_path, TINY_SPEC)
 
 
@@ -389,14 +415,15 @@ def test_adaptive_campaign_matches_pool_run(tmp_path):
     sampling = {"round_size": 4, "max_executions": 12}
     spec_dict = dict(TINY_SPEC, n_faulty=24)
     clock = Clock()
-    coordinator = make_coordinator(tmp_path, clock)
+    finished = Finished()
+    coordinator = make_coordinator(tmp_path, clock, on_finish=finished)
     admission = coordinator.admit(
         CampaignSpec.from_dict(dict(spec_dict)), sampling=dict(sampling)
     )
     assert admission.disposition == "queued"
     drain_fleet(coordinator)
     assert coordinator.job_status(admission.run_id) == "complete"
-    fleet_lines = log_lines(coordinator._jobs[admission.run_id].result)
+    fleet_lines = log_lines(finished[admission.run_id])
     assert fleet_lines == reference_lines(
         tmp_path, spec_dict, sampling=dict(sampling)
     )

@@ -123,7 +123,7 @@ def test_settle_is_exactly_once_and_remembered():
     lease = table.grant("run", 0, (0,), "w1")
     assert table.settled(lease.lease_id) is None
     table.settle(lease.lease_id)
-    assert table.settled(lease.lease_id) == lease
+    assert table.settled(lease.lease_id) == lease.run_id
     # A second settle attempt is not silently re-applied: the lease is no
     # longer active, so checkout (and thus settle) refuses.
     with pytest.raises(UnknownLeaseError):

@@ -9,23 +9,33 @@ alike.  These tests pin what that buys a fleet run:
 * a drained coordinator starts no new round;
 * adaptive rounds emit ``sampling`` spans and count ``repro_sampling_*``;
 * the ``/v1/workers`` job counts follow grant, expiry, regrant and push;
-* a commit that raises fails the job instead of writing its chunk twice.
+* a commit that raises fails the job instead of writing its chunk twice;
+* a finished job's records and result are not kept.
 """
 
 import errno
+import gc
 import os
+import types
 
 import pytest
 
 import repro.store.journal as journal_mod
+from repro.beam.campaign import CampaignResult
 from repro.beam.executor import CampaignExecutionError
 from repro.beam.logs import log_lines
+from repro.faults.outcomes import ExecutionRecord
 from repro.fleet import FleetCoordinator, StaleLeaseError
 from repro.observability import MetricsRegistry, RingBufferSink, Tracer
 from repro.store import CampaignSpec, CampaignStore, execute_spec
 
 from tests.fleet.conftest import TINY_SPEC
-from tests.fleet.test_coordinator import Clock, execute_lease, make_coordinator
+from tests.fleet.test_coordinator import (
+    Clock,
+    Finished,
+    execute_lease,
+    make_coordinator,
+)
 
 pytestmark = pytest.mark.fleet
 
@@ -111,14 +121,16 @@ def test_drained_coordinator_starts_no_new_round(tmp_path):
     assert coordinator.close() == [run_id]
     assert plan_rows(journal) == 1
 
+    finished = Finished()
     resumed = FleetCoordinator(
-        CampaignStore(store_path), workers=2, chunk_size=2, clock=Clock()
+        CampaignStore(store_path), workers=2, chunk_size=2, clock=Clock(),
+        on_finish=finished,
     )
     assert resumed.admit(spec, sampling=dict(SAMPLING)).disposition == "queued"
     run_rounds_reversed(resumed)
     assert resumed.job_status(run_id) == "complete"
     _, outcome = serial_run(tmp_path, ADAPTIVE_SPEC, sampling=dict(SAMPLING))
-    assert log_lines(resumed._jobs[run_id].result) == log_lines(outcome.result)
+    assert log_lines(finished[run_id]) == log_lines(outcome.result)
 
 
 def test_fleet_adaptive_rounds_emit_spans_and_count(tmp_path):
@@ -219,3 +231,76 @@ def test_failed_commit_fails_the_job_and_never_writes_a_chunk_twice(
     _, outcome = serial_run(tmp_path, TINY_SPEC)
     served = coordinator.store.load(run_id).log_lines()
     assert served == log_lines(outcome.result)
+
+
+def reachable(root, *, skip) -> list:
+    """Every object reachable from ``root`` through containers and
+    instances; modules, classes, functions and ``skip`` are not entered."""
+    seen, stack, found = {id(skip)}, [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType, types.CodeType)
+        ):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_finished_jobs_are_forgotten(tmp_path):
+    finished = Finished()
+    coordinator = make_coordinator(tmp_path, Clock(), on_finish=finished)
+    run_ids = []
+    for seed in (3, 4, 5):
+        spec = CampaignSpec.from_dict(dict(TINY_SPEC, seed=seed))
+        run_ids.append(coordinator.admit(spec).run_id)
+        push_all(coordinator, lease_all(coordinator))
+    assert [coordinator.job_status(run_id) for run_id in run_ids] == [
+        "complete"
+    ] * 3
+    assert sorted(finished) == sorted(run_ids)
+    assert all(result.records for result in finished.values())
+
+    # The test's own on_finish hook holds the results it was handed.
+    held = reachable(coordinator, skip=finished)
+    assert not [
+        obj for obj in held if isinstance(obj, (ExecutionRecord, CampaignResult))
+    ]
+    # What ``/v1/workers`` shows stays: every job's row and lease count.
+    snapshot = coordinator.snapshot()
+    assert {run_id: row["committed"] for run_id, row in snapshot["jobs"].items()} \
+        == dict.fromkeys(run_ids, TINY_SPEC["n_faulty"])
+    assert snapshot["leases"] == {"active": 0, "settled": 9, "lost": 0}
+    # A cache hit is answered without keeping its result either.
+    again = coordinator.admit(CampaignSpec.from_dict(dict(TINY_SPEC, seed=3)))
+    assert again.disposition == "cached"
+    assert not [
+        obj for obj in reachable(coordinator, skip=finished)
+        if isinstance(obj, CampaignResult)
+    ]
+
+
+def test_a_failed_job_is_forgotten_with_its_requeued_chunks(
+    tmp_path, monkeypatch,
+):
+    clock = Clock()
+    coordinator = make_coordinator(tmp_path, clock, lease_ttl=10.0)
+    coordinator.admit(CampaignSpec.from_dict(dict(TINY_SPEC)))
+    lease_all(coordinator)
+    clock.advance(coordinator.lease_ttl + 1.0)
+    assert coordinator.tick() == 3  # all three chunks requeued
+    lease = coordinator.request_lease("w1")
+    batch = execute_lease(lease)
+
+    def fsync_failing(fd):
+        raise OSError(errno.EIO, "injected I/O error")
+
+    monkeypatch.setattr(journal_mod.os, "fsync", fsync_failing)
+    answer = coordinator.push_results(lease["lease_id"], batch, worker="w1")
+    assert answer["status"] == "failed"
+    assert not [
+        obj for obj in reachable(coordinator, skip=None)
+        if isinstance(obj, ExecutionRecord)
+    ]

@@ -51,10 +51,9 @@ def test_execute_spec_commits_chunks_while_the_run_is_in_flight(
     journal = store.path_for(spec.run_id())
     durable_at_start = []
 
-    def counting_runner(kernel, device, seed, threshold_pct, indices,
-                        fast_path=False):
+    def counting_runner(kernel, device, seed, threshold_pct, indices):
         durable_at_start.append(record_lines(journal))
-        return _run_chunk(kernel, device, seed, threshold_pct, indices, fast_path)
+        return _run_chunk(kernel, device, seed, threshold_pct, indices)
 
     monkeypatch.setattr(executor_mod, "_run_chunk", counting_runner)
     monkeypatch.setattr(scheduler_mod, "_run_chunk", counting_runner)
@@ -77,12 +76,11 @@ def test_execute_spec_leaves_no_worker_running(tmp_path):
     assert set(multiprocessing.active_children()) - before == set()
 
 
-def delay_full_chunks(kernel, device, seed, threshold_pct, indices,
-                      fast_path=False):
+def delay_full_chunks(kernel, device, seed, threshold_pct, indices):
     """Hold back each round's 6-index chunk so its tail chunk lands first."""
     if len(indices) == 6:
         time.sleep(0.1)
-    return _run_chunk(kernel, device, seed, threshold_pct, indices, fast_path)
+    return _run_chunk(kernel, device, seed, threshold_pct, indices)
 
 
 def adaptive_journal_body(root, **scheduler_args) -> bytes:
@@ -120,10 +118,9 @@ def test_scheduled_adaptive_run_folds_the_sampling_counters(tmp_path):
 
 
 def test_scheduler_timeout_raises_the_executor_error(tmp_path):
-    def slow_runner(kernel, device, seed, threshold_pct, indices,
-                    fast_path=False):
+    def slow_runner(kernel, device, seed, threshold_pct, indices):
         time.sleep(0.3)
-        return _run_chunk(kernel, device, seed, threshold_pct, indices, fast_path)
+        return _run_chunk(kernel, device, seed, threshold_pct, indices)
 
     scheduler = CampaignScheduler(
         CampaignStore(tmp_path), backend="thread", workers=2, chunk_size=2,

@@ -164,7 +164,7 @@ def test_pool_queue_depth_covers_journaled_runs(tmp_path, monkeypatch):
 # -- errors keep the worker's cause ------------------------------------------------
 
 
-def boom(kernel, device, seed, threshold_pct, indices, fast_path=False):
+def boom(kernel, device, seed, threshold_pct, indices):
     raise ChunkWorkerError(1, "ValueError: boom")
 
 
@@ -220,12 +220,18 @@ def test_adaptive_progress_adds_up_across_rounds():
 
 
 class SleepyDgemm(Dgemm):
-    """Each struck execution takes 0.15 s (golden runs stay fast)."""
+    """Each struck execution takes 0.15 s (golden runs stay fast).
+
+    It declines every delta replay, so each strike re-executes densely.
+    """
 
     def _execute(self, fault):
         if fault is not None:
             time.sleep(0.15)
         return super()._execute(fault)
+
+    def _execute_delta_batch(self, faults):
+        return [None] * len(faults)
 
 
 def test_progress_heartbeat_prints_before_the_first_chunk_lands():
@@ -233,7 +239,6 @@ def test_progress_heartbeat_prints_before_the_first_chunk_lands():
     campaign = Campaign(
         kernel=SleepyDgemm(n=16), device=k40(), n_faulty=16, seed=1,
         workers=2, chunk_size=8, backend="thread", timeout=POOL_TIMEOUT,
-        fast_path=False,
     )
     with obs.observe(progress=reporter):
         campaign.run()

@@ -49,15 +49,12 @@ class FlakyRunner:
         self.left = failures
         self.calls = 0
 
-    def __call__(self, kernel, device, seed, threshold_pct, indices,
-                 fast_path=False):
+    def __call__(self, kernel, device, seed, threshold_pct, indices):
         self.calls += 1
         if seed == self.fail_seed and self.left > 0 and 0 in indices:
             self.left -= 1
             raise ChunkWorkerError(indices[0], "transient blip")
-        return _run_chunk(
-            kernel, device, seed, threshold_pct, indices, fast_path,
-        )
+        return _run_chunk(kernel, device, seed, threshold_pct, indices)
 
 
 class TestFairShare:
@@ -251,11 +248,8 @@ class TestDrain:
         store = CampaignStore(tmp_path)
         holder = {}
 
-        def draining_runner(kernel, device, seed, threshold_pct, indices,
-                            fast_path=False):
-            result = _run_chunk(
-                kernel, device, seed, threshold_pct, indices, fast_path,
-            )
+        def draining_runner(kernel, device, seed, threshold_pct, indices):
+            result = _run_chunk(kernel, device, seed, threshold_pct, indices)
             holder["scheduler"].request_drain()
             return result
 
@@ -286,11 +280,8 @@ class TestDrain:
     def test_sigint_triggers_graceful_drain(self, tmp_path):
         store = CampaignStore(tmp_path)
 
-        def interrupting_runner(kernel, device, seed, threshold_pct, indices,
-                                fast_path=False):
-            result = _run_chunk(
-                kernel, device, seed, threshold_pct, indices, fast_path,
-            )
+        def interrupting_runner(kernel, device, seed, threshold_pct, indices):
+            result = _run_chunk(kernel, device, seed, threshold_pct, indices)
             signal.raise_signal(signal.SIGINT)  # operator hits Ctrl-C
             return result
 

@@ -4,7 +4,9 @@
 the scheduler resumes a run from the one read that found it incomplete:
 :meth:`Journal.open_for_append` drops the torn tail that read ignored,
 without validating the file again.  The resumed journal must still be
-byte-identical to an uninterrupted run's.
+byte-identical to an uninterrupted run's.  The journal a load hands over
+keeps no record line (the run's row texts hold those bytes), and a
+resume, fixed or adaptive, appends from it all the same.
 """
 
 import pytest
@@ -19,6 +21,13 @@ from repro.store import (
     resume_run,
 )
 from repro.store.journal import read_header
+
+from tests.store.test_resume import (
+    ADAPTIVE_POLICY,
+    SPEC as ADAPTIVE_SPEC,
+    adaptive_reference,
+    killed_adaptive_store,
+)
 
 SPEC = CampaignSpec(
     kernel="dgemm", device="k40", config={"n": 16}, seed=11, n_faulty=24
@@ -71,6 +80,32 @@ def test_execute_spec_resumes_from_one_read(crashed, monkeypatch):
     assert scans[0] == 1
     assert (outcome.resumed, outcome.cached) == (KEPT, False)
     assert store.path_for(SPEC.run_id()).read_bytes() == reference
+
+
+def test_a_loaded_journal_holds_no_record_line(crashed):
+    store, _ = crashed
+    run = store.load(SPEC.run_id())
+    assert len(run.row_texts) == KEPT
+    assert run.journal.take_records() == []  # no RECORD_PREFIX line left
+    assert [line["kind"] for line in run.journal.records()] == ["open"]
+    assert run.journal.header["run_id"] == SPEC.run_id()
+    assert run.journal.close_record is None
+
+
+def test_adaptive_resume_reads_once_and_appends_the_same_bytes(
+    tmp_path, monkeypatch
+):
+    reference, _ = adaptive_reference(tmp_path)
+    store = killed_adaptive_store(tmp_path, reference)
+    path = store.path_for(ADAPTIVE_SPEC.run_id())
+    assert store.load(ADAPTIVE_SPEC.run_id()).journal.records("plan")
+    scans = count_scans(monkeypatch)
+    outcome = execute_spec(
+        store, ADAPTIVE_SPEC, backend="serial", sampling=ADAPTIVE_POLICY
+    )
+    assert scans[0] == 1
+    assert not outcome.cached
+    assert path.read_bytes() == reference
 
 
 def test_open_for_append_keeps_bytes_written_since_the_read(crashed):
