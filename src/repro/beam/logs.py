@@ -14,14 +14,21 @@ re-filtering such a record uses the stored subsample as an estimate.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro._util.jsonarrays import PASS_ELEMENTS, hex_float_lists, int_lists
+from repro._util.jsonarrays import (
+    PASS_ELEMENTS,
+    hex_float_lists,
+    int_lists,
+    parse_hex_float_lists,
+    parse_int_lists,
+    pass_ranges,
+)
+from repro.arch.resources import ResourceKind
 from repro.beam.campaign import CampaignResult
 from repro.bitflip.models import flip_from_dict, flip_to_dict
 from repro.kernels.base import KernelFault
@@ -38,6 +45,14 @@ _FLOAT_FIELDS = ("read", "expected")
 
 #: ``json.dumps``'s default style: the text of a log line.
 _LOG_ENCODER = json.JSONEncoder()
+
+def _by_value(kind) -> dict:
+    """``kind``'s members by value: a lookup costs a fraction of
+    ``kind(value)``, and a value that names no member raises too."""
+    return {member.value: member for member in kind}
+
+
+_OUTCOMES, _RESOURCES, _LOCALITIES = map(_by_value, (OutcomeKind, ResourceKind, Locality))
 
 #: Fewest array elements for which :func:`row_texts` renders a set of
 #: records vectorised.  Measured on real chunks of every kernel, the two
@@ -149,21 +164,6 @@ def _elements(record: ExecutionRecord, max_elements: int) -> int:
     return min(len(record.report.observation), max_elements)
 
 
-def _passes(records, max_elements: int):
-    """Consecutive runs of records holding at most ``PASS_ELEMENTS``
-    array elements each (a larger record runs alone)."""
-    batch, held = [], 0
-    for record in records:
-        elements = _elements(record, max_elements)
-        if batch and held + elements > PASS_ELEMENTS:
-            yield batch
-            batch, held = [], 0
-        batch.append(record)
-        held += elements
-    if batch:
-        yield batch
-
-
 def _splice(text: str, arrays: dict) -> str:
     """Put each array's text where ``text`` holds its placeholder ``0``.
 
@@ -226,15 +226,15 @@ def row_texts(records, *, max_elements: int = 4096):
     array texts are spliced in.  Both ways give the same bytes.
     """
     records = list(records)
-    held = sum(_elements(record, max_elements) for record in records)
-    if held < VECTOR_MIN_ELEMENTS:
+    elements = [_elements(record, max_elements) for record in records]
+    if sum(elements) < VECTOR_MIN_ELEMENTS:
         for record in records:
             yield _LOG_ENCODER.encode(
                 record_to_row(record, max_elements=max_elements)
             )
         return
-    for batch in _passes(records, max_elements):
-        yield from _render_pass(batch, max_elements)
+    for lo, hi in pass_ranges(elements):
+        yield from _render_pass(records[lo:hi], max_elements)
 
 
 def log_header(
@@ -303,47 +303,63 @@ def _from_hex(texts: list) -> np.ndarray:
     return np.fromiter(map(float.fromhex, texts), np.float64, len(texts))
 
 
-def _rebuild_report(payload: dict) -> CriticalityReport:
+def _int_array(values) -> np.ndarray:
+    """An integer list, flat or of equal rows, as an intp array.
+
+    A ragged list, or one holding anything but integers, raises.
+    """
+    array = np.array(values)
+    if array.size and array.dtype.kind != "i":
+        raise ValueError(f"not a list of integers: {array.dtype}")
+    return array.astype(np.intp)
+
+
+def _list_arrays(payload: dict) -> dict:
+    """A report row's array fields, decoded element by element."""
+    indices = _int_array(payload["indices"])
+    if not indices.size:
+        indices = indices.reshape(len(indices), len(payload["shape"]))
+    arrays = {
+        "indices": indices,
+        "read": _from_hex(payload["read"]),
+        "expected": _from_hex(payload["expected"]),
+    }
+    if "locality_indices" in payload:
+        arrays["locality_indices"] = _int_array(payload["locality_indices"])
+    return arrays
+
+
+def _rebuild_report(payload: dict, arrays: dict) -> CriticalityReport:
     """A report from its row: the stored summary, and the elements.
 
     The summary is the one the live run computed (exact even when the
     elements are a capped subsample), so it is taken as stored, not
     recomputed from the elements; ``tests/beam/test_stored_summary.py``
     pins that it equals the recomputation for every untruncated report.
+    ``ErrorObservation`` refuses indices of another rank than the shape.
     """
-    shape = tuple(payload["shape"])
-    indices = payload["indices"]
     obs = ErrorObservation(
-        shape=shape,
-        indices=np.fromiter(
-            itertools.chain.from_iterable(indices), np.intp, len(indices) * len(shape)
-        ).reshape(len(indices), len(shape)),
-        read=_from_hex(payload["read"]),
-        expected=_from_hex(payload["expected"]),
-        locality_indices=(
-            np.array(payload["locality_indices"], dtype=np.intp)
-            if "locality_indices" in payload
-            else None
-        ),
+        shape=tuple(payload["shape"]),
+        indices=arrays["indices"],
+        read=arrays["read"],
+        expected=arrays["expected"],
+        locality_indices=arrays.get("locality_indices"),
     )
     return CriticalityReport(
         n_incorrect=payload["n_incorrect"],
         max_relative_error=payload["max_relative_error"],
         mean_relative_error=payload["mean_relative_error"],
-        locality=Locality(payload["locality"]),
+        locality=_LOCALITIES[payload["locality"]],
         threshold_pct=payload["threshold_pct"],
         filtered_n_incorrect=payload["filtered_n_incorrect"],
-        filtered_locality=Locality(payload["filtered_locality"]),
+        filtered_locality=_LOCALITIES[payload["filtered_locality"]],
         observation=obs,
         truncated=payload["truncated"],
     )
 
 
-def row_to_record(row: dict) -> ExecutionRecord:
-    """Rebuild one :class:`ExecutionRecord` from its log/journal row."""
-    from repro.arch.resources import ResourceKind
-
-    report = _rebuild_report(row["report"]) if "report" in row else None
+def _record(row: dict, report: "CriticalityReport | None") -> ExecutionRecord:
+    """The record of ``row``, whose report is already rebuilt."""
     fault = None
     if "fault" in row:
         payload = row["fault"]
@@ -361,13 +377,172 @@ def row_to_record(row: dict) -> ExecutionRecord:
         )
     return ExecutionRecord(
         index=row["index"],
-        outcome=OutcomeKind(row["outcome"]),
-        resource=ResourceKind(row["resource"]),
+        outcome=_OUTCOMES[row["outcome"]],
+        resource=_RESOURCES[row["resource"]],
         site=row["site"],
         report=report,
         fault=fault,
         detail=row.get("detail", ""),
     )
+
+
+def row_to_record(row: dict) -> ExecutionRecord:
+    """Rebuild one :class:`ExecutionRecord` from its log/journal row.
+
+    The reference decoder, element by element: fleet pushes arrive as
+    rows, and :func:`rows_to_records` takes it for any row text the
+    renderer would not have written.
+    """
+    report = None
+    if "report" in row:
+        report = _rebuild_report(row["report"], _list_arrays(row["report"]))
+    return _record(row, report)
+
+
+class RowError(ValueError):
+    """A row text that does not decode to a record.
+
+    ``position`` is the row's place in the sequence given to
+    :func:`rows_to_records`, for the caller to name it.
+    """
+
+    def __init__(self, position: int, reason: str):
+        super().__init__(reason)
+        self.position = position
+
+
+#: Row text decoded per pass by :func:`rows_to_records`: it bounds the
+#: parsers' buffers, and their tokens, which take at least three bytes
+#: each.  A 2-D report row spends about 60 bytes per element (two hex
+#: floats of about 24 bytes and two indices), so a pass holds about
+#: ``PASS_ELEMENTS`` elements, as a pass of :func:`row_texts` does.
+_PASS_TEXT = 64 * PASS_ELEMENTS
+
+#: The array fields of a report row, which :func:`_report_parts` writes
+#: after its summary.
+_ARRAY_FIELDS = frozenset(["indices", *_FLOAT_FIELDS, "locality_indices"])
+
+_ARRAYS_KEY = ', "indices": '
+_REPORT_KEY = ', "report": '
+_READ_KEY = ', "read": '
+_EXPECTED_KEY = ', "expected": '
+_LOCALITY_KEY = ', "locality_indices": '
+
+
+def _split_row(text: str):
+    """A report row's fields and its array texts, or ``None``.
+
+    As :func:`_report_parts` writes a row, its report is its last field
+    and the arrays are the report's last fields, so the row splits at
+    its first ``, "indices": `` (a key followed by ``": `` cannot occur
+    inside a JSON string).  The fields before go through ``json`` with
+    the two braces the split cut off.  Their parse shows that the split
+    is in the row's ``"report"`` object: no brace lies between the last
+    ``, "report": {`` before it and the split, so that object is the
+    innermost one open there, and two braces close the row.  The row is
+    then exactly ``{fields..., "report": {summary..., arrays...}}``,
+    provided the array texts parse too (:func:`_pass_arrays`) and the
+    summary holds no array field.
+    """
+    at = text.find(_ARRAYS_KEY)
+    if at < 0 or not text.endswith("}}"):
+        return None
+    report = text.rfind(_REPORT_KEY, 0, at) + len(_REPORT_KEY)
+    if (
+        report < len(_REPORT_KEY) or text[report] != "{"
+        or text.find("{", report + 1, at) >= 0 or text.find("}", report + 1, at) >= 0
+    ):
+        return None
+    tail = text[at + len(_ARRAYS_KEY):-2]
+    read = tail.find(_READ_KEY)
+    expected = tail.find(_EXPECTED_KEY, read + 1)
+    locality = tail.find(_LOCALITY_KEY, expected + 1)
+    if min(read, expected) < 0:
+        return None
+    try:
+        row = json.loads(text[:at] + "}}")
+    except (ValueError, RecursionError):  # the reference names the row
+        return None
+    if not _ARRAY_FIELDS.isdisjoint(row["report"]):
+        return None
+    arrays = [
+        tail[:read],
+        tail[read + len(_READ_KEY):expected],
+        tail[expected + len(_EXPECTED_KEY):locality if locality > 0 else None],
+    ]
+    if locality > 0:
+        arrays.append(tail[locality + len(_LOCALITY_KEY):])
+    return row, arrays
+
+
+def _pass_arrays(splits) -> list:
+    """Each split row's arrays, every row of the pass parsed together;
+    ``None`` for a row whose arrays are not as rendered."""
+    parts = [arrays for _, arrays in splits]
+    floats = iter(parse_hex_float_lists(
+        [text for arrays in parts for text in arrays[1:3]]
+    ))
+    ints = iter(parse_int_lists(
+        [text for arrays in parts for text in [arrays[0], *arrays[3:]]]
+    ))
+    out = []
+    for (row, _), texts in zip(splits, parts):
+        arrays = {"indices": next(ints), "read": next(floats), "expected": next(floats)}
+        if len(texts) == 4:
+            arrays["locality_indices"] = next(ints)
+        indices, shape = arrays["indices"], row["report"].get("shape")
+        if indices is not None and not indices.size and type(shape) is list:
+            arrays["indices"] = indices = indices.reshape(0, len(shape))
+        plain = (
+            all(value is not None for value in arrays.values())
+            and type(shape) is list and indices.ndim == 2
+            and indices.shape[1] == len(shape)
+        )
+        out.append(arrays if plain else None)
+    return out
+
+
+def _decode_pass(texts, first: int) -> list:
+    """The records of one pass of row texts (:func:`rows_to_records`)."""
+    splits = [_split_row(text) for text in texts]
+    taken = [number for number, split in enumerate(splits) if split is not None]
+    arrays = dict(zip(taken, _pass_arrays([splits[number] for number in taken])))
+    records = []
+    for number, text in enumerate(texts):
+        try:
+            if arrays.get(number) is None:
+                record = row_to_record(json.loads(text))
+            else:
+                row = splits[number][0]
+                record = _record(row, _rebuild_report(row["report"], arrays[number]))
+        except Exception as err:
+            raise RowError(
+                first + number, f"{type(err).__name__}: {err}"
+            ) from None
+        records.append(record)
+    return records
+
+
+def rows_to_records(texts) -> list:
+    """Each row text's record: ``row_to_record(json.loads(text))``.
+
+    The decoder of stored rows (:meth:`repro.store.StoredRun.records`,
+    :func:`read_log`), the inverse of :func:`row_texts` and bit for bit
+    the reference.  Rows are decoded a pass of at most
+    :data:`_PASS_TEXT` bytes at a time (a longer row alone).  A
+    report row is split before its arrays (:func:`_split_row`); the
+    array texts of every row of the pass are parsed together by
+    :mod:`repro._util.jsonarrays`, and each record gets its slices.  A
+    row without a report, and a row the renderer would not have written
+    (other key order or spacing, a hand-written log), go through
+    :func:`row_to_record`.  A row that does not decode to a record
+    raises :class:`RowError` with its position.
+    """
+    texts = list(texts)
+    records = []
+    for lo, hi in pass_ranges([len(text) for text in texts], _PASS_TEXT):
+        records += _decode_pass(texts[lo:hi], lo)
+    return records
 
 
 def read_log(path: str | Path) -> CampaignResult:
@@ -379,15 +554,23 @@ def read_log(path: str | Path) -> CampaignResult:
     """
     path = Path(path)
     with path.open() as fh:
-        lines = [line for line in fh if line.strip()]
+        lines = [
+            (number, line.strip(" \t\r\n"))
+            for number, line in enumerate(fh, 1)
+            if line.strip()
+        ]
     if not lines:
         raise ValueError(f"empty log file: {path}")
-    header = json.loads(lines[0])
+    header = json.loads(lines[0][1])
     if header.get("format_version") != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported log format {header.get('format_version')!r}"
         )
-    records = [row_to_record(json.loads(line)) for line in lines[1:]]
+    try:
+        records = rows_to_records([line for _, line in lines[1:]])
+    except RowError as err:
+        number = lines[1 + err.position][0]
+        raise ValueError(f"{path}: line {number} is not a record: {err}") from None
     return CampaignResult(
         kernel_name=header["kernel"],
         device_name=header["device"],

@@ -23,7 +23,6 @@ half (journaling records as they land, resuming after a crash) lives in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -120,11 +119,6 @@ class StoredRun:
     def status(self) -> str:
         return RunStatus.COMPLETE if self.close else RunStatus.INCOMPLETE
 
-    @property
-    def rows(self) -> list:
-        """The durable rows, decoded, in journal order."""
-        return [self._row(index) for index in self.row_texts]
-
     def done_indices(self) -> set:
         """Execution indices already durable — what a resume can skip."""
         return set(self.row_texts)
@@ -132,30 +126,28 @@ class StoredRun:
     def records(self) -> list:
         """Durable records as :class:`ExecutionRecord`\\ s, sorted by index.
 
-        A row whose CRC holds but which does not decode to a record
-        raises :class:`~repro.store.journal.JournalCorruptError`.
+        The rows are decoded a pass at a time
+        (:func:`repro.beam.logs.rows_to_records`).  A row whose CRC holds
+        but which does not decode to a record, or whose record carries
+        another index than its line, raises
+        :class:`~repro.store.journal.JournalCorruptError` naming it.
         """
-        from repro.beam.logs import row_to_record
+        from repro.beam.logs import RowError, rows_to_records
 
-        out = []
-        for index in sorted(self.row_texts):
-            row = self._row(index)
-            try:
-                out.append(row_to_record(row))
-            except (KeyError, TypeError, ValueError) as err:
-                raise JournalCorruptError(
-                    f"{self.path}: row {index} is not a record: {err!r}"
-                ) from None
-        return out
-
-    def _row(self, index: int) -> dict:
-        """Row ``index``, decoded: a row that does not decode is corrupt."""
+        indices = sorted(self.row_texts)
         try:
-            return json.loads(self.row_texts[index])
-        except ValueError as err:
+            records = rows_to_records(self.row_texts[index] for index in indices)
+        except RowError as err:
             raise JournalCorruptError(
-                f"{self.path}: row {index} does not decode: {err}"
+                f"{self.path}: row {indices[err.position]} is not a record: {err}"
             ) from None
+        for index, record in zip(indices, records):
+            if type(record.index) is not int or record.index != index:
+                raise JournalCorruptError(
+                    f"{self.path}: row {index} holds the record of index "
+                    f"{record.index!r}"
+                )
+        return records
 
     def result(self):
         """The run as a :class:`~repro.beam.campaign.CampaignResult`.

@@ -250,7 +250,7 @@ class TestResume:
         run_id = scheduler.submit(CampaignSpec(**self.SPEC))
         (outcome,) = scheduler.run()
         assert outcome.status == "interrupted"
-        assert len(store.load(run_id).rows) == 3  # one durable chunk
+        assert len(store.load(run_id).row_texts) == 3  # one durable chunk
         resumed = resume_run(store, run_id, backend="serial")
         assert resumed.resumed == 3
         reference = dense_result(

@@ -27,6 +27,7 @@ from repro.store import CampaignSpec, CampaignStore, execute_spec
 from repro.store.runner import JOURNAL_MAX_ELEMENTS
 
 from tests.fleet.conftest import TINY_SPEC
+from tests.store.test_malformed_rows import misfit_row
 
 pytestmark = pytest.mark.fleet
 
@@ -272,6 +273,38 @@ def test_push_with_wrong_indices_rejected_lease_survives(tmp_path):
     # The grant is fine — only the batch was bad; a corrected retry lands.
     answer = coordinator.push_results(lease["lease_id"], batch, worker="w1")
     assert answer["committed"] == len(lease["indices"])
+
+
+@pytest.mark.parametrize(
+    "indices", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4, 5]]], ids=["long", "ragged"]
+)
+def test_push_with_indices_that_misfit_the_shape_rejected(tmp_path, indices):
+    clock = Clock()
+    coordinator = make_coordinator(tmp_path, clock)
+    coordinator.admit(CampaignSpec.from_dict(dict(TINY_SPEC)))
+    lease = coordinator.request_lease("w1")
+    batch = execute_lease(lease)
+    bad = misfit_row(lease["indices"][0], indices)
+    with pytest.raises(PushError, match="does not decode"):
+        coordinator.push_results(
+            lease["lease_id"], dict(batch, records=[bad, *batch["records"][1:]], tally=None),
+            worker="w1",
+        )
+    answer = coordinator.push_results(lease["lease_id"], batch, worker="w1")
+    assert answer["committed"] == len(lease["indices"])
+
+
+def test_push_with_a_row_naming_another_index_rejected(tmp_path):
+    clock = Clock()
+    coordinator = make_coordinator(tmp_path, clock)
+    coordinator.admit(CampaignSpec.from_dict(dict(TINY_SPEC)))
+    lease = coordinator.request_lease("w1")
+    batch = execute_lease(lease)
+    moved = [dict(batch["records"][0], index=5), *batch["records"][1:]]
+    with pytest.raises(PushError, match="covers indices"):
+        coordinator.push_results(
+            lease["lease_id"], dict(batch, records=moved, tally=None), worker="w1"
+        )
 
 
 def test_push_with_lying_tally_rejected(tmp_path):

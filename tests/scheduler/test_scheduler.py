@@ -213,10 +213,9 @@ class TestRetries:
         write_log(outcome.result, a)
         write_log(reference, b)
         assert a.read_bytes() == b.read_bytes()
-        # The journals agree record-for-record too (order-independent).
-        key = lambda row: row["index"]  # noqa: E731
-        assert sorted(store.load(outcome.run_id).rows, key=key) == sorted(
-            CampaignStore(tmp_path / "ref").load(outcome.run_id).rows, key=key
+        # The journals agree row for row too (order-independent).
+        assert store.load(outcome.run_id).row_texts == (
+            CampaignStore(tmp_path / "ref").load(outcome.run_id).row_texts
         )
 
     def test_exhausted_retries_fail_only_that_job(self, tmp_path):
@@ -263,7 +262,7 @@ class TestDrain:
         assert outcome.status == "interrupted"
         run = store.load(run_id)
         assert run.status == "incomplete"
-        assert len(run.rows) == 3  # the in-flight chunk was journaled
+        assert len(run.row_texts) == 3  # the in-flight chunk was journaled
         scan = scan_journal(run.path)
         assert scan.torn_bytes == 0  # crc-valid, nothing torn
         # ... and the resumed run matches an undisturbed one, bit for bit.
@@ -296,7 +295,7 @@ class TestDrain:
         assert outcome.status == "interrupted"
         run = store.load(run_id)
         assert run.status == "incomplete"
-        assert len(run.rows) == 3
+        assert len(run.row_texts) == 3
         assert scan_journal(run.path).torn_bytes == 0
         # The journal resumes to completion.
         resumed = resume_run(store, run_id, backend="serial")

@@ -11,6 +11,7 @@ and adaptive journals merged by the fleet coordinator, and a hand-built
 row with non-finite summaries and escapes in ``detail``.
 """
 
+import json
 import urllib.request
 
 import numpy as np
@@ -143,9 +144,11 @@ def test_cases_cover_what_they_claim(stored):
     assert not store.load(runs["dgemm/k40/fixed"]).adaptive
     assert store.load(runs["fleet/adaptive"]).adaptive
     over_cap = store.load(runs["clamr/over-cap"])
-    assert any(row["report"]["truncated"] for row in over_cap.rows if "report" in row)
+    rows = [json.loads(text) for text in over_cap.row_texts.values()]
+    assert any(row["report"]["truncated"] for row in rows if "report" in row)
     handmade = store.load(runs["handmade"])
-    assert [row["index"] for row in handmade.rows] == [2, 1, 0]
+    rows = [json.loads(text) for text in handmade.row_texts.values()]
+    assert [row["index"] for row in rows] == [2, 1, 0]
 
 
 def test_stored_rows_render_the_rebuilt_log(stored):

@@ -139,7 +139,7 @@ def test_progress_never_falls_while_a_process_pool_commits(make_service):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    final = len(service.store.load(run_id).rows)
+    final = len(service.store.load(run_id).row_texts)
     assert final == spec.n_faulty
     for counts in seen.values():
         assert counts == sorted(counts), "progress went backwards"
