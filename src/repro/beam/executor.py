@@ -33,10 +33,10 @@ campaigns the pool overhead dominates, so ``auto`` runs them inline (see
 it prefers threads, which still overlap the NumPy-heavy kernel
 re-executions.
 
-**Deadlock guard.**  A ``timeout`` (seconds) bounds the wall-clock wait for
-outstanding chunks; a wedged pool raises :class:`ExecutorTimeoutError`
-instead of hanging the caller (the CI suite runs the pool path under this
-guard).
+**Deadlock guard.**  A ``timeout`` (seconds) bounds each job's wall-clock
+time from its first dispatch; a wedged pool raises
+:class:`ExecutorTimeoutError` instead of hanging the caller (the CI suite
+runs the pool path under this guard).
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ CHUNKS_PER_WORKER = 4
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
 #: Environment override for the default pool timeout, seconds (empty/0 =
-#: wait forever).  The test suite sets this so a deadlocked pool fails the
-#: run instead of hanging it.
+#: wait forever): a bound on each job from its first dispatch.  The test
+#: suite sets this so a deadlocked pool fails the run instead of hanging it.
 TIMEOUT_ENV_VAR = "REPRO_POOL_TIMEOUT"
 
 
@@ -239,9 +239,9 @@ class CampaignExecutor:
             into about :data:`CHUNKS_PER_WORKER` chunks per worker.
         backend: ``"auto"`` (processes where ``fork`` exists, else
             threads), ``"process"``, ``"thread"``, or ``"serial"``.
-        timeout: wall-clock seconds to wait for the pool to drain; ``None``
-            waits forever.  A deadlocked pool raises
-            :class:`ExecutorTimeoutError` instead of hanging.
+        timeout: wall-clock seconds the run's job may take from its
+            first dispatch; ``None`` waits forever.  A deadlocked pool
+            raises :class:`ExecutorTimeoutError` instead of hanging.
     """
 
     workers: int | None = None
@@ -269,7 +269,7 @@ class CampaignExecutor:
             return default_workers()
         return self.workers
 
-    def resolved_backend(self, n_indices: int, workers: int) -> str:
+    def resolved_backend(self, n_indices: "int | None", workers: int) -> str:
         """The execution strategy for ``n_indices`` strikes on ``workers``.
 
         The one backend rule of every local run: inline (``"serial"``)
@@ -277,12 +277,14 @@ class CampaignExecutor:
         workers keeps its pool however few the strikes; ``"auto"`` runs
         inline below :data:`MIN_PARALLEL_STRIKES` strikes, else on
         processes where ``fork`` exists and threads elsewhere.
+        ``n_indices=None`` is a run of no known size (the campaign
+        service's loop), which ``"auto"`` treats as a large one.
         """
         if self.backend == "serial" or workers <= 1:
             return "serial"
         if self.backend != "auto":
             return self.backend
-        if n_indices < MIN_PARALLEL_STRIKES:
+        if n_indices is not None and n_indices < MIN_PARALLEL_STRIKES:
             return "serial"
         return "process" if _fork_available() else "thread"
 

@@ -970,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
     queue.add_argument("--seed", type=int, default=2017)
     queue.add_argument(
         "--priority", type=int, default=1,
-        help="fair-share weight (higher = more chunks per round)",
+        help="dispatch precedence (higher runs first; ties in submit order)",
     )
     queue.add_argument("--store", default=DEFAULT_STORE, metavar="DIR")
     queue.add_argument(

@@ -11,8 +11,8 @@ production.  This package is that split for the simulator:
   heartbeat extension, expiry reaping and exactly-once settlement;
 * :mod:`repro.fleet.coordinator` — :class:`FleetCoordinator`: a lease
   front over one :class:`~repro.scheduler.CampaignScheduler`, which keeps
-  the jobs, fair share, commits, round planning and sealing as for a
-  local pool.  The coordinator grants the scheduler's chunks as leases
+  the jobs, dispatch order, commits, round planning and sealing as for
+  a local pool.  The coordinator grants the scheduler's chunks as leases
   and validates each pushed batch against its lease's fencing token
   before the scheduler commits it, exactly once;
 * :mod:`repro.fleet.agent` — :class:`FleetAgent`: the remote worker

@@ -3,8 +3,8 @@
 :class:`FleetCoordinator` keeps one long-lived
 :class:`~repro.scheduler.CampaignScheduler` that never starts a pool and
 never calls ``run``.  The scheduler keeps the job book as it does for a
-local pool (jobs, dedup, cache and resume, fair share, commits, round
-planning, sealing, the durable count); the coordinator keeps leases,
+local pool (jobs, dedup, cache and resume, dispatch order, commits,
+round planning, sealing, the durable count); the coordinator keeps leases,
 fencing, expiry, worker stats and push validation.
 
 * **One merge point.**  A push is decoded, tally-checked and sealed into
@@ -43,7 +43,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.beam.executor import CampaignExecutionError, _ChunkResult
+from repro.beam.executor import _ChunkResult
 from repro.beam.logs import row_to_record
 from repro.fleet.leases import LeaseError, LeaseTable
 from repro.sampling.tallies import tally_of
@@ -241,7 +241,12 @@ class FleetCoordinator:
     # -- the lease surface (what agents call) -------------------------------------
 
     def request_lease(self, worker: str) -> "dict | None":
-        """Grant the next chunk to ``worker`` (fair-share), or ``None``.
+        """Grant the next chunk to ``worker``, or ``None``.
+
+        The chunk is the scheduler's
+        (:meth:`~repro.scheduler.CampaignScheduler.next_task`): the
+        highest-priority job first, then the earliest submitted, and a
+        job waiting at its round barrier leaves the grant to the next.
 
         Expired leases are reaped first, so a dead agent's chunk is
         regrantable the moment anyone asks for work.  The wire payload
@@ -390,22 +395,14 @@ class FleetCoordinator:
         """A commit raised: end the job ``failed`` and revoke its leases.
 
         Its journal is closed with every earlier commit durable, so
-        admitting the spec again resumes it.
+        admitting the spec again resumes it
+        (:meth:`~repro.scheduler.CampaignScheduler.commit_failed`).
         """
-        error = CampaignExecutionError(
-            f"campaign {job.label!r} (fleet) chunk {task.chunk_no} could "
-            f"not be committed: {type(exc).__name__}: {exc}",
-            index=task.indices[0] if task.indices else -1,
-            label=job.label, backend="fleet", chunk=task.chunk_no,
-        )
-        error.__cause__ = exc
-        job.failed = error
-        job.status = "failed"
+        self._scheduler.commit_failed(job, exc, "fleet", task)
         for lease in self._leases.active():
             if lease.run_id == job.run_id:
                 self._leases.revoke(lease.lease_id, "revoked")
                 self._tasks.pop(lease.lease_id, None)
-        job.journal.close()
 
     # -- coordinator-side upkeep --------------------------------------------------
 

@@ -4,7 +4,8 @@
 through either execution surface:
 
 * the in-process :class:`~repro.scheduler.scheduler.CampaignScheduler`
-  (the default — one shared pool, fair-share interleaving across cells);
+  (the default — one shared pool, cells dispatched by priority, then in
+  submit order, with idle slots backfilled);
 * the HTTP :class:`~repro.service.client.ServiceClient`, which makes a
   matrix fleet-compatible for free (a ``repro serve --fleet`` coordinator
   with attached agents executes the cells; the driver only submits and

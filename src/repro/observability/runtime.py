@@ -10,9 +10,9 @@ site::
     metrics = runtime.get_metrics()   # None unless metrics are on
     progress = runtime.get_progress() # None unless a reporter is attached
 
-Each is one module-global read; with observability disabled every hook is
-a ``None`` check and nothing else — no span objects, no dict churn, no
-clock reads.  The bench-smoke job (``benchmarks/bench_parallel.py
+Each is one thread-local and one module-global read; with observability
+disabled every hook is a ``None`` check and nothing else — no span
+objects, no dict churn, no clock reads.  The bench-smoke job (``benchmarks/bench_parallel.py
 --observability``) holds the *enabled* overhead under its budget; the
 disabled path shares the exact instructions of the pre-observability code
 modulo those checks.
@@ -27,6 +27,9 @@ parent-side — see :mod:`repro.beam.executor`.
 
 Use :func:`observe` (a context manager) to scope instrumentation to a
 campaign, or :func:`configure`/:func:`reset` for manual control.
+:func:`observe_thread` scopes it to the calling thread alone: the
+campaign service's dispatch loop runs under its own registry that way,
+without taking the process-wide switchboard for the service's life.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "configure",
     "reset",
     "observe",
+    "observe_thread",
     "get_tracer",
     "get_metrics",
     "get_progress",
@@ -51,26 +55,32 @@ _lock = threading.Lock()
 _tracer: "Tracer | None" = None
 _metrics: "MetricsRegistry | None" = None
 _progress = None  # ProgressReporter | None (duck-typed: .update/.finish)
+_thread = threading.local()  # .scope: (tracer, metrics, progress) of observe_thread
 
 
 def get_tracer() -> "Tracer | None":
-    """The configured tracer, or ``None`` (the common, zero-cost case)."""
-    return _tracer
+    """The tracer in scope, or ``None`` (the common, zero-cost case)."""
+    scope = getattr(_thread, "scope", None)
+    return _tracer if scope is None else scope[0]
 
 
 def get_metrics() -> "MetricsRegistry | None":
-    """The configured metrics registry, or ``None``."""
-    return _metrics
+    """The metrics registry in scope, or ``None``."""
+    scope = getattr(_thread, "scope", None)
+    return _metrics if scope is None else scope[1]
 
 
 def get_progress():
-    """The configured progress reporter, or ``None``."""
-    return _progress
+    """The progress reporter in scope, or ``None``."""
+    scope = getattr(_thread, "scope", None)
+    return _progress if scope is None else scope[2]
 
 
 def is_active() -> bool:
     """True when any instrumentation (trace/metrics/progress) is attached."""
-    return _tracer is not None or _metrics is not None or _progress is not None
+    return any(
+        part is not None for part in (get_tracer(), get_metrics(), get_progress())
+    )
 
 
 def configure(tracer=None, metrics=None, progress=None) -> None:
@@ -116,3 +126,19 @@ def observe(tracer=None, metrics=None, progress=None):
             _tracer, _metrics, _progress = previous
         if tracer is not None:
             tracer.close()
+
+
+@contextlib.contextmanager
+def observe_thread(tracer=None, metrics=None, progress=None):
+    """Scope instrumentation to the calling thread for a block.
+
+    Inside it this thread's hooks see exactly these three (``None`` =
+    off), whatever the process-wide configuration; other threads are
+    unaffected.  Scopes nest, and nothing is closed on exit.
+    """
+    previous = getattr(_thread, "scope", None)
+    _thread.scope = (tracer, metrics, progress)
+    try:
+        yield
+    finally:
+        _thread.scope = previous

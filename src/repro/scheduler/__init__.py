@@ -1,4 +1,4 @@
-"""Multi-campaign scheduling: fair-share pooling, retries, graceful drain.
+"""Multi-campaign scheduling: one shared pool, retries, graceful drain.
 
 The operational layer above the store: where :mod:`repro.store` makes one
 campaign durable, :mod:`repro.scheduler` runs *many* campaigns over one
@@ -13,12 +13,14 @@ one beam.
 * :mod:`repro.scheduler.jobs` — the job lifecycle the scheduler runs:
   :func:`prepare_job` / :func:`advance_adaptive` / :func:`seal_job`;
 * :mod:`repro.scheduler.scheduler` — :class:`CampaignScheduler`:
-  priority/fair-share chunk interleaving, per-chunk journaling, bounded
-  retry of transient worker failures, and SIGINT-safe draining.  It is
-  the one job book: the fleet coordinator leases its chunks instead of
-  keeping jobs of its own.
+  priority-then-submit-order dispatch with backfill, per-chunk
+  journaling, bounded retry of transient worker failures, and
+  SIGINT-safe draining, run by its :class:`DispatchLoop` a step at a
+  time.  It is the one job book: the fleet coordinator leases its chunks
+  instead of keeping jobs of its own.
 
-The CLI verb ``repro queue`` is a thin wrapper over this package.
+The CLI verb ``repro queue`` is a thin wrapper over this package, and
+``repro serve`` keeps one loop open for its life.
 """
 
 from repro.scheduler.jobs import (
@@ -30,11 +32,12 @@ from repro.scheduler.jobs import (
 )
 from repro.scheduler.lease import NO_DEADLINE, ChunkLease
 from repro.scheduler.retry import RetryPolicy
-from repro.scheduler.scheduler import CampaignScheduler, JobOutcome
+from repro.scheduler.scheduler import CampaignScheduler, DispatchLoop, JobOutcome
 
 __all__ = [
     "RetryPolicy",
     "CampaignScheduler",
+    "DispatchLoop",
     "JobOutcome",
     "ChunkLease",
     "NO_DEADLINE",

@@ -30,6 +30,13 @@ __all__ = ["ServiceError", "ServiceClient", "DEFAULT_URL"]
 
 DEFAULT_URL = "http://127.0.0.1:8765"
 
+#: The longest one status request of :meth:`ServiceClient.wait` asks the
+#: server to hold (``?wait=``); the server caps it at the same 20 s.
+LONG_POLL_S = 20.0
+
+#: Statuses a run does not leave.
+_TERMINAL = ("complete", "failed", "interrupted")
+
 #: HTTP statuses the client treats as transient backpressure.
 _RETRYABLE = (429, 503)
 
@@ -237,31 +244,46 @@ class ServiceClient:
             spec["sampling"] = dict(sampling)
         return self._json("POST", "/v1/campaigns", spec)
 
-    def status(self, run_id: str) -> dict:
-        """``GET /v1/campaigns/{run_id}``: status, progress, ETA."""
-        return self._json("GET", f"/v1/campaigns/{run_id}")
+    def status(self, run_id: str, *, wait: float = 0.0) -> dict:
+        """``GET /v1/campaigns/{run_id}``: status, progress, ETA.
+
+        With ``wait`` (seconds) the server holds the answer until the run
+        ends or ``wait`` passes, whichever comes first (``?wait=``).
+        """
+        query = f"?wait={wait!r}" if wait > 0 else ""
+        return self._json("GET", f"/v1/campaigns/{run_id}{query}")
 
     def wait(
         self, run_id: str, *, timeout: float = 300.0, poll: float = 0.2
     ) -> dict:
-        """Poll :meth:`status` until the run reaches a terminal state.
+        """Wait for the run to reach a terminal state.
 
-        Returns the final status payload (``complete``/``failed``/
-        ``interrupted``); raises :class:`TimeoutError` if the run is still
-        going after ``timeout`` seconds.
+        Each :meth:`status` request asks the server to hold its answer
+        until the run ends (at most :data:`LONG_POLL_S`, and half the
+        socket timeout), so the answer comes the moment it does.  A
+        server that answers sooner with the run still going (one that
+        ignores ``?wait``, or is shutting down) is asked again after
+        ``poll`` seconds.  Returns the final status payload
+        (``complete``/``failed``/``interrupted``); raises
+        :class:`TimeoutError` if the run is still going after
+        ``timeout`` seconds.
         """
         deadline = time.monotonic() + timeout
         while True:
-            payload = self.status(run_id)
-            if payload["status"] in ("complete", "failed", "interrupted"):
+            asked = time.monotonic()
+            hold = min(deadline - asked, LONG_POLL_S, self.timeout / 2)
+            payload = self.status(run_id, wait=max(hold, 0.0))
+            if payload["status"] in _TERMINAL:
                 return payload
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise TimeoutError(
                     f"run {run_id} still {payload['status']} "
                     f"({payload['progress']['done']}/"
                     f"{payload['progress']['total']}) after {timeout:g}s"
                 )
-            self._sleep(poll)
+            if now - asked < hold:
+                self._sleep(poll)
 
     def result_text(self, run_id: str, *, etag: "str | None" = None) -> str:
         """``GET /v1/campaigns/{run_id}/result``: the final log (JSONL).

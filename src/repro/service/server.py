@@ -10,7 +10,9 @@ PR 3 store + scheduler with a small HTTP API (stdlib only):
 ``POST /v1/campaigns``                    submit a :class:`CampaignSpec` (JSON);
                                           content-addressed dedupe + enqueue
 ``GET  /v1/campaigns/{run_id}``           status + live progress (the journal
-                                          writer's count of durable records)
+                                          writer's count of durable records);
+                                          ``?wait=<s>`` holds the answer until
+                                          the run ends or ``s`` pass
 ``GET  /v1/campaigns/{run_id}/result``    the final campaign log (JSONL),
                                           rendered from the journaled rows,
                                           ``ETag`` = run id
@@ -46,7 +48,14 @@ Robustness contract (the reason this is a subsystem, not a script):
 * **No tracebacks.**  Malformed JSON, invalid specs, oversized bodies and
   internal errors all answer structured JSON ``{"error": {...}}`` —
   request handling never leaks a Python traceback to a client.
-* **Crash-safe restart.**  Work runs through the PR 3 scheduler, so every
+* **One loop, one pool.**  A worker thread drives one
+  :class:`~repro.scheduler.DispatchLoop` for the service's life:
+  admitted specs join the running loop (highest priority first, then
+  submit order, idle slots backfilled) and share one pool, started at
+  the first job and joined at shutdown.  A job stays ``queued`` until
+  its first chunk is dispatched.  A spec that fails to build fails its
+  own job; the loop keeps serving.
+* **Crash-safe restart.**  Work runs through the scheduler, so every
   completed chunk is an fsync'd journal commit.  SIGTERM/SIGINT drain the
   scheduler gracefully (in-flight chunks finish and are journaled); a
   restarted server re-enqueues incomplete journals on boot and serves
@@ -60,10 +69,12 @@ is the matching client (``repro submit`` / ``status`` / ``fetch``).
 from __future__ import annotations
 
 import json
+import math
 import re
 import signal
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -74,7 +85,7 @@ from repro.arch.registry import DEVICE_FACTORIES
 from repro.kernels.registry import KERNEL_FACTORIES
 from repro.observability import runtime as obs_runtime
 from repro.observability.metrics import MetricsRegistry
-from repro.scheduler import CampaignScheduler, RetryPolicy
+from repro.scheduler import CampaignScheduler, DispatchLoop, RetryPolicy
 from repro.store import CampaignSpec, CampaignStore, JournalError, RunStatus
 
 __all__ = [
@@ -94,7 +105,9 @@ _REQUEST_BUCKETS = (
     0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10.0, float("inf")
 )
 
-_TERMINAL = ("complete", "failed", "interrupted")
+#: The longest a status request is held (``?wait=``), seconds: below
+#: :class:`~repro.service.client.ServiceClient`'s 30 s socket timeout.
+MAX_HOLD_S = 20.0
 
 
 @dataclass(frozen=True)
@@ -109,12 +122,14 @@ class ServiceConfig:
         chunk_size: executions per dispatched chunk (``None`` = auto).
         backend: ``auto``/``process``/``thread``/``serial``.
         retries: chunk retries before a job fails.
-        queue_limit: admission-queue bound; a full queue answers 429.
+        queue_limit: bound on submissions not yet running (queued, no
+            chunk dispatched); a full queue answers 429.
         max_body_bytes: per-request body cap (413 above it).
         retry_after: seconds clients should wait after a 429 (served as
             an integer ``Retry-After`` header, exact float in the body).
         resume_incomplete: re-enqueue incomplete journals on boot.
-        poll_interval: worker-thread wakeup period (shutdown latency).
+        poll_interval: fleet mode: the worker thread's lease-reaping
+            period, and the idle wait an empty lease answer advises.
         log_requests: emit the default http.server access log lines.
         sampling: default adaptive-sampling policy (wire dict, e.g.
             ``{"target_ci": 0.1}``) applied to every submission that does
@@ -161,6 +176,8 @@ class JobState:
     resumed: bool = False
     dedup_hits: int = 0
     submitted_at: float = 0.0
+    #: when the job's first chunk was dispatched (fleet: when its leases
+    #: became grantable); ``None`` before
     started_at: "float | None" = None
     finished_at: "float | None" = None
     initial_done: int = 0   # records durable when the job was admitted
@@ -206,16 +223,18 @@ class CampaignService:
         self.store = CampaignStore(config.store)
         self.metrics = MetricsRegistry()
         self._jobs: "dict[str, JobState]" = {}
-        self._admission: list = []      # run ids awaiting a scheduler batch
+        self._admission: list = []      # run ids not yet handed to the loop
+        self._queued: set = set()       # run ids whose job reads "queued"
         self._cond = threading.Condition()
         self._ready = threading.Event()
         self._shutdown = threading.Event()
         self._worker: "threading.Thread | None" = None
-        self._active_scheduler: "CampaignScheduler | None" = None
+        self._scheduler: "CampaignScheduler | None" = None
+        self._loop: "DispatchLoop | None" = None
         self._started_at = time.time()
         self._queue_gauge = self.metrics.gauge(
             "repro_service_queue_depth",
-            "Campaign submissions awaiting a scheduler batch",
+            "Campaign submissions not yet running",
         )
         self._requests = self.metrics.counter(
             "repro_service_requests_total",
@@ -287,18 +306,23 @@ class CampaignService:
                 )
                 if resume:
                     self._admission.append(run_id)
+                    self._queued.add(run_id)
         self._set_queue_gauge()
         if start_worker:
             self.start_worker()
 
     def start_worker(self) -> None:
-        """Start (or no-op if already started) the scheduler worker thread."""
+        """Start (or no-op if already started) the scheduler worker thread.
+
+        Without ``--fleet`` the thread drives one scheduler and one
+        dispatch loop for the service's life (:meth:`_worker_loop`); the
+        loop starts its pool at the first job.
+        """
         if self._worker is not None and self._worker.is_alive():
             return
         target = (
-            self._worker_loop_fleet
-            if self.coordinator is not None
-            else self._worker_loop
+            self._worker_loop if self.coordinator is None
+            else self._worker_loop_fleet
         )
         self._worker = threading.Thread(
             target=target, name="repro-service-scheduler",
@@ -309,22 +333,35 @@ class CampaignService:
 
     @property
     def ready(self) -> bool:
-        """Index loaded and scheduler worker live (the ``/readyz`` answer)."""
-        return self._ready.is_set() and not self._shutdown.is_set()
+        """Index loaded and the scheduler worker alive (the ``/readyz``
+        answer): a worker thread that died answers not ready."""
+        return (
+            self._ready.is_set() and not self._shutdown.is_set()
+            and self._worker is not None and self._worker.is_alive()
+        )
+
+    @property
+    def _worker_gone(self) -> bool:
+        """The worker was started and has stopped (died, or shut down)."""
+        return self._worker is not None and not self._worker.is_alive()
 
     def shutdown(self, *, timeout: float = 60.0) -> None:
         """Graceful drain: stop admissions, finish in-flight chunks, stop.
 
-        This is what SIGTERM/SIGINT trigger.  An active scheduler batch is
-        asked to drain (:meth:`CampaignScheduler.request_drain`): in-flight
-        chunks finish and are journaled, unfinished jobs end
-        ``interrupted`` with valid, resumable journals — the crash-clean
-        guarantee the restart path relies on.
+        This is what SIGTERM/SIGINT trigger.  The loop is asked to drain
+        (:meth:`CampaignScheduler.request_drain`): in-flight chunks finish
+        and are journaled, unfinished jobs end ``interrupted`` with
+        valid, resumable journals — the crash-clean guarantee the restart
+        path relies on — and the pool is joined, so no worker outlives
+        the call.  Held status requests (``?wait=``) are answered.
         """
         self._shutdown.set()
-        scheduler = self._active_scheduler
+        with self._cond:
+            scheduler, loop = self._scheduler, self._loop
         if scheduler is not None:
+            # A loop opened from now on drains from the start.
             scheduler.request_drain()
+            loop.wake()
         if self.coordinator is not None:
             # Stop granting leases right away; pushes for leases already
             # held are still accepted until the coordinator closes.
@@ -401,7 +438,8 @@ class CampaignService:
         Atomic under the service lock, so concurrent identical submissions
         cannot double-enqueue: exactly one caller enqueues, later callers
         see ``deduped: true`` (queued/running) or ``cached: true``
-        (complete in the store).
+        (complete in the store).  Once the worker thread has stopped, a
+        spec that would have to run answers 503.
         """
         run_id = spec.run_id()
         base = {"run_id": run_id, "label": spec.resolved_label()}
@@ -431,7 +469,13 @@ class CampaignService:
                 return 200, dict(
                     base, status="complete", cached=True, deduped=False
                 )
-            if len(self._admission) >= self.config.queue_limit:
+            if self._worker_gone:
+                raise _ApiError(
+                    503, "not_running",
+                    "the service's scheduler worker has stopped "
+                    "(see /readyz); nothing new can run",
+                )
+            if len(self._queued) >= self.config.queue_limit:
                 self._submissions.inc(disposition="rejected")
                 raise _ApiError(
                     429, "queue_full",
@@ -447,17 +491,27 @@ class CampaignService:
             )
             self._jobs[run_id] = state
             self._admission.append(run_id)
+            self._queued.add(run_id)
             self._set_queue_gauge_locked()
             self._cond.notify_all()
+        if self._loop is not None:
+            self._loop.wake()
         self._submissions.inc(disposition="queued")
         return 202, dict(base, status="queued", cached=False, deduped=False)
+
+    def _set_status_locked(self, job: JobState, status: str) -> None:
+        """Move ``job`` out of ``queued`` (the 429 and gauge count) to
+        ``status``."""
+        job.status = status
+        self._queued.discard(job.run_id)
+        self._set_queue_gauge_locked()
 
     def _set_queue_gauge(self) -> None:
         with self._cond:
             self._set_queue_gauge_locked()
 
     def _set_queue_gauge_locked(self) -> None:
-        self._queue_gauge.set(len(self._admission))
+        self._queue_gauge.set(len(self._queued))
 
     # -- queries ------------------------------------------------------------------
 
@@ -466,7 +520,7 @@ class CampaignService:
             by_status: dict = {}
             for job in self._jobs.values():
                 by_status[job.status] = by_status.get(job.status, 0) + 1
-            queued = len(self._admission)
+            queued = len(self._queued)
         return {
             "status": "ok",
             "service": "repro-campaign-service",
@@ -500,9 +554,29 @@ class CampaignService:
         writer = (
             self.coordinator
             if self.coordinator is not None
-            else self._active_scheduler
+            else self._scheduler
         )
         return None if writer is None else writer.durable(run_id)
+
+    def hold(self, run_id: str, seconds: float) -> None:
+        """Return once ``run_id`` is neither queued nor running, after at
+        most ``seconds`` (capped at :data:`MAX_HOLD_S`), or at shutdown.
+
+        ``GET /v1/campaigns/{run_id}?wait=<s>`` calls this before
+        :meth:`job_status`, so a client waiting on a run is answered the
+        moment it ends instead of at its next poll.  An unknown run
+        returns at once (its status answers 404).
+        """
+        deadline = time.monotonic() + min(seconds, MAX_HOLD_S)
+        with self._cond:
+            while not self._shutdown.is_set():
+                job = self._jobs.get(run_id)
+                if job is None or job.status not in ("queued", "running"):
+                    return
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return
+                self._cond.wait(remaining)
 
     def job_status(self, run_id: str) -> dict:
         """The ``GET /v1/campaigns/{run_id}`` payload (or a 404).
@@ -627,26 +701,35 @@ class CampaignService:
     # -- the scheduler worker ------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        self._ready.set()
-        while True:
-            with self._cond:
-                while not self._admission and not self._shutdown.is_set():
-                    self._cond.wait(timeout=self.config.poll_interval)
-                if self._shutdown.is_set():
-                    for run_id in self._admission:
-                        job = self._jobs.get(run_id)
-                        if job is not None and job.status == "queued":
-                            job.status = "interrupted"
-                    self._admission.clear()
-                    self._set_queue_gauge_locked()
-                    return
-                batch = list(self._admission)
-                self._admission.clear()
-                self._set_queue_gauge_locked()
-            self._run_batch(batch)
+        """Drive the dispatch loop for the service's life.
 
-    def _run_batch(self, batch: list) -> None:
-        """One scheduler run over everything admitted so far."""
+        The thread's switchboard holds the service's registry
+        (:func:`~repro.observability.runtime.observe_thread`), and the
+        loop opened on it reads it there.  Admitted specs are handed to
+        the scheduler between steps, so each joins the running loop; a
+        step's wait ends as soon as one arrives (:meth:`DispatchLoop.wake`).
+        At shutdown the loop drains and closes, which joins its pool.
+
+        A step that raises fails the jobs its loop holds, and a new loop
+        (a new scheduler, and a new pool at its first job) takes over.  A
+        new loop whose first step raises as well ends the thread: the
+        service then answers 503 and the specs waiting for it fail.
+        """
+        with obs_runtime.observe_thread(metrics=self.metrics):
+            try:
+                replacing = False
+                while self._drive(self._open_loop(), replacing):
+                    replacing = True
+            except Exception as exc:
+                with self._cond:
+                    self._end_admissions_locked(
+                        "failed", f"the scheduler worker stopped: "
+                        f"{type(exc).__name__}: {exc}",
+                    )
+                self._ready.set()  # do not keep start_worker waiting
+                raise
+
+    def _open_loop(self) -> DispatchLoop:
         config = self.config
         scheduler = CampaignScheduler(
             self.store,
@@ -655,50 +738,95 @@ class CampaignService:
             backend=config.backend,
             retry=RetryPolicy(max_retries=config.retries),
         )
+        loop = DispatchLoop(scheduler, on_start=self._on_start)
         with self._cond:
-            for run_id in batch:
-                job = self._jobs[run_id]
-                job.status = "running"
-                job.started_at = time.time()
-                scheduler.submit(job.spec, sampling=job.sampling)
-            # Under the lock that marks the jobs running: a poll that sees
-            # a job running reads its count from this scheduler.
-            self._active_scheduler = scheduler
+            self._scheduler, self._loop = scheduler, loop
         if self._shutdown.is_set():
             scheduler.request_drain()
-        outcomes, error = None, None
+        self._ready.set()
+        return loop
+
+    def _drive(self, loop: DispatchLoop, replacing: bool) -> bool:
+        """Step ``loop`` until shutdown and close it; True when a step
+        raised and a new loop should take over.  A step that raises
+        before any step of a ``replacing`` loop completed is re-raised."""
+        stepped, error = False, None
         try:
-            with obs_runtime.observe(metrics=self.metrics):
-                outcomes = scheduler.run()
-        except Exception as exc:  # never kill the worker thread
-            error = f"{type(exc).__name__}: {exc}"
+            while True:
+                self._admit()
+                if self._shutdown.is_set() and loop.idle:
+                    return False
+                for outcome in loop.step():
+                    self._on_finish(outcome)
+                stepped = True
+        except Exception as exc:
+            error = RuntimeError(
+                f"the service's dispatch loop failed: "
+                f"{type(exc).__name__}: {exc}"
+            )
+            error.__cause__ = exc
+            if replacing and not stepped:
+                raise
+            return True
+        finally:
+            for outcome in loop.close(error):
+                self._on_finish(outcome)
+
+    def _admit(self) -> None:
+        """Hand every admitted spec to the scheduler; one that raises
+        (a config its kernel cannot build, say) fails its own job."""
         with self._cond:
-            if outcomes is None:
-                for run_id in batch:
-                    job = self._jobs[run_id]
-                    job.status = "failed"
-                    job.error = error
-                    job.done = scheduler.durable(run_id)
+            if self._shutdown.is_set():
+                self._end_admissions_locked("interrupted")
+                return
+            batch, self._admission = self._admission, []
+        for run_id in batch:
+            job = self._jobs[run_id]
+            try:
+                self._scheduler.submit(job.spec, sampling=job.sampling)
+            except Exception as exc:
+                with self._cond:
+                    self._set_status_locked(job, "failed")
+                    job.error = f"{type(exc).__name__}: {exc}"
                     job.finished_at = time.time()
-            else:
-                for outcome in outcomes:
-                    job = self._jobs.get(outcome.run_id)
-                    if job is None:  # pragma: no cover - defensive
-                        continue
-                    job.status = (
-                        "complete" if outcome.status == "cached"
-                        else outcome.status
-                    )
-                    job.cached = job.cached or outcome.status == "cached"
-                    job.error = (
-                        str(outcome.error) if outcome.error is not None
-                        else None
-                    )
-                    job.done = outcome.durable
-                    job.finished_at = time.time()
-            # Dropped only once every job holds its final count, so no
-            # poll in between falls back to the count from admission.
-            self._active_scheduler = None
+                    self._cond.notify_all()
+
+    def _end_admissions_locked(self, status: str, error=None) -> None:
+        """End every admitted spec not yet handed over ``status``."""
+        batch, self._admission = self._admission, []
+        for run_id in batch:
+            job = self._jobs.get(run_id)
+            if job is not None and job.status == "queued":
+                self._set_status_locked(job, status)
+                job.error = error
+                job.finished_at = time.time()
+        self._cond.notify_all()
+
+    def _on_start(self, job) -> None:
+        """Loop callback: ``job``'s first chunk was just dispatched."""
+        with self._cond:
+            state = self._jobs.get(job.run_id)
+            if state is not None and state.status == "queued":
+                self._set_status_locked(state, "running")
+                state.started_at = job.started
+
+    def _on_finish(self, outcome) -> None:
+        """Write a job the loop reported ended into its :class:`JobState`
+        (the loop has forgotten it) and answer held status requests."""
+        with self._cond:
+            job = self._jobs.get(outcome.run_id)
+            if job is None:  # pragma: no cover - defensive
+                return
+            self._set_status_locked(
+                job,
+                "complete" if outcome.status == "cached" else outcome.status,
+            )
+            job.cached = job.cached or outcome.status == "cached"
+            job.error = (
+                str(outcome.error) if outcome.error is not None else None
+            )
+            job.done = outcome.durable
+            job.finished_at = time.time()
             self._cond.notify_all()
 
     # -- the fleet coordinator worker ----------------------------------------------
@@ -719,16 +847,9 @@ class CampaignService:
                 if not self._admission and not self._shutdown.is_set():
                     self._cond.wait(timeout=self.config.poll_interval)
                 if self._shutdown.is_set():
-                    for run_id in self._admission:
-                        job = self._jobs.get(run_id)
-                        if job is not None and job.status == "queued":
-                            job.status = "interrupted"
-                    self._admission.clear()
-                    self._set_queue_gauge_locked()
+                    self._end_admissions_locked("interrupted")
                     break
-                batch = list(self._admission)
-                self._admission.clear()
-                self._set_queue_gauge_locked()
+                batch, self._admission = self._admission, []
             for run_id in batch:
                 self._admit_fleet(run_id)
             self.coordinator.tick()
@@ -747,14 +868,14 @@ class CampaignService:
             )
         except Exception as exc:  # never kill the worker thread
             with self._cond:
-                job.status = "failed"
+                self._set_status_locked(job, "failed")
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.finished_at = time.time()
                 self._cond.notify_all()
             return
         with self._cond:
             if admission.disposition == "cached":
-                job.status = "complete"
+                self._set_status_locked(job, "complete")
                 job.cached = True
                 job.done = len(admission.result.records)
                 job.finished_at = time.time()
@@ -762,7 +883,7 @@ class CampaignService:
                 # "queued"/"deduped": leases are grantable from now on.
                 # ("complete" resumes were sealed via the finish callback
                 # inside admit() and already left "queued".)
-                job.status = "running"
+                self._set_status_locked(job, "running")
                 job.started_at = time.time()
             self._cond.notify_all()
 
@@ -773,7 +894,7 @@ class CampaignService:
             job = self._jobs.get(run_id)
             if job is None:  # pragma: no cover - defensive
                 return
-            job.status = status
+            self._set_status_locked(job, status)
             job.error = str(error) if error is not None else None
             job.done = done
             job.finished_at = time.time()
@@ -992,7 +1113,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def _route(self, method: str) -> "tuple[str, int]":
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        path, _, query = self.path.partition("?")
+        path = path.rstrip("/") or "/"
         if path == "/healthz":
             self._require(method, "GET", path)
             self._send_json(200, self.service.health())
@@ -1054,6 +1176,9 @@ class _Handler(BaseHTTPRequestHandler):
                 return route, self._handle_result(run_id)
             if tail == "/report":
                 return route, self._handle_report(run_id)
+            hold = _hold_seconds(query)
+            if hold:
+                self.service.hold(run_id, hold)
             self._send_json(200, self.service.job_status(run_id))
             return route, 200
         raise _ApiError(404, "not_found", f"no route for {path!r}")
@@ -1101,6 +1226,24 @@ class _Handler(BaseHTTPRequestHandler):
             200, self.service.report(run_id), self._etag_headers(run_id)
         )
         return 200
+
+
+def _hold_seconds(query: str) -> float:
+    """The ``wait`` of a status request's query string (``0`` if absent),
+    or a structured 400 unless it is a finite number of seconds >= 0."""
+    values = urllib.parse.parse_qs(query, keep_blank_values=True).get("wait")
+    if not values:
+        return 0.0
+    try:
+        seconds = float(values[-1])
+    except ValueError:
+        seconds = math.nan
+    if not 0.0 <= seconds < math.inf:
+        raise _ApiError(
+            400, "bad_request",
+            f"wait must be a number of seconds >= 0, got {values[-1]!r}",
+        )
+    return seconds
 
 
 class ServiceServer(ThreadingHTTPServer):

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -98,6 +99,12 @@ def _kind_prefix(kind: str) -> bytes:
 RECORD_PREFIX = _kind_prefix("record")
 _RECORD_HEAD = RECORD_PREFIX + b'"index": '
 _ROW_FIELD = b', "row": '
+#: A ``record`` line up to its row, for a row laid out as rendered: its
+#: ``"index"`` first, naming the line's index.
+_RENDERED_RECORD = re.compile(
+    re.escape(_RECORD_HEAD) + rb'(\d+)' + re.escape(_ROW_FIELD)
+    + rb'(?=\{"index": \1, )'
+)
 
 #: What :func:`read_header` and :meth:`Journal.open` tell a format-1 reader.
 _UPGRADE_HINT = (
@@ -163,15 +170,34 @@ def _decode_line(path, raw: bytes) -> dict:
 
 def record_parts(path, raw: bytes) -> "tuple[int, str]":
     """A validated ``record`` line's execution index and row text, sliced
-    out of the line without decoding it."""
-    end = raw.find(_ROW_FIELD, len(_RECORD_HEAD))
+    out of the line.
+
+    The row must name the line's index: a row laid out as rendered shows
+    it in its first bytes (``{"index": N, ``), and any other row is
+    decoded to read it.  A row naming another index (its CRC holds, but
+    the run would serve one index twice and lose another) raises
+    :class:`JournalCorruptError`, as does a line that is no record.
+    """
     try:
+        match = _RENDERED_RECORD.match(raw)
+        if match is not None:
+            return int(match[1]), raw[match.end():-_CRC_TAIL].decode("ascii")
+        end = raw.find(_ROW_FIELD, len(_RECORD_HEAD))
         if not raw.startswith(_RECORD_HEAD) or end < 0:
             raise ValueError("no index and row where a record line has them")
         index = int(raw[len(_RECORD_HEAD):end])
-        return index, raw[end + len(_ROW_FIELD):-_CRC_TAIL].decode("ascii")
+        text = raw[end + len(_ROW_FIELD):-_CRC_TAIL].decode("ascii")
     except ValueError as err:
         raise JournalCorruptError(f"{path}: bad record line: {err}") from None
+    try:
+        named = json.loads(text).get("index")
+    except (ValueError, AttributeError, RecursionError):
+        raise JournalCorruptError(f"{path}: row {index} is not a record") from None
+    if type(named) is not int or named != index:
+        raise JournalCorruptError(
+            f"{path}: row {index} holds the record of index {named!r}"
+        )
+    return index, text
 
 
 def _create_exclusive(path, flags: int) -> int:

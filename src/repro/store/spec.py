@@ -52,8 +52,9 @@ class CampaignSpec:
         threshold_pct: relative-error tolerance for filtered metrics.
         label: display label (defaults to ``kernel/device``); *not* part
             of the run identity.
-        priority: scheduler share weight (higher = more chunks per round);
-            not part of the run identity either.
+        priority: scheduler precedence: a free slot goes to the job with
+            the highest priority, then to the earliest submitted; not
+            part of the run identity either.
     """
 
     kernel: str

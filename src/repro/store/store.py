@@ -128,26 +128,20 @@ class StoredRun:
 
         The rows are decoded a pass at a time
         (:func:`repro.beam.logs.rows_to_records`).  A row whose CRC holds
-        but which does not decode to a record, or whose record carries
-        another index than its line, raises
-        :class:`~repro.store.journal.JournalCorruptError` naming it.
+        but which does not decode to a record raises
+        :class:`~repro.store.journal.JournalCorruptError` naming it
+        (:meth:`CampaignStore.load` already refused one naming another
+        index than its line).
         """
         from repro.beam.logs import RowError, rows_to_records
 
         indices = sorted(self.row_texts)
         try:
-            records = rows_to_records(self.row_texts[index] for index in indices)
+            return rows_to_records(self.row_texts[index] for index in indices)
         except RowError as err:
             raise JournalCorruptError(
                 f"{self.path}: row {indices[err.position]} is not a record: {err}"
             ) from None
-        for index, record in zip(indices, records):
-            if type(record.index) is not int or record.index != index:
-                raise JournalCorruptError(
-                    f"{self.path}: row {index} holds the record of index "
-                    f"{record.index!r}"
-                )
-        return records
 
     def result(self):
         """The run as a :class:`~repro.beam.campaign.CampaignResult`.
@@ -259,8 +253,10 @@ class CampaignStore:
         index and row text are sliced out of its line, and the returned
         :attr:`StoredRun.journal` keeps only the other lines.  Raises
         :class:`~repro.store.journal.JournalCorruptError` when the
-        journal holds one index twice: every line may pass its CRC, but
-        the run would serve, report and resume the extra rows.
+        journal holds one index twice, or a row naming another index
+        than its line (:func:`~repro.store.journal.record_parts`): every
+        line may pass its CRC, but the run would serve, report and resume
+        the wrong rows.
         """
         journal = self.open_run(run_id, read_only=True)
         texts: dict = {}

@@ -1,4 +1,4 @@
-"""CampaignScheduler: fairness, retries, drain/SIGINT, durability."""
+"""CampaignScheduler: dispatch order, retries, drain/SIGINT, durability."""
 
 import signal
 
@@ -13,7 +13,9 @@ from repro.beam.logs import write_log
 from repro.observability import runtime as obs_runtime
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import RingBufferSink, Tracer
+from repro.sampling import SamplingPolicy
 from repro.scheduler import CampaignScheduler, RetryPolicy
+from repro.scheduler.scheduler import _run_sealed
 from repro.store import (
     CampaignSpec,
     CampaignStore,
@@ -57,10 +59,11 @@ class FlakyRunner:
         return _run_chunk(kernel, device, seed, threshold_pct, indices)
 
 
-class TestFairShare:
-    def test_equal_priorities_interleave_chunk_for_chunk(
-        self, tmp_path, observed
-    ):
+class TestDispatchOrder:
+    """Highest priority first, then submit order; a job that cannot use a
+    slot leaves it to the next one."""
+
+    def test_equal_priorities_run_in_submit_order(self, tmp_path, observed):
         sink, _ = observed
         scheduler = CampaignScheduler(
             CampaignStore(tmp_path), backend="serial", chunk_size=3
@@ -74,24 +77,34 @@ class TestFairShare:
             for event in sink.events()
             if event.kind == "chunk"
         ]
-        # 4 chunks each, strictly alternating: no job starves the other.
-        assert labels == ["A", "B", "A", "B", "A", "B", "A", "B"]
+        # 4 chunks each: the first submitted runs through, then the next.
+        assert labels == ["A"] * 4 + ["B"] * 4
 
-    def test_priority_doubles_the_share(self, tmp_path, observed):
-        sink, _ = observed
+    def test_higher_priority_first_and_idle_slots_backfilled(self, tmp_path):
         scheduler = CampaignScheduler(
-            CampaignStore(tmp_path), backend="serial", chunk_size=3
+            CampaignStore(tmp_path), backend="serial", chunk_size=5
         )
-        scheduler.submit(spec(1, label="lo"))
-        scheduler.submit(spec(2, label="hi"), priority=2)
-        scheduler.run()
-        labels = [
-            event.attrs["label"]
-            for event in sink.events()
-            if event.kind == "chunk"
-        ]
-        # While both are runnable, "hi" lands two chunks per "lo" chunk.
-        assert labels[:6] == ["lo", "hi", "hi", "lo", "hi", "hi"]
+        scheduler.submit(spec(1, label="lo", n_faulty=40))
+        scheduler.submit(
+            spec(2, label="hi", n_faulty=40), priority=2,
+            sampling=SamplingPolicy(target_ci=0.05, round_size=10),
+        )
+        hi_round = [scheduler.next_task(0.0) for _ in range(2)]
+        # hi's first round is out: it waits at its round barrier, and lo
+        # takes the slots it leaves.
+        assert [task.job.label for task in hi_round] == ["hi", "hi"]
+        backfill = scheduler.next_task(0.0)
+        assert backfill.job.label == "lo"
+        for task in hi_round:
+            job = task.job
+            result = _run_sealed(
+                _run_chunk, job.campaign.kernel, job.campaign.device,
+                job.campaign.seed, job.campaign.threshold_pct, task.indices,
+            )
+            scheduler.chunk_done(task, result, "serial", None, None)
+        # The round landed and the next is planned: hi goes first again.
+        assert scheduler.next_task(0.0).job.label == "hi"
+        scheduler.close_jobs()
 
     def test_chunk_spans_carry_run_ids(self, tmp_path, observed):
         sink, _ = observed
@@ -168,6 +181,44 @@ class TestResultsAndDedup:
         assert outcome.status == "complete"
         assert outcome.resumed == 4
         assert outcome.result.counts() == clean.counts()
+
+    def test_a_seal_that_raises_fails_only_that_job(self, tmp_path, monkeypatch):
+        store = CampaignStore(tmp_path)
+        from repro.beam.logs import record_to_row
+        import repro.scheduler.scheduler as scheduler_mod
+
+        clean = execute_spec(
+            CampaignStore(tmp_path / "scratch"), spec(1), backend="serial"
+        ).result
+        # Every record journaled, no close record: the crash hit between
+        # the last commit and the seal, so the resume only seals.
+        journal = store.create_run(spec(1))
+        for record in clean.records:
+            journal.append(
+                "record", index=record.index, row=record_to_row(record)
+            )
+        journal.commit()
+        journal.close()
+        seal_job = scheduler_mod.seal_job
+
+        def full_disk(journal, campaign, prior, records, driver):
+            if len(prior) == 12:
+                raise OSError(28, "No space left on device")
+            return seal_job(journal, campaign, prior, records, driver)
+
+        monkeypatch.setattr(scheduler_mod, "seal_job", full_disk)
+        scheduler = CampaignScheduler(store, backend="serial", chunk_size=4)
+        sealed_only = scheduler.submit(spec(1))
+        healthy = scheduler.submit(spec(2))
+        outcomes = {o.run_id: o for o in scheduler.run()}
+        assert outcomes[sealed_only].status == "failed"
+        assert "could not be committed" in str(outcomes[sealed_only].error)
+        assert "No space left" in str(outcomes[sealed_only].error)
+        assert outcomes[healthy].status == "complete"
+        assert store.load(sealed_only).status == "incomplete"
+        monkeypatch.setattr(scheduler_mod, "seal_job", seal_job)
+        assert resume_run(store, sealed_only, backend="serial").result.counts() \
+            == clean.counts()
 
 
 class TestRetries:

@@ -6,11 +6,12 @@ Two kinds of row used to decode silently:
   ragged: with shape ``[8, 8]``, both ``[[1, 2, 3], [4, 5, 6]]`` and
   ``[[1, 2], [3, 4, 5]]`` came back as ``[[1, 2], [3, 4]]``;
 * a record line whose row gives another ``"index"`` than the line: its
-  CRC is valid and ``load`` checks only line indices, so the result held
+  CRC is valid and ``load`` checked only line indices, so the result held
   one index twice and lost another.
 
-A journal now raises ``JournalCorruptError`` naming the row, and a log
-raises ``ValueError`` naming the line (``repro analyze`` exits 2).  The
+A journal now raises ``JournalCorruptError`` naming the row (``load``
+itself refuses a row naming another index, so nothing serves it), and a
+log raises ``ValueError`` naming the line (``repro analyze`` exits 2).  The
 fleet coordinator's refusal of such pushes is pinned in
 ``tests/fleet/test_coordinator.py``.  Rows that are not JSON at all
 raise the same errors, also where the array parsers read their last
@@ -100,21 +101,56 @@ def test_log_line_whose_indices_misfit_its_shape(tmp_path, capsys, indices):
     assert "line 4" in capsys.readouterr().err
 
 
-def test_journal_row_that_names_another_index(tmp_path):
-    store = CampaignStore(tmp_path)
+def journal_rows(store) -> list:
+    """The rows of ``SPEC``'s clean run, as a journal holds them."""
     campaign = SPEC.build_campaign(backend="serial")
     records = _run_chunk(
         campaign.kernel, campaign.device, SPEC.seed, campaign.threshold_pct,
         range(SPEC.n_faulty),
     ).records
-    rows = [record_to_row(r, max_elements=JOURNAL_MAX_ELEMENTS) for r in records]
-    rows[2] = dict(rows[4])  # line 2 re-sealed with the row of index 4
+    return [record_to_row(r, max_elements=JOURNAL_MAX_ELEMENTS) for r in records]
+
+
+def journal_of(store, texts) -> None:
+    """``SPEC``'s journal with one sealed record line per row text."""
     journal = store.create_run(SPEC)
-    journal.commit([seal_record(n, json.dumps(row)) for n, row in enumerate(rows)])
+    journal.commit([seal_record(n, text) for n, text in enumerate(texts)])
     journal.close()
-    run = store.load(SPEC.run_id())  # every CRC holds, every line index once
-    with pytest.raises(JournalCorruptError, match="row 2 holds the record of index 4"):
-        run.records()
+
+
+def test_journal_row_that_names_another_index(tmp_path):
+    store = CampaignStore(tmp_path)
+    rows = journal_rows(store)
+    rows[2] = dict(rows[4])  # line 2 re-sealed with the row of index 4
+    journal_of(store, [json.dumps(row) for row in rows])
+    # Every CRC holds and every line index is there once, but the load
+    # (so `/result`, `repro fetch` and `serve`'s boot) refuses the run.
+    with pytest.raises(JournalCorruptError, match="row 2 holds the record of index 4") as exc:
+        store.load(SPEC.run_id())
+    assert str(store.path_for(SPEC.run_id())) in str(exc.value)
+
+
+def reordered(row: dict) -> str:
+    """``row``'s text with its ``"index"`` moved off the front."""
+    row = dict(row)
+    index = row.pop("index")
+    return json.dumps({**row, "index": index})
+
+
+def test_row_laid_out_otherwise_is_decoded_for_its_index(tmp_path):
+    store = CampaignStore(tmp_path / "same")
+    rows = journal_rows(store)
+    texts = [json.dumps(row) for row in rows]
+    texts[3] = reordered(rows[3])
+    journal_of(store, texts)
+    run = store.load(SPEC.run_id())
+    assert [record.index for record in run.records()] == list(range(SPEC.n_faulty))
+
+    other = CampaignStore(tmp_path / "other")
+    texts[3] = reordered(rows[5])
+    journal_of(other, texts)
+    with pytest.raises(JournalCorruptError, match="row 3 holds the record of index 5"):
+        other.load(SPEC.run_id())
 
 
 #: Report rows cut short in their last array: each is split before its
