@@ -115,7 +115,7 @@ def coarsen_smooth_blocks(
             the grid; because the decision and the replacement are strictly
             2x2-block-local, coarsening a window slice is bit-identical to
             coarsening the full grid and slicing (pinned by
-            ``tests/fastpath/test_differential.py``).
+            ``tests/kernels/test_exact_helpers.py``).
         smoothness_of: the field whose block-internal range drives the
             decision (CLAMR refines on height).
         threshold: a block is coarsened when its max-min range in
@@ -129,16 +129,30 @@ def coarsen_smooth_blocks(
     rows, cols = smoothness_of.shape
     if rows % 2 or cols % 2:
         raise ValueError("fields must have even sides")
-    blocks = smoothness_of.reshape(rows // 2, 2, cols // 2, 2)
-    spread = blocks.max(axis=(1, 3)) - blocks.min(axis=(1, 3))
-    smooth = spread < threshold
+    # Each block's spread from its four cells as strided views: max and min
+    # are exact, so the mask is a multi-axis reduction's, for less work.
+    tl, tr, bl, br = _block_cells(smoothness_of)
+    high = np.maximum(np.maximum(tl, tr), np.maximum(bl, br))
+    low = np.minimum(np.minimum(tl, tr), np.minimum(bl, br))
+    smooth = (high - low < threshold)[:, None, :, None]
     out = []
     for field in fields:
+        # The block mean as NumPy's ``mean(axis=(1, 3))`` sums a grid's
+        # blocks (a row at a time from 0.0, the bottom row's sum first),
+        # written out: NumPy sums a 2-column array's blocks in another
+        # order, and a window must coarsen exactly as the grid does.
+        tl, tr, bl, br = _block_cells(field)
+        mean = ((0.0 + bl + br) + (0.0 + tl + tr)) / 4.0
         fb = field.reshape(rows // 2, 2, cols // 2, 2)
-        mean = fb.mean(axis=(1, 3), keepdims=True)
-        fb = np.where(smooth[:, None, :, None], mean, fb)
+        fb = np.where(smooth, mean[:, None, :, None], fb)
         out.append(fb.reshape(rows, cols))
     return tuple(out), int(smooth.sum())
+
+
+def _block_cells(a: np.ndarray) -> "tuple[np.ndarray, ...]":
+    """Strided views of each aligned 2x2 block's top-left, top-right,
+    bottom-left and bottom-right cells."""
+    return tuple(a[i::2, j::2] for i in (0, 1) for j in (0, 1))
 
 
 def coarsen_block(field: np.ndarray, row: int, col: int, size: int = 2) -> np.ndarray:

@@ -8,8 +8,10 @@ cell-based AMR mesh, with the standard circular dam-break test problem
 * a conservative finite-volume solver (Rusanov/local Lax-Friedrichs fluxes)
   for ``(h, hu, hv)`` with reflective walls, double precision;
 * the circular dam-break initial condition;
-* AMR mesh management (:mod:`repro.kernels.amr`) recomputed every
-  ``remesh_every`` steps, driving per-step thread counts and load imbalance.
+* AMR mesh management (:mod:`repro.kernels.amr`): every ``remesh_every``
+  steps smooth 2x2 blocks are coarsened, in every run; the mesh statistics
+  (per-step thread counts, load imbalance, final refinement map) come from
+  the golden run alone, once per remesh, since no faulty run reads them.
 
 **Documented simplification**: the solver integrates on the uniform fine
 grid while the AMR machinery tracks refinement for resource accounting.
@@ -193,17 +195,72 @@ class Clamr(Kernel):
         v = hv / h
         return hv, hu * v, hv * v + 0.5 * GRAVITY * h * h
 
-    def _step(self, h, hu, hv):
-        """One conservative Rusanov update with reflective walls.
+    @property
+    def _halo(self) -> int:
+        """Ghost layers per side, so per-step light-cone reach: MUSCL
+        reads 2, Rusanov 1."""
+        return 2 if self.scheme == "muscl" else 1
 
+    def _pad(self, h, hu, hv) -> list:
+        """Reflective ghost layers: mirrored state, negated normal momentum
+        at each wall."""
+        padded = [stencil.mirror_pad(a, self._halo) for a in (h, hu, hv)]
+        self._reflect(padded, (True, True, True, True))
+        return padded
+
+    def _reflect(self, padded, walls) -> None:
+        """Negate the normal momentum in the ghost layers of the walls
+        flagged in ``walls`` (left, right, top, bottom), in place."""
+        width = self._halo
+        __, hup, hvp = padded
+        left, right, top, bottom = walls
+        if left:
+            hup[:, :width] *= -1.0
+        if right:
+            hup[:, -width:] *= -1.0
+        if top:
+            hvp[:width, :] *= -1.0
+        if bottom:
+            hvp[-width:, :] *= -1.0
+
+    def _step(self, h, hu, hv):
+        """One conservative update of the whole grid, reflective walls.
+
+        Returns ``((h, hu, hv), speeds)`` (see :meth:`_advance`).
         Corrupted state may legitimately overflow here; the resulting
         non-finite values are caught by :meth:`_check_state` and turned into
         a crash, so numpy warnings are suppressed for the update.
         """
         with np.errstate(all="ignore"):
-            if self.scheme == "muscl":
-                return self._step_muscl(h, hu, hv)
-            return self._step_impl(h, hu, hv)
+            return self._advance((h, hu, hv), self._pad(h, hu, hv))
+
+    def _advance(self, state, padded, gsmax: "float | None" = None):
+        """The scheme's conservative update of ``state`` from its padded copy.
+
+        Returns ``(new_state, speeds)``, ``speeds`` being the step's
+        wave-speed arrays (the golden run reads the CFL winner from them,
+        :meth:`_dt_info`).  dt comes from their maximum, which crashes the
+        run unless finite and positive, or from ``gsmax``, the golden
+        step's maximum, when a window is replayed against the golden run.
+        """
+        h, hu, hv = state
+        hp, hup, hvp = padded
+        if self.scheme == "muscl":
+            *fx, spx = self._muscl_flux_1d(hp, hup, hvp)
+            *fy, spy = self._muscl_flux_1d(hp.T, hvp.T, hup.T)
+            speeds = (spx, spy)
+        else:
+            speeds = self._wave_speeds(hp, hup, hvp)
+        smax = gsmax
+        if smax is None:
+            smax = max(float(speeds[0].max()), float(speeds[1].max()))
+            if not np.isfinite(smax) or smax <= 0.0:
+                raise KernelCrashError("clamr: CFL computation diverged")
+        if self.scheme == "muscl":
+            lam = CFL * (self.dx / smax) / self.dx
+            return self._muscl_update(h, hu, hv, fx, fy, lam), speeds
+        lam = CFL * self.dx / smax / self.dx
+        return self._rusanov_update(h, hu, hv, hp, hup, hvp, *speeds, lam), speeds
 
     # -- second-order MUSCL scheme ---------------------------------------------
 
@@ -211,18 +268,6 @@ class Clamr(Kernel):
     def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The minmod slope limiter: 0 at extrema, the smaller slope else."""
         return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
-
-    def _pad2(self, h, hu, hv):
-        """Two reflective ghost layers: mirrored state, negated normal
-        momentum at each wall."""
-        hp = np.pad(h, 2, mode="symmetric")
-        hup = np.pad(hu, 2, mode="symmetric")
-        hvp = np.pad(hv, 2, mode="symmetric")
-        hup[:, :2] *= -1.0
-        hup[:, -2:] *= -1.0
-        hvp[:2, :] *= -1.0
-        hvp[-2:, :] *= -1.0
-        return hp, hup, hvp
 
     def _muscl_flux_1d(self, h, hn, ht):
         """MUSCL-reconstructed Rusanov fluxes along axis 1.
@@ -260,8 +305,9 @@ class Clamr(Kernel):
             np.abs(left[1] / left[0]) + np.sqrt(GRAVITY * left[0]),
             np.abs(right[1] / right[0]) + np.sqrt(GRAVITY * right[0]),
         )
+        half = 0.5 * speed
         fluxes = [
-            0.5 * (fl + fr) - 0.5 * speed * (ur - ul)
+            0.5 * (fl + fr) - half * (ur - ul)
             for fl, fr, ul, ur in zip(flux_left, flux_right, left, right)
         ]
         return fluxes[0], fluxes[1], fluxes[2], speed
@@ -281,32 +327,7 @@ class Clamr(Kernel):
             hv - div(fx_ht, fy_hn),
         )
 
-    def _step_muscl(self, h, hu, hv):
-        hp, hup, hvp = self._pad2(h, hu, hv)
-        fx_h, fx_hn, fx_ht, spx = self._muscl_flux_1d(hp, hup, hvp)
-        fy_h, fy_hn, fy_ht, spy = self._muscl_flux_1d(hp.T, hvp.T, hup.T)
-
-        smax = max(float(spx.max()), float(spy.max()))
-        if not np.isfinite(smax) or smax <= 0.0:
-            raise KernelCrashError("clamr: CFL computation diverged")
-        lam = CFL * (self.dx / smax) / self.dx
-        return self._muscl_update(
-            h, hu, hv, (fx_h, fx_hn, fx_ht), (fy_h, fy_hn, fy_ht), lam
-        )
-
     # -- first-order Rusanov scheme ----------------------------------------------
-
-    @staticmethod
-    def _pad1(h, hu, hv):
-        # Reflective ghost cells: mirrored state, negated normal momentum.
-        hp = np.pad(h, 1, mode="edge")
-        hup = np.pad(hu, 1, mode="edge")
-        hvp = np.pad(hv, 1, mode="edge")
-        hup[:, 0] = -hup[:, 1]
-        hup[:, -1] = -hup[:, -2]
-        hvp[0, :] = -hvp[1, :]
-        hvp[-1, :] = -hvp[-2, :]
-        return hp, hup, hvp
 
     @staticmethod
     def _wave_speeds(hp, hup, hvp):
@@ -318,16 +339,16 @@ class Clamr(Kernel):
     def _rusanov_update(self, h, hu, hv, hp, hup, hvp, speed_x, speed_y, lam):
         """The conservative Rusanov update for given padded state and lam."""
         fh, fhu, fhv = self._phys_flux_x(hp, hup, hvp)
-        a = np.maximum(speed_x[:, :-1], speed_x[:, 1:])
+        half_a = 0.5 * np.maximum(speed_x[:, :-1], speed_x[:, 1:])
         flux_x = [
-            0.5 * (f[:, :-1] + f[:, 1:]) - 0.5 * a * (u[:, 1:] - u[:, :-1])
+            0.5 * (f[:, :-1] + f[:, 1:]) - half_a * (u[:, 1:] - u[:, :-1])
             for f, u in ((fh, hp), (fhu, hup), (fhv, hvp))
         ]
 
         gh, ghu, ghv = self._phys_flux_y(hp, hup, hvp)
-        b = np.maximum(speed_y[:-1, :], speed_y[1:, :])
+        half_b = 0.5 * np.maximum(speed_y[:-1, :], speed_y[1:, :])
         flux_y = [
-            0.5 * (g[:-1, :] + g[1:, :]) - 0.5 * b * (u[1:, :] - u[:-1, :])
+            0.5 * (g[:-1, :] + g[1:, :]) - half_b * (u[1:, :] - u[:-1, :])
             for g, u in ((gh, hp), (ghu, hup), (ghv, hvp))
         ]
 
@@ -341,16 +362,6 @@ class Clamr(Kernel):
             )
         return tuple(out)
 
-    def _step_impl(self, h, hu, hv):
-        hp, hup, hvp = self._pad1(h, hu, hv)
-        speed_x, speed_y = self._wave_speeds(hp, hup, hvp)
-        smax = max(float(speed_x.max()), float(speed_y.max()))
-        if not np.isfinite(smax) or smax <= 0.0:
-            raise KernelCrashError("clamr: CFL computation diverged")
-        dt = CFL * self.dx / smax
-        lam = dt / self.dx
-        return self._rusanov_update(h, hu, hv, hp, hup, hvp, speed_x, speed_y, lam)
-
     def _check_state(self, h, hu, hv):
         with np.errstate(all="ignore"):
             total = float(h.sum() + hu.sum() + hv.sum())
@@ -361,54 +372,20 @@ class Clamr(Kernel):
 
     # -- execution ------------------------------------------------------------------------
 
-    def _simulate(
-        self,
-        start_step: int,
-        state: tuple[np.ndarray, np.ndarray, np.ndarray],
-        fault: KernelFault | None,
-        strike_step: int,
-        record_states: bool,
-    ) -> ExecutionOutput:
-        h, hu, hv = (a.copy() for a in state)
-        rng = fault.rng() if fault is not None else None
+    def _remesh(self, done: int, h, hu, hv):
+        """Coarsen smooth blocks when ``done`` steps end a remesh interval."""
+        if self.coarsen_threshold > 0 and self._remeshes(done):
+            (h, hu, hv), __ = coarsen_smooth_blocks(
+                (h, hu, hv), h, self.coarsen_threshold
+            )
+        return h, hu, hv
 
-        states: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        if record_states:
-            states[start_step] = (h.copy(), hu.copy(), hv.copy())
-        cell_counts: list[int] = []
-        imbalance: list[float] = []
-        mesh = RefinementMap.from_height_field(h)
+    def _remeshes(self, done: int) -> bool:
+        """Whether ``done`` steps end a remesh interval."""
+        return done % self.remesh_every == 0 or done == self.steps
 
-        for step in range(start_step, self.steps):
-            if fault is not None and step == strike_step:
-                h, hu, hv = self._inject(fault, rng, h, hu, hv)
-                self._check_state(h, hu, hv)
-            h, hu, hv = self._step(h, hu, hv)
-            self._check_state(h, hu, hv)
-            done = step + 1
-            if done % self.remesh_every == 0 or done == self.steps:
-                mesh = RefinementMap.from_height_field(h)
-                if self.coarsen_threshold > 0:
-                    (h, hu, hv), __ = coarsen_smooth_blocks(
-                        (h, hu, hv), h, self.coarsen_threshold
-                    )
-            cell_counts.append(mesh.thread_count())
-            imbalance.append(mesh.load_imbalance())
-            if record_states and (
-                done % self.snapshot_every == 0 or done == self.steps
-            ):
-                states[done] = (h.copy(), hu.copy(), hv.copy())
-
-        aux = {
-            "mass": float(h.sum()),
-            "initial_mass": float(self.initial_state()[0].sum()),
-            "momentum": (float(hu.sum()), float(hv.sum())),
-            "cell_counts": cell_counts,
-            "load_imbalance": imbalance,
-            "final_mesh": mesh,
-        }
-        if record_states:
-            aux["states"] = states
+    @staticmethod
+    def _checkpoint(h: np.ndarray) -> np.ndarray:
         # Checkpoint files store fixed-precision values (one decimal, then
         # single precision): the host's output compare sees quantised
         # heights, so sub-resolution numerical noise — e.g. the global
@@ -417,19 +394,100 @@ class Clamr(Kernel):
         # masks it.  The in-run conservation data (aux) stays double
         # precision, as in CLAMR itself.
         with np.errstate(all="ignore"):
-            checkpoint = np.round(h, 1).astype(np.float32)
-        return ExecutionOutput(output=checkpoint, aux=aux)
+            return np.round(h, 1).astype(np.float32)
+
+    def _golden_run(self) -> ExecutionOutput:
+        """The fault-free run, in one pass.
+
+        Besides the checkpoint and the conservation totals it keeps the AMR
+        statistics, computed once per remesh (``cell_counts`` and
+        ``load_imbalance`` per step, ``final_mesh``), and the states faulty
+        runs resume from.  When the dense chain fits
+        :data:`DELTA_STATES_MAX_BYTES` that is every post-remesh state, kept
+        with each step's CFL data for the fast path (``aux["fastpath"]``:
+        ``chain``, ``dt_smax``, ``witness``, ``absmax``); the snapshots every
+        ``snapshot_every`` steps (``aux["states"]``) are then chain rows.
+        Over the budget only the snapshots are kept.
+        """
+        n, steps = self.n, self.steps
+        h, hu, hv = self.initial_state()
+        initial_mass = float(h.sum())
+        fits = (steps + 1) * 3 * n * n * 8 <= DELTA_STATES_MAX_BYTES
+        if fits:
+            chain = np.empty((steps + 1, 3, n, n), dtype=np.float64)
+            chain[0, 0], chain[0, 1], chain[0, 2] = h, hu, hv
+            dt_smax = np.empty(steps, dtype=np.float64)
+            witness = np.empty((steps, 4), dtype=np.int64)
+            absmax = max(float(np.abs(a).max()) for a in (h, hu, hv))
+        states = {0: chain[0] if fits else (h, hu, hv)}
+        mesh = RefinementMap.from_height_field(h)
+        counts = (mesh.thread_count(), mesh.load_imbalance())
+        cell_counts: list[int] = []
+        imbalance: list[float] = []
+
+        for step in range(steps):
+            (h, hu, hv), speeds = self._step(h, hu, hv)
+            self._check_state(h, hu, hv)
+            done = step + 1
+            if fits:
+                dt_smax[step], witness[step] = self._dt_info(speeds)
+                absmax = max(absmax, *(float(np.abs(a).max()) for a in (h, hu, hv)))
+            if self._remeshes(done):
+                mesh = RefinementMap.from_height_field(h)
+                counts = (mesh.thread_count(), mesh.load_imbalance())
+            h, hu, hv = self._remesh(done, h, hu, hv)
+            cell_counts.append(counts[0])
+            imbalance.append(counts[1])
+            if fits:
+                chain[done, 0], chain[done, 1], chain[done, 2] = h, hu, hv
+            if done % self.snapshot_every == 0 or done == steps:
+                states[done] = chain[done] if fits else (h, hu, hv)
+
+        aux = {
+            "mass": float(h.sum()),
+            "initial_mass": initial_mass,
+            "momentum": (float(hu.sum()), float(hv.sum())),
+            "cell_counts": cell_counts,
+            "load_imbalance": imbalance,
+            "final_mesh": mesh,
+            "states": states,
+        }
+        if fits:
+            aux["fastpath"] = {
+                "chain": chain,
+                "dt_smax": dt_smax,
+                "witness": witness,
+                "absmax": absmax,
+            }
+        return ExecutionOutput(output=self._checkpoint(h), aux=aux)
 
     def _execute(self, fault: KernelFault | None) -> ExecutionOutput:
         if fault is None:
-            return self._simulate(0, self.initial_state(), None, -1, record_states=True)
+            return self._golden_run()
+        # Resume from the latest state the golden run kept at or before the
+        # strike: the strike step itself when it kept the whole chain.
         strike_step = int(fault.progress * self.steps)
-        states = self.golden().aux["states"]
-        start = max(s for s in states if s <= strike_step)
-        result = self._simulate(
-            start, states[start], fault, strike_step, record_states=False
-        )
-        return result
+        golden = self.golden().aux
+        if "fastpath" in golden:
+            start, state = strike_step, golden["fastpath"]["chain"][strike_step]
+        else:
+            start = max(s for s in golden["states"] if s <= strike_step)
+            state = golden["states"][start]
+        h, hu, hv = (a.copy() for a in state)
+        rng = fault.rng()
+        for step in range(start, self.steps):
+            if step == strike_step:
+                h, hu, hv = self._inject(fault, rng, h, hu, hv)
+                self._check_state(h, hu, hv)
+            (h, hu, hv), __ = self._step(h, hu, hv)
+            self._check_state(h, hu, hv)
+            h, hu, hv = self._remesh(step + 1, h, hu, hv)
+        aux = {
+            "mass": float(h.sum()),
+            "initial_mass": golden["initial_mass"],
+            "momentum": (float(hu.sum()), float(hv.sum())),
+        }
+        return ExecutionOutput(output=self._checkpoint(h), aux=aux)
 
     # -- delta-replay fast path ------------------------------------------------------
 
@@ -439,7 +497,7 @@ class Clamr(Kernel):
     # cell of every subsequent step.  The fast path attacks that identity
     # with a *dt-invariance predicate*: the golden run's per-step maximum
     # wave speed and the dependency box of the cell/interface that attains
-    # it (the "witness") are cached alongside a dense per-step golden state
+    # it (the "witness") are kept alongside a dense per-step golden state
     # chain.  A strike whose light-cone wave speeds stay at or below the
     # cached maximum, and whose footprint never touches the witness box,
     # provably does not win the min-reduction — dt is unchanged, and the
@@ -449,89 +507,41 @@ class Clamr(Kernel):
     # established, the replay declares a fallback (``None``) — always safe.
 
     def _fastpath_cache(self) -> "dict | None":
-        """The golden chain + dt cache, built lazily and memoised in aux."""
-        chain_bytes = (self.steps + 1) * 3 * self.n * self.n * 8
-        if chain_bytes > DELTA_STATES_MAX_BYTES:
-            return None
-        golden = self.golden()
-        cache = golden.aux.get("fastpath")
-        if cache is None:
-            cache = self._build_chain()
-            golden.aux["fastpath"] = cache
-        return cache
+        """The golden run's chain + dt cache; ``None`` over the budget."""
+        return self.golden().aux.get("fastpath")
 
-    def _build_chain(self) -> dict:
-        """Replay the golden run, recording every post-remesh state plus the
-        per-step CFL data the dt-invariance predicate needs."""
-        n, steps = self.n, self.steps
-        chain = np.empty((steps + 1, 3, n, n), dtype=np.float64)
-        dt_smax = np.empty(steps, dtype=np.float64)
-        witness = np.empty((steps, 4), dtype=np.int64)
-        h, hu, hv = self.initial_state()
-        chain[0, 0], chain[0, 1], chain[0, 2] = h, hu, hv
-        absmax = max(float(np.abs(a).max()) for a in (h, hu, hv))
-        for step in range(steps):
-            smax, box = self._dt_info(h, hu, hv)
-            dt_smax[step] = smax
-            witness[step] = box
-            h, hu, hv = self._step(h, hu, hv)
-            absmax = max(absmax, *(float(np.abs(a).max()) for a in (h, hu, hv)))
-            done = step + 1
-            if done % self.remesh_every == 0 or done == steps:
-                if self.coarsen_threshold > 0:
-                    (h, hu, hv), __ = coarsen_smooth_blocks(
-                        (h, hu, hv), h, self.coarsen_threshold
-                    )
-            chain[done, 0], chain[done, 1], chain[done, 2] = h, hu, hv
-        return {
-            "chain": chain,
-            "dt_smax": dt_smax,
-            "witness": witness,
-            "absmax": absmax,
-        }
-
-    def _dt_info(self, h, hu, hv) -> "tuple[float, tuple[int, int, int, int]]":
+    def _dt_info(self, speeds) -> "tuple[float, tuple[int, int, int, int]]":
         """The step's golden CFL reduction: ``(smax, witness box)``.
 
-        The witness box is the half-open cell box the winning wave speed
+        ``speeds`` are the step's wave-speed arrays (:meth:`_step`).  The
+        witness box is the half-open cell box the winning wave speed
         depends on; a strike whose footprint never intersects it cannot
         displace the winner.  Ties are harmless: one intact witness
         attaining ``smax`` keeps the faulty maximum at ``smax`` as long as
         no light-cone speed exceeds it (checked separately).
         """
         n = self.n
-        with np.errstate(all="ignore"):
-            if self.scheme == "muscl":
-                hp, hup, hvp = self._pad2(h, hu, hv)
-                __, __, __, spx = self._muscl_flux_1d(hp, hup, hvp)
-                __, __, __, spy = self._muscl_flux_1d(hp.T, hvp.T, hup.T)
-                sx, sy = float(spx.max()), float(spy.max())
-                if sx >= sy:
-                    # Interface j of row i sits between grid columns j-1
-                    # and j; the MUSCL reconstruction reads columns j-2..j+1.
-                    i, j = np.unravel_index(int(np.argmax(spx)), spx.shape)
-                    box = (int(i), int(i) + 1, max(int(j) - 2, 0), min(int(j) + 2, n))
-                else:
-                    # y sweep runs on the transpose: i is a grid column,
-                    # interface j sits between grid rows j-1 and j.
-                    i, j = np.unravel_index(int(np.argmax(spy)), spy.shape)
-                    box = (max(int(j) - 2, 0), min(int(j) + 2, n), int(i), int(i) + 1)
-                return max(sx, sy), box
-            hp, hup, hvp = self._pad1(h, hu, hv)
-            speed_x, speed_y = self._wave_speeds(hp, hup, hvp)
-            sx, sy = float(speed_x.max()), float(speed_y.max())
-            winner = speed_x if sx >= sy else speed_y
-            i, j = np.unravel_index(int(np.argmax(winner)), winner.shape)
-            # Ghost entries mirror an interior cell (with |momentum|
-            # preserved), so the dependency clips onto the grid.
-            r = min(max(int(i) - 1, 0), n - 1)
-            c = min(max(int(j) - 1, 0), n - 1)
-            return max(sx, sy), (r, r + 1, c, c + 1)
-
-    @property
-    def _halo(self) -> int:
-        """Per-step light-cone reach: MUSCL reads 2 ghost cells, Rusanov 1."""
-        return 2 if self.scheme == "muscl" else 1
+        spx, spy = speeds
+        sx, sy = float(spx.max()), float(spy.max())
+        if self.scheme == "muscl":
+            if sx >= sy:
+                # Interface j of row i sits between grid columns j-1
+                # and j; the MUSCL reconstruction reads columns j-2..j+1.
+                i, j = np.unravel_index(int(np.argmax(spx)), spx.shape)
+                box = (int(i), int(i) + 1, max(int(j) - 2, 0), min(int(j) + 2, n))
+            else:
+                # y sweep runs on the transpose: i is a grid column,
+                # interface j sits between grid rows j-1 and j.
+                i, j = np.unravel_index(int(np.argmax(spy)), spy.shape)
+                box = (max(int(j) - 2, 0), min(int(j) + 2, n), int(i), int(i) + 1)
+            return max(sx, sy), box
+        winner = spx if sx >= sy else spy
+        i, j = np.unravel_index(int(np.argmax(winner)), winner.shape)
+        # Ghost entries mirror an interior cell (with |momentum|
+        # preserved), so the dependency clips onto the grid.
+        r = min(max(int(i) - 1, 0), n - 1)
+        c = min(max(int(j) - 1, 0), n - 1)
+        return max(sx, sy), (r, r + 1, c, c + 1)
 
     @property
     def _sum_safe_limit(self) -> float:
@@ -639,8 +649,8 @@ class Clamr(Kernel):
             return "clamr: non-positive water depth"
         return None
 
-    def _window_step_rusanov(self, win, state, bounds, gsmax):
-        """One windowed Rusanov update against the step's golden field.
+    def _window_step(self, win, state, bounds, gsmax):
+        """One windowed update against the step's golden field ``state``.
 
         Returns ``(new_win, sx, sy)`` where ``sx``/``sy`` bound every wave
         speed the fault can have changed (ghost mirrors preserve |momentum|,
@@ -648,53 +658,14 @@ class Clamr(Kernel):
         """
         n = self.n
         r0, r1, q0, q1 = bounds
-        h_w, hu_w, hv_w = win
         with np.errstate(all="ignore"):
-            hp = stencil.padded_window(h_w, state[0], bounds, n, 1, wall="edge")
-            hup = stencil.padded_window(hu_w, state[1], bounds, n, 1, wall="edge")
-            hvp = stencil.padded_window(hv_w, state[2], bounds, n, 1, wall="edge")
-            if q0 == 0:
-                hup[:, 0] = -hup[:, 1]
-            if q1 == n:
-                hup[:, -1] = -hup[:, -2]
-            if r0 == 0:
-                hvp[0, :] = -hvp[1, :]
-            if r1 == n:
-                hvp[-1, :] = -hvp[-2, :]
-            speed_x, speed_y = self._wave_speeds(hp, hup, hvp)
-            sx, sy = float(speed_x.max()), float(speed_y.max())
-            dt = CFL * self.dx / gsmax
-            lam = dt / self.dx
-            new = self._rusanov_update(
-                h_w, hu_w, hv_w, hp, hup, hvp, speed_x, speed_y, lam
-            )
-        return new, sx, sy
-
-    def _window_step_muscl(self, win, state, bounds, gsmax):
-        """One windowed MUSCL update; see :meth:`_window_step_rusanov`."""
-        n = self.n
-        r0, r1, q0, q1 = bounds
-        h_w, hu_w, hv_w = win
-        with np.errstate(all="ignore"):
-            hp = stencil.padded_window(h_w, state[0], bounds, n, 2, wall="symmetric")
-            hup = stencil.padded_window(hu_w, state[1], bounds, n, 2, wall="symmetric")
-            hvp = stencil.padded_window(hv_w, state[2], bounds, n, 2, wall="symmetric")
-            if q0 == 0:
-                hup[:, :2] *= -1.0
-            if q1 == n:
-                hup[:, -2:] *= -1.0
-            if r0 == 0:
-                hvp[:2, :] *= -1.0
-            if r1 == n:
-                hvp[-2:, :] *= -1.0
-            fx_h, fx_hn, fx_ht, spx = self._muscl_flux_1d(hp, hup, hvp)
-            fy_h, fy_hn, fy_ht, spy = self._muscl_flux_1d(hp.T, hvp.T, hup.T)
-            sx, sy = float(spx.max()), float(spy.max())
-            lam = CFL * (self.dx / gsmax) / self.dx
-            new = self._muscl_update(
-                h_w, hu_w, hv_w, (fx_h, fx_hn, fx_ht), (fy_h, fy_hn, fy_ht), lam
-            )
-        return new, sx, sy
+            padded = [
+                stencil.padded_window(w, state[k], bounds, n, self._halo)
+                for k, w in enumerate(win)
+            ]
+            self._reflect(padded, (q0 == 0, q1 == n, r0 == 0, r1 == n))
+            new, (spx, spy) = self._advance(win, padded, gsmax)
+        return new, float(spx.max()), float(spy.max())
 
     def _replay_window(self, strike: int, bounds, win, cache):
         """Replay the strike's light cone against the cached golden chain.
@@ -710,11 +681,6 @@ class Clamr(Kernel):
         witness = cache["witness"]
         n = self.n
         halo = self._halo
-        window_step = (
-            self._window_step_muscl
-            if self.scheme == "muscl"
-            else self._window_step_rusanov
-        )
 
         crash = self._window_check(win, cache)  # dense order: inject, check
         if crash == "unknown":
@@ -736,7 +702,7 @@ class Clamr(Kernel):
             ]
             bounds = grown
             gsmax = float(dt_smax[step])
-            win, sx, sy = window_step(win, state, bounds, gsmax)
+            win, sx, sy = self._window_step(win, state, bounds, gsmax)
             if not (np.isfinite(sx) and np.isfinite(sy)):
                 return None  # non-finite wave speeds: dense path decides
             if max(sx, sy) > gsmax:
@@ -754,17 +720,10 @@ class Clamr(Kernel):
                 return None
             if crash is not None:
                 return KernelCrashError(crash)
-            done = step + 1
-            if done % self.remesh_every == 0 or done == self.steps:
-                if self.coarsen_threshold > 0:
-                    # The window is 2-aligned, so block decisions match the
-                    # dense run's (coarsening is strictly 2x2-block-local).
-                    win, __ = coarsen_smooth_blocks(
-                        tuple(win), win[0], self.coarsen_threshold
-                    )
-                    win = list(win)
-        with np.errstate(all="ignore"):
-            values = np.round(win[0], 1).astype(np.float32)
+            # The window is 2-aligned, so block decisions match the dense
+            # run's (coarsening is strictly 2x2-block-local).
+            win = self._remesh(step + 1, *win)
+        values = self._checkpoint(win[0])
         flat = stencil.window_flat_indices(bounds, n)
         return SparseOutput(flat_indices=flat, values=values.ravel())
 
@@ -835,8 +794,8 @@ class Clamr(Kernel):
         """Output + golden chain + dt cache, for pool workers to adopt.
 
         The dense chain subsumes the snapshot states (every snapshot is a
-        chain row), so one shared block replaces both the golden run and
-        the fast path's per-worker chain recomputation.
+        chain row), so one shared block replaces each worker's golden run,
+        chain included; adopting workers resume dense fallbacks from it.
         """
         cache = self._fastpath_cache()
         if cache is None:
@@ -870,10 +829,7 @@ class Clamr(Kernel):
         levels = arrays.get("levels")
         if any(a is None for a in (output, chain, dt_smax, witness, levels)):
             return None
-        states = {
-            int(s): (chain[int(s), 0], chain[int(s), 1], chain[int(s), 2])
-            for s in meta.get("snapshot_steps", [])
-        }
+        states = {int(s): chain[int(s)] for s in meta.get("snapshot_steps", [])}
         aux = {
             "mass": float(meta["mass"]),
             "initial_mass": float(meta["initial_mass"]),

@@ -355,9 +355,7 @@ class HotSpot(Kernel):
         q0, q1 = cols
         # Corner cells of the padded window are never read by the 5-point
         # stencil; the shared helper fills them with band replicas.
-        padded = stencil.padded_window(
-            w, ring_source, (r0, r1, q0, q1), self.n, 1, wall="edge"
-        )
+        padded = stencil.padded_window(w, ring_source, (r0, r1, q0, q1), self.n, 1)
         north = padded[:-2, 1:-1]
         south = padded[2:, 1:-1]
         west = padded[1:-1, :-2]

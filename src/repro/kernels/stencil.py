@@ -13,11 +13,13 @@ kernel's own; what the kernels share is the window *bookkeeping*:
   cells from the dense golden field (``expand_window``) — valid because the
   invariant of every windowed replay is *outside the window, the faulty
   state equals the golden state bit for bit*;
+* mirrored ghost layers around a whole grid (``mirror_pad``), built by
+  slice assignment into one array instead of ``np.pad``;
 * assembling a ghost-padded window (``padded_window``): interior ghost
   bands are sliced from the dense golden field (those cells are provably
   outside the fault's light cone, so their golden values equal the faulty
-  run's values exactly), while bands at the grid wall replicate or mirror
-  the window's own edge, matching what ``np.pad`` does on the full grid;
+  run's values exactly), while bands at the grid wall mirror the window's
+  own edge, matching what ``mirror_pad`` does on the full grid;
 * shrinking away border rows/columns that are byte-identical to the golden
   state (``shrink_equal_bounds``) — the residual-bound cone cap: a
   contractive stencil (HotSpot) decays an injected disturbance, and once a
@@ -42,6 +44,7 @@ __all__ = [
     "align_bounds",
     "covers_grid",
     "expand_window",
+    "mirror_pad",
     "padded_window",
     "window_flat_indices",
     "shrink_equal_bounds",
@@ -97,21 +100,37 @@ def expand_window(
     return out
 
 
+def mirror_pad(a: np.ndarray, width: int) -> np.ndarray:
+    """``np.pad(a, width, mode="symmetric")`` by slice assignment.
+
+    The ghost layer ``k + 1`` cells beyond a wall copies the row or column
+    ``k`` cells inside it, corners included, so ``width=1`` is also
+    ``mode="edge"``.  Both sides of ``a`` must be at least ``width``.
+    """
+    rows, cols = a.shape
+    out = np.empty((rows + 2 * width, cols + 2 * width), dtype=a.dtype)
+    core = slice(width, -width)
+    out[core, core] = a
+    out[core, :width] = a[:, width - 1 :: -1]
+    out[core, -width:] = a[:, : -width - 1 : -1]
+    out[:width] = out[2 * width - 1 : width - 1 : -1]
+    out[-width:] = out[-width - 1 : -2 * width - 1 : -1]
+    return out
+
+
 def padded_window(
     w: np.ndarray,
     dense: np.ndarray,
     bounds: tuple[int, int, int, int],
     n: int,
     halo: int,
-    wall: str = "edge",
 ) -> np.ndarray:
     """Assemble a ghost-padded copy of a window.
 
     Ghost bands interior to the grid are sliced from ``dense`` (the golden
-    field of the current step); bands at a grid wall replicate
-    (``wall="edge"``, matching ``np.pad(..., mode="edge")``) or mirror
-    (``wall="symmetric"``, matching ``mode="symmetric"``) the window's own
-    outermost rows/columns.  Corner blocks are filled by replicating the
+    field of the current step); bands at a grid wall mirror the window's
+    own outermost rows/columns, as :func:`mirror_pad` does (for ``halo=1``
+    that replicates the edge).  Corner blocks are filled by replicating the
     horizontally adjacent ghost band; the stencil updates never read them,
     and any reduction over the padded array sees only duplicates of values
     already present.  Wall-sided sign conventions (reflective momentum
@@ -128,20 +147,20 @@ def padded_window(
         if r0 > 0:
             out[top, core] = dense[r0 - 1 - k, q0:q1]
         else:
-            out[top, core] = w[0 if wall == "edge" else k, :]
+            out[top, core] = w[k, :]
         if r1 < n:
             out[bottom, core] = dense[r1 + k, q0:q1]
         else:
-            out[bottom, core] = w[-1 if wall == "edge" else height - 1 - k, :]
+            out[bottom, core] = w[height - 1 - k, :]
         left, right = halo - 1 - k, halo + width + k
         if q0 > 0:
             out[core, left] = dense[r0:r1, q0 - 1 - k]
         else:
-            out[core, left] = w[:, 0 if wall == "edge" else k]
+            out[core, left] = w[:, k]
         if q1 < n:
             out[core, right] = dense[r0:r1, q1 + k]
         else:
-            out[core, right] = w[:, -1 if wall == "edge" else width - 1 - k]
+            out[core, right] = w[:, width - 1 - k]
     # Corners: replicate the adjacent interior column of each row band.
     out[:halo, :halo] = out[:halo, halo : halo + 1]
     out[:halo, -halo:] = out[:halo, -halo - 1 : -halo]

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.arch import xeonphi
+from repro.beam.logs import row_texts
 from repro.bitflip import ExponentBitFlip, MantissaBitFlip, SingleBitFlip
 from repro.core import Locality, MassConservationDetector, classify_locality
+from repro.faults import Injector
 from repro.kernels import Clamr, KernelFault
+from repro.kernels import clamr as clamr_module
 from repro.kernels.amr import RefinementMap, coarsen_block
-from repro.kernels.base import KernelCrashError
+from repro.kernels.base import KernelCrashError, clear_golden_cache
 
 
 @pytest.fixture(scope="module")
@@ -265,3 +269,86 @@ class TestFaultBehaviour:
         # Even if the block was not flat, the tail must follow real physics:
         # mass conserved exactly.
         assert out.sum() == pytest.approx(golden.sum(), rel=1e-12)
+
+
+class TestGoldenPass:
+    """One golden pass keeps what faulty runs and the fast path read."""
+
+    CONFIG = dict(n=32, steps=64)
+
+    @pytest.fixture
+    def fresh_cache(self):
+        clear_golden_cache()
+        yield
+        clear_golden_cache()
+
+    def _rows(self, **kwargs):
+        records = Injector(
+            kernel=Clamr(**self.CONFIG), device=xeonphi(), seed=20, **kwargs
+        ).inject_batch(range(48))
+        return list(row_texts(records))
+
+    def test_over_budget_campaign_matches_in_budget(self, fresh_cache, monkeypatch):
+        """Paper-size configs keep only the snapshots: same rows."""
+        in_budget = self._rows()
+        assert "fastpath" in Clamr(**self.CONFIG).golden().aux
+        clear_golden_cache()
+        monkeypatch.setattr(clamr_module, "DELTA_STATES_MAX_BYTES", 0)
+        kernel = Clamr(**self.CONFIG)
+        aux = kernel.golden().aux
+        assert "fastpath" not in aux
+        assert sorted(aux["states"]) == list(range(0, 65, kernel.snapshot_every))
+        assert kernel.shared_golden_payload() is None
+        assert self._rows() == in_budget
+        assert self._rows(fast_path=False) == in_budget
+
+    def test_shared_payload_rebuilds_the_golden(self, fresh_cache):
+        kernel = Clamr(**self.CONFIG)
+        golden = kernel.golden()
+        payload = kernel.shared_golden_payload()
+        rebuilt = Clamr(**self.CONFIG).golden_from_shared(
+            payload["arrays"], payload["meta"]
+        )
+        assert rebuilt.output.tobytes() == golden.output.tobytes()
+        want, got = golden.aux, rebuilt.aux
+        for key in ("mass", "initial_mass", "momentum", "cell_counts",
+                    "load_imbalance"):
+            assert got[key] == want[key], key
+        assert (got["final_mesh"].levels.tobytes()
+                == want["final_mesh"].levels.tobytes())
+        assert sorted(got["states"]) == sorted(want["states"])
+        for step, state in want["states"].items():
+            assert (np.asarray(got["states"][step]).tobytes()
+                    == np.asarray(state).tobytes())
+        for key in ("chain", "dt_smax", "witness"):
+            assert got["fastpath"][key].tobytes() == want["fastpath"][key].tobytes()
+        assert got["fastpath"]["absmax"] == want["fastpath"]["absmax"]
+
+    def test_faulty_run_keeps_conservation_totals_only(self, clamr):
+        result = clamr.run(
+            fault("cell_momentum", flip=MantissaBitFlip(top_bits=4), seed=5)
+        )
+        assert set(result.aux) == {"mass", "initial_mass", "momentum"}
+        assert result.aux["initial_mass"] == clamr.golden().aux["initial_mass"]
+        # Both readers of a faulty run's aux read its mass.
+        assert MassConservationDetector(
+            expected_mass=result.aux["initial_mass"], rtol=1e-9
+        ).check_total(result.aux["mass"]).detected is False
+
+    @pytest.mark.parametrize("budget, resumes_at", [(None, 30), (0, 28)])
+    def test_dense_run_resumes_at_latest_kept_state(
+        self, fresh_cache, monkeypatch, budget, resumes_at
+    ):
+        """Within budget a faulty run starts at its strike step; over it, at
+        the snapshot before (every 4th step here)."""
+        if budget is not None:
+            monkeypatch.setattr(clamr_module, "DELTA_STATES_MAX_BYTES", budget)
+        kernel = Clamr(**self.CONFIG)
+        kernel.golden()
+        steps = []
+        step = kernel._step
+        monkeypatch.setattr(
+            kernel, "_step", lambda *state: steps.append(1) or step(*state)
+        )
+        kernel.run(fault("cell_momentum", progress=30 / 64, seed=5))
+        assert len(steps) == kernel.steps - resumes_at
