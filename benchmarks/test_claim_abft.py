@@ -54,7 +54,7 @@ def test_abft_end_to_end_on_campaign_outputs(benchmark):
     def evaluate():
         spec = dgemm_sweep("k40", "test")[0]
         result = run_spec(spec)
-        kernel = make_kernel("dgemm", **dict(spec.kernel_config))
+        kernel = make_kernel("dgemm", **spec.config)
         scheme = AbftScheme()
         row_sum, col_sum = kernel.golden_checksums()
         verdicts = []

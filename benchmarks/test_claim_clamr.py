@@ -24,7 +24,7 @@ from repro.kernels.registry import make_kernel
 def build():
     spec = clamr_spec("xeonphi", SCALE)
     result = run_spec(spec)
-    kernel = make_kernel("clamr", **dict(spec.kernel_config))
+    kernel = make_kernel("clamr", **spec.config)
     return result, kernel
 
 

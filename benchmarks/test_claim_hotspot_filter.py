@@ -53,7 +53,7 @@ def test_hotspot_entropy_detector_tradeoff(benchmark, save_figure):
     def build():
         spec = hotspot_spec("k40", SCALE)
         result = run_spec(spec)
-        kernel = make_kernel("hotspot", **dict(spec.kernel_config))
+        kernel = make_kernel("hotspot", **spec.config)
         end_coverage = hotspot_entropy_coverage(result, kernel)
 
         # Interval variant: calibrate on the golden snapshots and check a

@@ -16,7 +16,7 @@ from conftest import run_once
 
 from repro._util.text import format_table
 from repro.analysis.claims import locality_share_of_executions
-from repro.analysis.experiments import CampaignSpec, run_spec
+from repro.analysis.experiments import run_spec, study_spec
 from repro.analysis.scaling import fit_growth, projected_sweep
 from repro.arch import ResourceKind, k40
 from repro.core.locality import Locality
@@ -35,7 +35,7 @@ def test_k40_cubic_square_share_falls_under_pressure(benchmark, save_figure):
     def build():
         shares = []
         for config in PRESSURE_SWEEP:
-            spec = CampaignSpec.build(
+            spec = study_spec(
                 "lavamd", "k40", config, n_faulty=180,
                 label=f"lavamd/k40/pressure-{config['nb']}",
             )

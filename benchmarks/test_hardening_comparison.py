@@ -36,7 +36,7 @@ from repro.kernels.registry import make_kernel
 
 
 def _kernel_for(spec):
-    return make_kernel(spec.kernel_name, **dict(spec.kernel_config))
+    return make_kernel(spec.kernel, **spec.config)
 
 
 def test_hardening_dgemm(benchmark, save_figure):

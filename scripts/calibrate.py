@@ -21,6 +21,7 @@ from repro.analysis.experiments import (
     hotspot_spec,
     lavamd_sweep,
     run_spec,
+    run_specs,
 )
 from repro.analysis.fitbreakdown import fit_figure
 from repro.analysis.scatter import scatter_figure
@@ -35,8 +36,7 @@ def main(scale: str = "default") -> None:
     print("=" * 72)
     print("DGEMM (Figs. 2-3)")
     for device in ("k40", "xeonphi"):
-        specs = dgemm_sweep(device, scale)
-        results = [run_spec(s) for s in specs]
+        results = run_specs(dgemm_sweep(device, scale))
         fig = fit_figure(f"fig3-{device}", results)
         sc = scatter_figure(f"fig2-{device}", results)
         print(sc.render())
@@ -57,8 +57,7 @@ def main(scale: str = "default") -> None:
     print("=" * 72)
     print("LavaMD (Figs. 4-5)")
     for device in ("k40", "xeonphi"):
-        specs = lavamd_sweep(device, scale)
-        results = [run_spec(s) for s in specs]
+        results = run_specs(lavamd_sweep(device, scale))
         fig = fit_figure(f"fig5-{device}", results)
         sc = scatter_figure(f"fig4-{device}", results)
         print(sc.render())
@@ -99,7 +98,7 @@ def main(scale: str = "default") -> None:
     print(f"  square exec share={square:.2f} (paper: ~0.99)")
     print(f"  elements below 2%={elements_below_threshold_fraction(result):.3f}"
           f" (paper: 0.0)")
-    kernel = make_kernel("clamr", **dict(spec.kernel_config))
+    kernel = make_kernel("clamr", **spec.config)
     print(f"  mass-check coverage={clamr_mass_check_coverage(result, kernel):.2f}"
           f" (paper [4]: ~0.82)")
     print(render_ratios([result]))

@@ -17,7 +17,7 @@ from repro.analysis.experiments import (
     dgemm_sweep,
     hotspot_spec,
     lavamd_sweep,
-    run_spec,
+    run_specs,
 )
 from repro.analysis.export import export_fit, export_locality_map, export_scatter
 from repro.analysis.fitbreakdown import fit_figure
@@ -40,7 +40,7 @@ def main(out_dir: str = "paper_scale_results") -> None:
 
     for name, specs, figs in jobs:
         print(f"[{time.time() - t0:7.1f}s] running {name} ...", flush=True)
-        results = [run_spec(s) for s in specs]
+        results = run_specs(specs)
         scatter = scatter_figure(f"Fig. {figs.split('/')[0]} ({name})", results)
         fit = fit_figure(f"Fig. {figs.split('/')[1]} ({name})", results)
         (out / f"{name}_scatter.txt").write_text(scatter.render() + "\n")

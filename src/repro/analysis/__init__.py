@@ -29,12 +29,12 @@ from repro.analysis.claims import (
     rebuild_output,
 )
 from repro.analysis.experiments import (
-    CampaignSpec,
     clamr_spec,
     dgemm_sweep,
     hotspot_spec,
     lavamd_sweep,
     run_spec,
+    run_specs,
 )
 from repro.analysis.fitbreakdown import FitFigure, fit_figure
 from repro.analysis.fleet import (
@@ -63,12 +63,12 @@ __all__ = [
     "hotspot_entropy_coverage",
     "locality_share_of_executions",
     "rebuild_output",
-    "CampaignSpec",
     "clamr_spec",
     "dgemm_sweep",
     "hotspot_spec",
     "lavamd_sweep",
     "run_spec",
+    "run_specs",
     "FitFigure",
     "fit_figure",
     "FleetProjection",

@@ -14,19 +14,20 @@ The propagation mechanisms are size-independent; the size-dependent parts
 of the model (scheduler strain, cache utilisation) take the *configured*
 size, so sweeps at any scale show the paper's trends.
 
-Campaign results are memoised per spec within a process: several figures
-share the same campaigns (Fig. 2 and Fig. 3 both consume the DGEMM sweep).
+Each campaign is a store :class:`~repro.store.spec.CampaignSpec`, and
+results are memoised by run id within a process (:func:`run_specs`):
+several figures share the same campaigns (Fig. 2 and Fig. 3 both consume
+the DGEMM sweep).
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from collections import OrderedDict
 
 from repro._util.rng import stable_seed
-from repro.arch.registry import make_device
-from repro.beam.campaign import Campaign, CampaignResult
-from repro.kernels.registry import make_kernel
+from repro.beam.campaign import CampaignResult, run_campaigns
+from repro.beam.executor import CampaignExecutor
+from repro.store.spec import CampaignSpec
 
 #: Default study seed: every campaign below derives from it.
 STUDY_SEED = 2017
@@ -75,51 +76,47 @@ CLAMR_CONFIG = {
 N_FAULTY = {"test": 40, "default": 220, "paper": 400}
 
 
-@dataclass(frozen=True)
-class CampaignSpec:
-    """A fully determined campaign: hashable, memoisable, reproducible."""
+#: Results this process keeps, by run id (least recently used dropped first).
+MEMO_SIZE = 64
 
-    kernel_name: str
-    device_name: str
-    kernel_config: tuple[tuple[str, object], ...]  #: sorted (key, value) pairs
-    n_faulty: int
-    seed: int
-    label: str
-
-    @classmethod
-    def build(
-        cls,
-        kernel_name: str,
-        device_name: str,
-        kernel_config: dict,
-        *,
-        n_faulty: int,
-        label: str,
-        seed: int = STUDY_SEED,
-    ) -> "CampaignSpec":
-        return cls(
-            kernel_name=kernel_name,
-            device_name=device_name,
-            kernel_config=tuple(sorted(kernel_config.items())),
-            n_faulty=n_faulty,
-            seed=stable_seed(seed, kernel_name, device_name, tuple(sorted(kernel_config.items()))),
-            label=label,
-        )
+_results: "OrderedDict[str, CampaignResult]" = OrderedDict()
 
 
-@functools.lru_cache(maxsize=64)
-def run_spec(spec: CampaignSpec) -> CampaignResult:
-    """Run (or fetch the memoised result of) one campaign spec."""
-    kernel = make_kernel(spec.kernel_name, **dict(spec.kernel_config))
-    device = make_device(spec.device_name)
-    campaign = Campaign(
-        kernel=kernel,
-        device=device,
-        n_faulty=spec.n_faulty,
-        seed=spec.seed,
-        label=spec.label,
+def study_spec(kernel: str, device: str, config: dict, *, n_faulty: int,
+               label: str, seed: int = STUDY_SEED) -> CampaignSpec:
+    """A study campaign, seeded by ``stable_seed(seed, kernel, device,
+    sorted config items)``."""
+    return CampaignSpec(
+        kernel=kernel, device=device, config=dict(config), n_faulty=n_faulty,
+        label=label,
+        seed=stable_seed(seed, kernel, device, tuple(sorted(config.items()))),
     )
-    return campaign.run()
+
+
+def run_specs(specs) -> list[CampaignResult]:
+    """Every spec's result, in order: the specs not yet run in this
+    process run as one scheduler run (one pool), and results are kept by
+    run id (the last :data:`MEMO_SIZE` used; a label is not identity)."""
+    specs = list(specs)
+    run_ids = [spec.run_id() for spec in specs]
+    fresh = {
+        run_id: spec for run_id, spec in zip(run_ids, specs)
+        if run_id not in _results
+    }
+    if fresh:
+        campaigns = [spec.build_campaign() for spec in fresh.values()]
+        _results.update(zip(fresh, run_campaigns(campaigns, CampaignExecutor())))
+    results = [_results[run_id] for run_id in run_ids]
+    for run_id in run_ids:
+        _results.move_to_end(run_id)
+    while len(_results) > MEMO_SIZE:
+        _results.popitem(last=False)
+    return results
+
+
+def run_spec(spec: CampaignSpec) -> CampaignResult:
+    """One spec's result: ``run_specs([spec])[0]``."""
+    return run_specs([spec])[0]
 
 
 def _scale_of(scale: str, table: dict):
@@ -136,7 +133,7 @@ def dgemm_sweep(device_name: str, scale: str = "default") -> list[CampaignSpec]:
         sizes.append(_scale_of(scale, DGEMM_EXTRA_PHI))
         sizes = sorted(set(sizes))
     return [
-        CampaignSpec.build(
+        study_spec(
             "dgemm",
             device_name,
             {"n": n},
@@ -151,7 +148,7 @@ def lavamd_sweep(device_name: str, scale: str = "default") -> list[CampaignSpec]
     """The LavaMD grid sweep of Figs. 4-5 for one device."""
     particles = _scale_of(scale, LAVAMD_PARTICLES)[device_name]
     return [
-        CampaignSpec.build(
+        study_spec(
             "lavamd",
             device_name,
             {"nb": nb, "particles_per_box": particles},
@@ -165,7 +162,7 @@ def lavamd_sweep(device_name: str, scale: str = "default") -> list[CampaignSpec]
 def hotspot_spec(device_name: str, scale: str = "default") -> CampaignSpec:
     """The single HotSpot configuration of Figs. 6-7."""
     n, iterations = _scale_of(scale, HOTSPOT_CONFIG)
-    return CampaignSpec.build(
+    return study_spec(
         "hotspot",
         device_name,
         {"n": n, "iterations": iterations},
@@ -177,7 +174,7 @@ def hotspot_spec(device_name: str, scale: str = "default") -> CampaignSpec:
 def clamr_spec(device_name: str = "xeonphi", scale: str = "default") -> CampaignSpec:
     """The CLAMR dam-break configuration of Figs. 8-9 (Xeon Phi in the paper)."""
     n, steps = _scale_of(scale, CLAMR_CONFIG)
-    return CampaignSpec.build(
+    return study_spec(
         "clamr",
         device_name,
         {"n": n, "steps": steps},

@@ -23,6 +23,7 @@ from repro.analysis.experiments import (
     hotspot_spec,
     lavamd_sweep,
     run_spec,
+    run_specs,
 )
 from repro.analysis.fitbreakdown import fit_figure
 from repro.analysis.localitymap import locality_map_figure
@@ -38,7 +39,15 @@ def _rule(title: str) -> str:
 
 
 def generate_report(scale: str = "default") -> str:
-    """Run the full study at ``scale`` and render the report text."""
+    """Run the full study at ``scale`` (as one :func:`run_specs` call,
+    so one pool) and render the report text."""
+    devices = ("k40", "xeonphi")
+    run_specs([
+        clamr_spec("xeonphi", scale),
+        *(hotspot_spec(device, scale) for device in devices),
+        *(spec for device in devices for spec in dgemm_sweep(device, scale)),
+        *(spec for device in devices for spec in lavamd_sweep(device, scale)),
+    ])
     out = io.StringIO()
 
     out.write(_rule("Tables"))
@@ -55,8 +64,8 @@ def generate_report(scale: str = "default") -> str:
         ("dgemm", dgemm_sweep, ("2", "3")),
         ("lavamd", lavamd_sweep, ("4", "5")),
     ):
-        for device in ("k40", "xeonphi"):
-            results = [run_spec(s) for s in sweeper(device, scale)]
+        for device in devices:
+            results = run_specs(sweeper(device, scale))
             out.write(_rule(f"{kernel_name.upper()} on {device}"))
             out.write(
                 scatter_figure(f"Fig. {fig_ids[0]}", results).render() + "\n\n"
@@ -76,7 +85,7 @@ def generate_report(scale: str = "default") -> str:
                 + "\n"
             )
 
-    for device in ("k40", "xeonphi"):
+    for device in devices:
         result = run_spec(hotspot_spec(device, scale))
         out.write(_rule(f"HOTSPOT on {device}"))
         out.write(scatter_figure("Fig. 6", [result]).render() + "\n\n")
@@ -88,7 +97,7 @@ def generate_report(scale: str = "default") -> str:
 
     spec = clamr_spec("xeonphi", scale)
     result = run_spec(spec)
-    kernel = make_kernel("clamr", **dict(spec.kernel_config))
+    kernel = make_kernel("clamr", **spec.config)
     out.write(_rule("CLAMR on xeonphi"))
     out.write(scatter_figure("Fig. 8", [result]).render() + "\n\n")
     out.write(locality_map_figure("Fig. 9", result).render() + "\n\n")

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.experiments import run_spec
 from repro.arch.device import DeviceModel
 from repro.arch.registry import make_device
-from repro.beam.campaign import Campaign, CampaignResult, FIT_AU_SCALE, STRIKES_PER_FLUENCE_AU
+from repro.beam.campaign import CampaignResult, FIT_AU_SCALE, STRIKES_PER_FLUENCE_AU
 from repro.arch.resources import ResourceKind
 from repro.faults.outcomes import OutcomeKind
 from repro.kernels.base import Kernel
 from repro.kernels.registry import make_kernel
+from repro.store.spec import CampaignSpec
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,15 @@ def project_fit(
     )
 
 
+def reference_spec(kernel_name: str, device_name: str, config: dict, *,
+                   n_reference: int = 220, seed: int = 2017) -> CampaignSpec:
+    """The measured reference campaign of a :func:`projected_sweep`."""
+    return CampaignSpec(
+        kernel_name, device_name, dict(config), seed=seed,
+        n_faulty=n_reference, label=f"{kernel_name}/{device_name}/reference",
+    )
+
+
 def projected_sweep(
     kernel_name: str,
     device_name: str,
@@ -122,6 +133,9 @@ def projected_sweep(
     seed: int = 2017,
 ) -> list[FitProjection]:
     """Project a full input-size sweep from one reference campaign.
+
+    The reference campaign (:func:`reference_spec`) is kept in the
+    study's memo (:func:`~repro.analysis.experiments.run_specs`).
 
     Args:
         kernel_name / device_name: registry names.
@@ -135,14 +149,10 @@ def projected_sweep(
     if not configs:
         raise ValueError("need at least one configuration")
     device = make_device(device_name)
-    ref_config = reference_config or configs[0]
-    reference = Campaign(
-        kernel=make_kernel(kernel_name, **ref_config),
-        device=device,
-        n_faulty=n_reference,
-        seed=seed,
-        label=f"{kernel_name}/{device_name}/reference",
-    ).run()
+    reference = run_spec(reference_spec(
+        kernel_name, device_name, reference_config or configs[0],
+        n_reference=n_reference, seed=seed,
+    ))
     rates = ConversionRates.measure(reference)
     projections = []
     for config in configs:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,9 +32,10 @@ from repro.analysis.experiments import (
     hotspot_spec,
     lavamd_sweep,
     run_spec,
+    run_specs,
 )
 from repro.analysis.fitbreakdown import fit_figure
-from repro.analysis.scaling import fit_growth, projected_sweep
+from repro.analysis.scaling import fit_growth, projected_sweep, reference_spec
 from repro.analysis.scatter import scatter_figure
 from repro.core.locality import Locality
 from repro.kernels.registry import make_kernel
@@ -69,11 +71,11 @@ class ClaimResult:
 
 
 def _dgemm(device, scale):
-    return [run_spec(s) for s in dgemm_sweep(device, scale)]
+    return run_specs(dgemm_sweep(device, scale))
 
 
 def _lavamd(device, scale):
-    return [run_spec(s) for s in lavamd_sweep(device, scale)]
+    return run_specs(lavamd_sweep(device, scale))
 
 
 def _k40_fraction_below_10(scale):
@@ -84,40 +86,24 @@ def _phi_median_error(scale):
     return scatter_figure("x", _dgemm("xeonphi", scale)).median_error()
 
 
-def _k40_fully_filtered(scale):
-    return float(np.mean([fully_filtered_fraction(r) for r in _dgemm("k40", scale)]))
+def _dgemm_fully_filtered(device, scale):
+    return float(np.mean([fully_filtered_fraction(r) for r in _dgemm(device, scale)]))
 
 
-def _phi_fully_filtered(scale):
-    return float(
-        np.mean([fully_filtered_fraction(r) for r in _dgemm("xeonphi", scale)])
-    )
+def _dgemm_abft_residual(device, scale):
+    return float(np.mean(fit_figure("x", _dgemm(device, scale)).abft_residual()))
 
 
-def _k40_abft_residual(scale):
-    return float(np.mean(fit_figure("x", _dgemm("k40", scale)).abft_residual()))
+#: Paper-scale DGEMM sizes, projected from one measured reference size.
+_PROJECTED_SIZES = {"k40": (1024, 2048, 4096), "xeonphi": (1024, 2048, 4096, 8192)}
+_PROJECTION_REFERENCE = {"n": 512}
 
 
-def _phi_abft_residual(scale):
-    return float(np.mean(fit_figure("x", _dgemm("xeonphi", scale)).abft_residual()))
-
-
-def _k40_fit_growth_paper_scale(scale):
-    projections = projected_sweep(
-        "dgemm", "k40",
-        [{"n": 1024}, {"n": 2048}, {"n": 4096}],
-        reference_config={"n": 512},
-    )
-    return fit_growth(projections)
-
-
-def _phi_fit_growth_paper_scale(scale):
-    projections = projected_sweep(
-        "dgemm", "xeonphi",
-        [{"n": 1024}, {"n": 2048}, {"n": 4096}, {"n": 8192}],
-        reference_config={"n": 512},
-    )
-    return fit_growth(projections)
+def _dgemm_fit_growth_paper_scale(device, scale):
+    return fit_growth(projected_sweep(
+        "dgemm", device, [{"n": n} for n in _PROJECTED_SIZES[device]],
+        reference_config=_PROJECTION_REFERENCE,
+    ))
 
 
 def _k40_lavamd_cubic_square(scale):
@@ -131,23 +117,17 @@ def _k40_lavamd_cubic_square(scale):
     )
 
 
+def _hotspots(scale):
+    return run_specs([hotspot_spec(d, scale) for d in ("k40", "xeonphi")])
+
+
 def _hotspot_max_error(scale):
-    figs = [
-        scatter_figure("x", [run_spec(hotspot_spec(d, scale))], error_cap=None)
-        for d in ("k40", "xeonphi")
-    ]
+    figs = [scatter_figure("x", [r], error_cap=None) for r in _hotspots(scale)]
     return max(max((e for _, e in f.all_points()), default=0.0) for f in figs)
 
 
 def _hotspot_filtered(scale):
-    return float(
-        np.mean(
-            [
-                fully_filtered_fraction(run_spec(hotspot_spec(d, scale)))
-                for d in ("k40", "xeonphi")
-            ]
-        )
-    )
+    return float(np.mean([fully_filtered_fraction(r) for r in _hotspots(scale)]))
 
 
 def _hotspot_square_line(scale):
@@ -167,7 +147,7 @@ def _clamr_below_2(scale):
 
 def _clamr_coverage(scale):
     spec = clamr_spec("xeonphi", scale)
-    kernel = make_kernel("clamr", **dict(spec.kernel_config))
+    kernel = make_kernel("clamr", **spec.config)
     return clamr_mass_check_coverage(run_spec(spec), kernel)
 
 
@@ -192,32 +172,32 @@ CLAIMS: tuple[Claim, ...] = (
     Claim(
         "dgemm-k40-filtered", "V-A",
         "50-75% of K40 DGEMM runs entirely below the 2% tolerance",
-        "0.50-0.75", 0.35, 0.85, _k40_fully_filtered,
+        "0.50-0.75", 0.35, 0.85, partial(_dgemm_fully_filtered, "k40"),
     ),
     Claim(
         "dgemm-phi-filtered", "V-A",
         "no Phi DGEMM relative error below 2%",
-        "0.0", 0.0, 0.1, _phi_fully_filtered,
+        "0.0", 0.0, 0.1, partial(_dgemm_fully_filtered, "xeonphi"),
     ),
     Claim(
         "dgemm-k40-abft", "V-A",
         "ABFT leaves 20-40% of K40 DGEMM errors",
-        "0.2-0.4", 0.1, 0.5, _k40_abft_residual,
+        "0.2-0.4", 0.1, 0.5, partial(_dgemm_abft_residual, "k40"),
     ),
     Claim(
         "dgemm-phi-abft", "V-A",
         "ABFT leaves 60-80% of Phi DGEMM errors",
-        "0.6-0.8", 0.35, 0.9, _phi_abft_residual,
+        "0.6-0.8", 0.35, 0.9, partial(_dgemm_abft_residual, "xeonphi"),
     ),
     Claim(
         "dgemm-k40-fit-growth", "V-A",
         "K40 DGEMM FIT grows ~7x across the input sweep (projection)",
-        "~7x", 4.0, 11.0, _k40_fit_growth_paper_scale,
+        "~7x", 4.0, 11.0, partial(_dgemm_fit_growth_paper_scale, "k40"),
     ),
     Claim(
         "dgemm-phi-fit-growth", "V-A",
         "Phi DGEMM FIT grows only ~1.8x (projection)",
-        "~1.8x", 1.0, 3.0, _phi_fit_growth_paper_scale,
+        "~1.8x", 1.0, 3.0, partial(_dgemm_fit_growth_paper_scale, "xeonphi"),
     ),
     Claim(
         "dgemm-k40-over-phi", "V-A",
@@ -262,8 +242,23 @@ CLAIMS: tuple[Claim, ...] = (
 )
 
 
+def claim_specs(scale: str) -> list:
+    """Every campaign the registered claims read at ``scale``."""
+    devices = ("k40", "xeonphi")
+    return [
+        clamr_spec("xeonphi", scale),
+        *(hotspot_spec(device, scale) for device in devices),
+        *dgemm_sweep("k40", scale), *dgemm_sweep("xeonphi", scale),
+        *lavamd_sweep("k40", scale),
+        *(reference_spec("dgemm", device, _PROJECTION_REFERENCE)
+          for device in devices),
+    ]
+
+
 def verify_claims(scale: str = "default") -> list[ClaimResult]:
-    """Run every registered claim at the given scale."""
+    """Run every registered claim at the given scale, after running the
+    campaigns they read as one :func:`run_specs` call (one pool)."""
+    run_specs(claim_specs(scale))
     return [claim.check(scale) for claim in CLAIMS]
 
 

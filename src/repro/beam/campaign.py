@@ -24,7 +24,7 @@ a readable range — both shared by every campaign so relative comparisons
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro._util.rng import child_rng
 from repro._util.text import format_table
@@ -237,12 +237,19 @@ class Campaign:
             timeout=self.timeout,
         )
 
-    def _campaign_span(self, mode: str, n_executions: int):
+    def _run_job(self, workers, chunk_size, **job) -> CampaignResult:
+        """This campaign as a one-job :func:`~repro.scheduler.run_in_memory`
+        run; ``job`` holds the other ``submit_campaign`` arguments."""
+        from repro.scheduler import run_in_memory
+
+        executor = self._executor(workers, chunk_size)
+        return run_in_memory(executor, [{"campaign": self, **job}])[0]
+
+    def _campaign_span(self, mode: str, n_executions: int, parent=None):
         """A ``campaign`` trace span, or a no-op when tracing is off.
 
-        The span parents automatically under a ``board`` span when the
-        campaign runs inside a :class:`~repro.beam.parallel.BeamSession`
-        (the board span is opened on the same thread of control).
+        Not made current: the campaigns of one scheduler run are open side
+        by side, and each job names its span as its chunks' parent.
         """
         tracer = obs_runtime.get_tracer()
         if tracer is None:
@@ -250,6 +257,8 @@ class Campaign:
         return tracer.span(
             "campaign",
             self.label,
+            parent=parent,
+            current=False,
             kernel=self.kernel.name,
             device=self.device.name,
             mode=mode,
@@ -289,11 +298,12 @@ class Campaign:
         stitched back together from a journal reports bit-identical
         fluence, FIT and summaries.
 
+        ``received_fluence`` is the fluence a derated board of a
+        :class:`~repro.beam.parallel.BeamSession` received exactly;
         ``n_executions`` overrides the struck count (the adaptive path
-        executes fewer strikes than ``n_faulty``); the default fluence
-        stays the one the struck count statistically represents, with a
-        one-strike floor so a degenerate zero-execution result keeps
-        finite rates.
+        executes fewer strikes than ``n_faulty``).  The default fluence is
+        the one the struck count statistically represents, with a
+        one-strike floor so a zero-execution result keeps finite rates.
         """
         strikes = self.n_faulty if n_executions is None else n_executions
         if received_fluence is None:
@@ -320,35 +330,17 @@ class Campaign:
         *,
         workers: "int | None" = None,
         chunk_size: "int | None" = None,
-        received_fluence: "float | None" = None,
     ) -> CampaignResult:
         """Accelerated mode: every execution struck once, fluence-weighted.
 
         Args:
             workers: override the campaign's worker count for this run.
             chunk_size: override the campaign's chunk size for this run.
-            received_fluence: the fluence this configuration actually
-                received, when an enclosing exposure knows it exactly (a
-                derated board in a :class:`~repro.beam.parallel.BeamSession`).
-                Defaults to the fluence the struck count statistically
-                represents, ``n_faulty / (sigma * STRIKES_PER_FLUENCE_AU)``.
 
         Journaled (resumable) runs go through
         :func:`repro.store.runner.execute_spec` instead.
         """
-        with self._campaign_span("accelerated", self.n_faulty) as span:
-            records = self._executor(workers, chunk_size).run(
-                self.kernel,
-                self.device,
-                seed=self.seed,
-                threshold_pct=self.threshold_pct,
-                count=self.n_faulty,
-                label=self.label,
-            )
-            result = self.result_from_records(
-                records, received_fluence=received_fluence
-            )
-            self._note_campaign("accelerated", result, span)
+        (result,) = run_campaigns([self], self._executor(workers, chunk_size))
         return result
 
     def run_adaptive(
@@ -386,9 +378,7 @@ class Campaign:
         worker pool, and each completed round emits a ``sampling`` span.
         """
         with self._campaign_span("adaptive", self.n_faulty) as span:
-            result = self._executor(workers, chunk_size)._run_in_memory(
-                self, policy=policy
-            )
+            result = self._run_job(workers, chunk_size, policy=policy, span=span)
             if span is not None:
                 sampling = result.aux["sampling"]
                 span.set(
@@ -438,23 +428,11 @@ class Campaign:
             if rng.poisson(strike_mean) > 0
         ]
         with self._campaign_span("natural", n_executions) as span:
-            records = self._executor(workers, chunk_size).run(
-                self.kernel,
-                self.device,
-                seed=self.seed,
-                threshold_pct=self.threshold_pct,
-                indices=struck,
-                label=self.label,
-            )
-            result = CampaignResult(
-                kernel_name=self.kernel.name,
-                device_name=self.device.name,
-                label=self.label,
-                records=records,
+            run = self._run_job(workers, chunk_size, indices=struck, span=span)
+            result = replace(
+                run,
                 fluence=per_exec_fluence * n_executions,
-                cross_section=self.cross_section,
                 n_executions=n_executions,
-                threshold_pct=self.threshold_pct,
                 aux={
                     "exposure_seconds": exposure_seconds,
                     "strike_mean": strike_mean,
@@ -462,6 +440,35 @@ class Campaign:
             )
             self._note_campaign("natural", result, span)
         return result
+
+
+def run_campaigns(campaigns, executor: CampaignExecutor, *, parents=None,
+                  fluences=None) -> list[CampaignResult]:
+    """Accelerated mode for several campaigns as the in-memory jobs of one
+    :func:`~repro.scheduler.run_in_memory` run: one pool.  ``fluences[i]``
+    is the fluence campaign ``i`` received, and its span parents under
+    ``parents[i]`` (defaults: the struck count's, the current span).
+    """
+    from repro.scheduler import run_in_memory
+
+    parents = parents or [None] * len(campaigns)
+    fluences = fluences or [None] * len(campaigns)
+    with contextlib.ExitStack() as stack:
+        spans = [
+            stack.enter_context(c._campaign_span("accelerated", c.n_faulty, p))
+            for c, p in zip(campaigns, parents)
+        ]
+        runs = run_in_memory(executor, [
+            {"campaign": c, "indices": range(c.n_faulty), "span": span}
+            for c, span in zip(campaigns, spans)
+        ])
+        results = [
+            campaign.result_from_records(run.records, received_fluence=fluence)
+            for campaign, run, fluence in zip(campaigns, runs, fluences)
+        ]
+        for campaign, result, span in zip(campaigns, results, spans):
+            campaign._note_campaign("accelerated", result, span)
+    return results
 
 
 def note_sampling(driver, rounds: int, strikes: int, metrics) -> None:

@@ -8,9 +8,9 @@ decides how it runs: it plans contiguous chunks, resolves the backend (a
 process pool, with thread and serial fallbacks), builds the pool and
 stages the shared golden export.  :func:`_run_chunk` is what a worker
 runs for one chunk.  The dispatch loop itself is
-:class:`~repro.scheduler.CampaignScheduler`'s: :meth:`CampaignExecutor.run`,
-the in-memory entry point behind ``Campaign.run`` and ``run_natural``, is
-a one-job scheduler run with no journal.
+:class:`~repro.scheduler.CampaignScheduler`'s: :meth:`CampaignExecutor.run`
+is a one-job :func:`~repro.scheduler.run_in_memory` run with no journal,
+as are ``Campaign.run``, ``run_natural`` and ``run_adaptive``.
 
 **Why parallel execution is bit-identical to the serial loop.**  Every
 struck execution ``i`` draws from the derived stream
@@ -318,18 +318,15 @@ class CampaignExecutor:
         bit-identical to one ``Injector.inject_batch`` over the same
         indices in a single process.
 
-        ``label`` names the campaign/board in error context; it never
-        affects the records.  The run is one in-memory
-        :class:`~repro.scheduler.CampaignScheduler` job, so it traces
-        like any scheduled chunk: one ``chunk`` span per worker task and
-        one ``execution`` span per struck execution, measured where the
-        work runs and re-emitted by the parent (an execution span carries
-        its chunk's amortised per-strike time).  A worker failure raises
-        :class:`CampaignExecutionError` carrying the failing execution
-        index, chunk and label, with the :class:`ChunkWorkerError` as its
-        ``__cause__``; nothing is retried.
+        ``label`` (default: kernel/device) names the campaign in error
+        context; it never affects the records.  The run is one
+        :func:`~repro.scheduler.run_in_memory` job: a worker failure
+        raises :class:`CampaignExecutionError` carrying the failing
+        execution index, chunk and label, with the
+        :class:`ChunkWorkerError` as its ``__cause__``.
         """
         from repro.beam.campaign import Campaign
+        from repro.scheduler import run_in_memory
 
         if (count is None) == (indices is None):
             raise ValueError("pass exactly one of count= or indices=")
@@ -342,33 +339,10 @@ class CampaignExecutor:
             return []
         campaign = Campaign(
             kernel=kernel, device=device, n_faulty=len(indices), seed=seed,
-            threshold_pct=threshold_pct,
+            threshold_pct=threshold_pct, label=label,
         )
-        return self._run_in_memory(campaign, indices, label=label).records
-
-    def _run_in_memory(self, campaign, indices=None, *, policy=None,
-                       label=None):
-        """Run one in-memory scheduler job with these settings; no retries.
-
-        A fixed job runs ``indices`` of ``campaign``; without them the
-        job is adaptive under ``policy`` (see
-        :meth:`~repro.scheduler.CampaignScheduler.submit_campaign`).
-        Returns the job's :class:`~repro.beam.campaign.CampaignResult`,
-        or raises its error.  A deterministic kernel error fails the same
-        way on every attempt, so in-memory runs do not retry.
-        """
-        from repro.scheduler import CampaignScheduler, RetryPolicy
-
-        scheduler = CampaignScheduler(
-            None, workers=self.workers, chunk_size=self.chunk_size,
-            backend=self.backend, timeout=self.timeout,
-            retry=RetryPolicy(max_retries=0),
-        )
-        scheduler.submit_campaign(campaign, indices, policy=policy, label=label)
-        (outcome,) = scheduler.run()
-        if outcome.error is not None:
-            raise outcome.error
-        return outcome.result
+        jobs = [{"campaign": campaign, "indices": indices}]
+        return run_in_memory(self, jobs)[0].records
 
     @staticmethod
     def _export_shared_golden(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro._util.rng import stable_seed
@@ -27,7 +26,9 @@ from repro.beam.campaign import (
     Campaign,
     CampaignResult,
     format_ratio,
+    run_campaigns,
 )
+from repro.beam.executor import CampaignExecutor
 from repro.beam.facility import LANSCE, Facility
 from repro.kernels.base import Kernel
 from repro.observability import runtime as obs_runtime
@@ -136,79 +137,16 @@ class BeamSession:
         if self.n_faulty_reference < 1:
             raise ValueError("n_faulty_reference must be >= 1")
 
-    def _board_result(
-        self, position: int, slot: BoardSlot, parent_span=None
-    ) -> BoardResult:
-        """One board's campaign with derating-exact fluence accounting.
-
-        ``parent_span`` is the session's trace span; boards run on pool
-        threads whose context starts empty, so automatic (context-variable)
-        parenting cannot cross the thread boundary and the session passes
-        itself down explicitly.  The board span *is* opened on the board's
-        own thread, so the campaign span inside parents automatically.
-        """
-        tracer = obs_runtime.get_tracer()
-        if tracer is None:
-            return self._board_result_inner(position, slot)
-        with tracer.span(
-            "board",
-            slot.label,
-            parent=parent_span,
-            position=position,
-            derating=slot.derating,
-            kernel=slot.kernel.name,
-            device=slot.device.name,
-        ):
-            return self._board_result_inner(position, slot)
-
-    def _board_result_inner(self, position: int, slot: BoardSlot) -> BoardResult:
-        n_faulty = derated_strike_count(self.n_faulty_reference, slot.derating)
-        campaign = Campaign(
-            kernel=slot.kernel,
-            device=slot.device,
-            n_faulty=n_faulty,
-            seed=stable_seed(self.seed, "beam-session", position),
-            facility=self.facility,
-            label=slot.label,
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            timeout=self.timeout,
-        )
-        # The fluence this position *received* under the shared exposure:
-        # computed from the exact derated strike expectation, not the
-        # integer strike count the simulation happened to round to.
-        received_fluence = (self.n_faulty_reference * slot.derating) / (
-            campaign.cross_section * STRIKES_PER_FLUENCE_AU
-        )
-        # Shared wall-clock exposure: received fluence / derated flux
-        # = (n_ref * d / (sigma * AU)) / (flux * d).  The derating cancels
-        # algebraically (cancelled here rather than numerically, so boards
-        # with equal cross-sections report bit-identical beam time) — the
-        # paper's "one beam, four boards" shares one clock.
-        beam_seconds = self.n_faulty_reference / (
-            self.facility.flux * campaign.cross_section * STRIKES_PER_FLUENCE_AU
-        )
-        result = campaign.run(received_fluence=received_fluence)
-        return BoardResult(
-            slot=slot,
-            result=result,
-            beam_seconds=beam_seconds,
-            received_fluence=received_fluence,
-        )
-
     def run(self) -> list[BoardResult]:
         """Run every board's campaign under the shared exposure.
 
-        Boards are irradiated simultaneously in the paper, and their
-        campaigns are seeded independently (``(seed, "beam-session",
-        position)``), so they execute concurrently here — one thread per
-        board, each optionally fanning its own strikes out via the
-        campaign's ``workers`` knob.  Results keep slot order and are
-        bit-identical to running the boards one after another.
-
-        With tracing enabled the whole exposure is one ``session`` span
-        enclosing one ``board`` span per slot; the session-level board
-        counter lands in the metrics registry either way.
+        Boards are irradiated simultaneously in the paper, with campaigns
+        seeded independently (``(seed, "beam-session", position)``): each
+        board is a job of one scheduler run (:func:`~repro.beam.campaign.
+        run_campaigns`), all on one pool of ``workers``.  Results keep
+        slot order and are bit-identical to running the boards one after
+        another.  A trace holds one ``session`` span over one ``board``
+        span per slot, each over its board's ``campaign`` span.
         """
         tracer = obs_runtime.get_tracer()
         metrics = obs_runtime.get_metrics()
@@ -217,29 +155,66 @@ class BeamSession:
                 "repro_session_boards_total",
                 "Board campaigns run under shared beam exposures",
             ).inc(len(self.slots))
-        span_cm = (
-            tracer.span(
-                "session",
-                f"beam-session[{len(self.slots)}]",
-                n_boards=len(self.slots),
-                n_faulty_reference=self.n_faulty_reference,
-                facility=self.facility.name,
-                seed=self.seed,
+        campaigns = [
+            Campaign(
+                kernel=slot.kernel, device=slot.device,
+                n_faulty=derated_strike_count(
+                    self.n_faulty_reference, slot.derating
+                ),
+                seed=stable_seed(self.seed, "beam-session", position),
+                facility=self.facility, label=slot.label,
             )
-            if tracer is not None
-            else contextlib.nullcontext()
-        )
-        with span_cm as session_span:
-            if len(self.slots) == 1:
-                return [self._board_result(0, self.slots[0], session_span)]
-            with ThreadPoolExecutor(
-                max_workers=len(self.slots), thread_name_prefix="beam-board"
-            ) as pool:
-                futures = [
-                    pool.submit(self._board_result, position, slot, session_span)
+            for position, slot in enumerate(self.slots)
+        ]
+        received = [
+            (self.n_faulty_reference * slot.derating)
+            / (campaign.cross_section * STRIKES_PER_FLUENCE_AU)
+            for slot, campaign in zip(self.slots, campaigns)
+        ]
+        boards = None
+        with contextlib.ExitStack() as stack:
+            if tracer is not None:
+                stack.enter_context(tracer.span(
+                    "session",
+                    f"beam-session[{len(self.slots)}]",
+                    n_boards=len(self.slots),
+                    n_faulty_reference=self.n_faulty_reference,
+                    facility=self.facility.name,
+                    seed=self.seed,
+                ))
+                boards = [
+                    stack.enter_context(tracer.span(
+                        "board", slot.label, current=False,
+                        position=position, derating=slot.derating,
+                        kernel=slot.kernel.name, device=slot.device.name,
+                    ))
                     for position, slot in enumerate(self.slots)
                 ]
-                return [future.result() for future in futures]
+            results = run_campaigns(
+                campaigns,
+                CampaignExecutor(
+                    workers=self.workers, chunk_size=self.chunk_size,
+                    timeout=self.timeout,
+                ),
+                parents=boards, fluences=received,
+            )
+        # Shared wall-clock exposure: received fluence / derated flux
+        # = (n_ref * d / (sigma * AU)) / (flux * d).  The derating cancels
+        # algebraically (cancelled here rather than numerically, so boards
+        # with equal cross-sections report bit-identical beam time) — the
+        # paper's "one beam, four boards" shares one clock.
+        return [
+            BoardResult(
+                slot=slot, result=result, received_fluence=fluence,
+                beam_seconds=self.n_faulty_reference / (
+                    self.facility.flux * campaign.cross_section
+                    * STRIKES_PER_FLUENCE_AU
+                ),
+            )
+            for slot, campaign, result, fluence in zip(
+                self.slots, campaigns, results, received
+            )
+        ]
 
     @staticmethod
     def position_check(

@@ -36,7 +36,7 @@ from repro.analysis.experiments import (
     dgemm_sweep,
     hotspot_spec,
     lavamd_sweep,
-    run_spec,
+    run_specs,
 )
 from repro.analysis.fitbreakdown import fit_figure
 from repro.analysis.localitymap import locality_map_figure
@@ -289,7 +289,7 @@ def cmd_figure(args) -> int:
     except KeyError:
         known = ", ".join(sorted(_FIGURES))
         raise SystemExit(f"unknown figure {args.name!r}; known: {known}")
-    results = [run_spec(s) for s in _specs_for(kernel, device, args.scale)]
+    results = run_specs(_specs_for(kernel, device, args.scale))
     if kind == "scatter":
         print(scatter_figure(args.name, results).render())
     elif kind == "fit":

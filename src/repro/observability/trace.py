@@ -23,11 +23,12 @@ events in memory — the live-inspection and test sink).  A tracer fans out
 to any number of sinks.
 
 Parenting uses a context variable, so nested ``with tracer.span(...)``
-blocks link up automatically within a thread of control; spans that cross
-threads (a board campaign running on a session's thread pool) pass
-``parent=`` explicitly.  Worker *processes* never emit directly — the
-executor measures timings worker-side and the parent re-emits them, so a
-trace file always has exactly one writer.
+blocks link up automatically within a thread of control; spans open
+side by side (the boards and campaigns of one scheduler run) use
+``current=False`` and are passed as ``parent=`` explicitly.  Worker
+*processes* never emit directly — the executor measures timings
+worker-side and the parent re-emits them, so a trace file always has
+exactly one writer.
 """
 
 from __future__ import annotations
@@ -232,28 +233,32 @@ class Tracer:
         return _current_span.get()
 
     @contextlib.contextmanager
-    def span(self, kind: str, name: str, parent: "Span | None" = None, **attrs):
+    def span(self, kind: str, name: str, parent: "Span | None" = None, *,
+             current: bool = True, **attrs):
         """Open a span; it emits on exit.  Nested spans parent automatically.
 
         Args:
             kind: taxonomy level (one of :data:`SPAN_KINDS`, usually).
             name: display name.
-            parent: explicit parent span when crossing threads; defaults
-                to the context's current span.
+            parent: explicit parent span; defaults to the context's
+                current span.
+            current: make it the context's current span while open;
+                ``False`` opens it beside its siblings, not inside them.
             **attrs: initial attributes (extend later via ``Span.set``).
         """
         if parent is None:
             parent = _current_span.get()
         span = Span(kind, name, self.next_id(),
                     parent.span_id if parent is not None else None, attrs)
-        token = _current_span.set(span)
+        token = _current_span.set(span) if current else None
         try:
             yield span
         except BaseException as exc:
             span.set(error=f"{type(exc).__name__}: {exc}")
             raise
         finally:
-            _current_span.reset(token)
+            if token is not None:
+                _current_span.reset(token)
             self._emit_span(span, time.perf_counter() - span._t0, worker_id())
 
     def emit(

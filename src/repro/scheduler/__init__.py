@@ -32,13 +32,16 @@ from repro.scheduler.jobs import (
 )
 from repro.scheduler.lease import NO_DEADLINE, ChunkLease
 from repro.scheduler.retry import RetryPolicy
-from repro.scheduler.scheduler import CampaignScheduler, DispatchLoop, JobOutcome
+from repro.scheduler.scheduler import (
+    CampaignScheduler, DispatchLoop, JobOutcome, run_in_memory,
+)
 
 __all__ = [
     "RetryPolicy",
     "CampaignScheduler",
     "DispatchLoop",
     "JobOutcome",
+    "run_in_memory",
     "ChunkLease",
     "NO_DEADLINE",
     "PreparedJob",

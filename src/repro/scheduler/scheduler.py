@@ -36,10 +36,10 @@ simulator-side analogue for *campaigns*:
   running loop and share one pool.  In-memory runs are jobs too
   (:meth:`CampaignScheduler.submit_campaign`): a job with no journal,
   whose chunks return bare records and whose result is never sealed.
-  ``Campaign.run`` and ``run_natural`` (through
-  :meth:`~repro.beam.executor.CampaignExecutor.run`) and
-  ``Campaign.run_adaptive`` are one-job runs with no retries, so every
-  adaptive round of a run shares one pool.
+  :func:`run_in_memory` runs them with no retries: one job for
+  ``Campaign.run``, ``run_natural`` or ``run_adaptive`` (so every
+  adaptive round shares one pool), one per board of a ``BeamSession``
+  and one per campaign the paper study runs (``run_specs``).
 * **The one job book.**  The fleet coordinator drives a scheduler that
   never starts a pool: it leases ``next_task``'s chunks to remote agents,
   hands each accepted push to ``chunk_done`` and ``requeue``\\ s a lost
@@ -115,7 +115,7 @@ from repro.store.runner import journal_chunk_records, seal_records
 from repro.store.spec import CampaignSpec
 from repro.store.store import CampaignStore
 
-__all__ = ["CampaignScheduler", "DispatchLoop", "JobOutcome"]
+__all__ = ["CampaignScheduler", "DispatchLoop", "JobOutcome", "run_in_memory"]
 
 
 @dataclass
@@ -195,10 +195,11 @@ class _Job:
     """
 
     def __init__(self, order, run_id, label, priority, campaign, journal,
-                 chunks, prior, driver=None, spec=None):
+                 chunks, prior, driver=None, spec=None, span=None):
         self.order = order              # submit order (dispatch tiebreak)
         self.run_id = run_id
         self.spec = spec                # the submitted spec (priority applied)
+        self.span = span                # parent of its chunk/sampling spans
         self.label = label
         self.priority = priority
         self.campaign = campaign
@@ -371,7 +372,7 @@ class CampaignScheduler:
         return run_id
 
     def submit_campaign(self, campaign, indices=None, *, policy=None,
-                        label=None) -> None:
+                        span=None) -> None:
         """Queue one in-memory job: no journal, no run id, no dedup.
 
         With ``indices`` the job runs exactly those strikes of
@@ -381,8 +382,8 @@ class CampaignScheduler:
         default), planned as earlier rounds land.  Chunks return bare
         records, nothing is sealed or committed, and the outcome's
         ``result`` is the :class:`~repro.beam.campaign.CampaignResult`
-        (an adaptive one with ``aux["sampling"]``).  ``label`` names the
-        job in errors and ``sampling`` spans (default: the campaign's).
+        (an adaptive one with ``aux["sampling"]``).  ``span`` parents its
+        ``chunk`` and ``sampling`` spans (default: the current span).
         """
         if indices is None:
             driver, chunks = plan_adaptive(
@@ -393,9 +394,9 @@ class CampaignScheduler:
         self._queue.append(
             _Job(
                 order=next(self._orders), run_id="",
-                label=campaign.label if label is None else label, priority=1,
+                label=campaign.label, priority=1,
                 campaign=campaign, journal=None, chunks=chunks, prior=[],
-                driver=driver,
+                driver=driver, span=span,
             )
         )
 
@@ -595,6 +596,7 @@ class CampaignScheduler:
                 None if job.journal is None
                 else {"label": job.label, "run_id": job.run_id}
             ),
+            parent=job.span,
         )
         if job.driver is None:
             self._commit(job, result.lines)
@@ -657,6 +659,7 @@ class CampaignScheduler:
                 f"{job.label}/round{plan.number}",
                 start=job.round_started,
                 duration=now - job.round_started,
+                parent=job.span,
                 attrs={
                     "round": plan.number,
                     "strikes": len(plan.indices),
@@ -785,6 +788,25 @@ class CampaignScheduler:
                 duration=time.time() - job.started,
                 attrs=attrs,
             )
+
+
+def run_in_memory(executor: CampaignExecutor, jobs) -> list:
+    """Run in-memory jobs (:meth:`CampaignScheduler.submit_campaign`
+    argument dicts) as one scheduler run on ``executor``'s settings, with
+    no retries; returns their results in order or raises the first error.
+    """
+    scheduler = CampaignScheduler(
+        None, workers=executor.workers, chunk_size=executor.chunk_size,
+        backend=executor.backend, timeout=executor.timeout,
+        retry=RetryPolicy(max_retries=0),
+    )
+    for job in jobs:
+        scheduler.submit_campaign(**job)
+    outcomes = scheduler.run()
+    for outcome in outcomes:
+        if outcome.error is not None:
+            raise outcome.error
+    return [outcome.result for outcome in outcomes]
 
 
 class DispatchLoop:

@@ -19,13 +19,13 @@ from repro.kernels.registry import make_kernel
 @pytest.fixture(scope="module")
 def clamr_setup():
     spec = clamr_spec("xeonphi", "test")
-    return run_spec(spec), make_kernel("clamr", **dict(spec.kernel_config))
+    return run_spec(spec), make_kernel("clamr", **spec.config)
 
 
 @pytest.fixture(scope="module")
 def hotspot_setup():
     spec = hotspot_spec("k40", "test")
-    return run_spec(spec), make_kernel("hotspot", **dict(spec.kernel_config))
+    return run_spec(spec), make_kernel("hotspot", **spec.config)
 
 
 class TestRebuildOutput:

@@ -263,8 +263,9 @@ class TestGuards:
 
     def test_campaign_rejects_nonpositive_received_fluence(self):
         campaign = Campaign(kernel=Dgemm(n=16), device=k40(), n_faulty=1)
+        records = campaign.run().records
         with pytest.raises(ValueError):
-            campaign.run(received_fluence=0.0)
+            campaign.result_from_records(records, received_fluence=0.0)
 
 
 class TestPlanning:

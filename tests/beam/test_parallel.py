@@ -1,7 +1,16 @@
 """Tests for multi-board beam sessions and position derating."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro import observability as obs
 from repro.arch import k40, xeonphi
 from repro.beam.parallel import BeamSession, BoardResult, BoardSlot
 from repro.kernels import Dgemm
@@ -221,3 +230,121 @@ class TestRatioSentinelRender:
         text = BeamSession.render([board, quiet])
         assert "n/a" in text
         assert "derating" in text
+
+
+#: A 4-board session of cold DGEMM boards, run in a fresh process (so no
+#: golden output is cached yet) on the worker count given as argv[1]; it
+#: prints each board's rows, fluences and beam time.
+COLD_SESSION = """
+import json, sys
+from repro.arch import k40, xeonphi
+from repro.beam.logs import row_texts
+from repro.beam.parallel import BeamSession, BoardSlot
+from repro.kernels import Dgemm
+
+session = BeamSession(
+    slots=[
+        BoardSlot(kernel=Dgemm(n=128), device=k40(), derating=1.0),
+        BoardSlot(kernel=Dgemm(n=128), device=xeonphi(), derating=0.9),
+        BoardSlot(kernel=Dgemm(n=128), device=k40(), derating=0.8),
+        BoardSlot(kernel=Dgemm(n=128), device=xeonphi(), derating=0.7),
+    ],
+    n_faulty_reference=150,
+    seed=2,
+    workers=int(sys.argv[1]),
+)
+print(json.dumps([
+    [list(row_texts(board.result.records)), board.result.fluence.hex(),
+     board.received_fluence.hex(), board.beam_seconds.hex()]
+    for board in session.run()
+]))
+"""
+
+
+def run_cold_session(workers: int, timeout: float = 120.0) -> list:
+    """Run :data:`COLD_SESSION` in its own process group; kill the group
+    and fail if it has not finished within ``timeout`` seconds."""
+    env = dict(os.environ)
+    # The BLAS's own threads, as a user gets them: the hang this guards
+    # against needed them.
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.pop("OMP_NUM_THREADS", None)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", COLD_SESSION, str(workers)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(
+            f"a 4-board session on {workers} workers did not finish "
+            f"within {timeout:g}s"
+        )
+    assert proc.returncode == 0, err
+    return json.loads(out)
+
+
+class TestOneLoop:
+    def test_cold_boards_on_a_pool_finish_with_the_serial_results(self):
+        """Boards are jobs of one scheduler run: one thread forks the pool
+        after it computed every board's golden output, so no fork lands
+        while another board is inside a BLAS call."""
+        pooled = run_cold_session(workers=2)
+        serial = run_cold_session(workers=1)
+        assert pooled == serial
+        assert [len(rows) for rows, *_ in pooled] == [150, 135, 120, 105]
+
+
+@pytest.mark.telemetry
+@pytest.mark.parametrize("workers", [1, 2])
+def test_session_trace_is_one_subtree_per_board(workers):
+    """session -> board -> campaign -> chunk -> execution, every chunk
+    under its own board's campaign, though the boards share one loop."""
+    sink = obs.RingBufferSink()
+    session = BeamSession(
+        slots=[
+            BoardSlot(kernel=Dgemm(n=48), device=k40(), derating=1.0),
+            BoardSlot(kernel=Dgemm(n=48), device=xeonphi(), derating=0.8),
+        ],
+        n_faulty_reference=40,
+        seed=3,
+        workers=workers,
+        chunk_size=8,
+        timeout=120.0,
+    )
+    with obs.observe(tracer=obs.Tracer(sink)):
+        results = session.run()
+    events = sink.events()
+    by_id = {event.span_id: event for event in events}
+
+    def parent(event):
+        return by_id[event.parent_id]
+
+    (root,) = [e for e in events if e.kind == "session"]
+    assert root.parent_id is None
+    boards = {e.attrs["position"]: e for e in events if e.kind == "board"}
+    assert sorted(boards) == [0, 1]
+    assert all(parent(board) is root for board in boards.values())
+    campaigns = [e for e in events if e.kind == "campaign"]
+    assert sorted(parent(c).attrs["position"] for c in campaigns) == [0, 1]
+    chunks = [e for e in events if e.kind == "chunk"]
+    assert {parent(chunk).kind for chunk in chunks} == {"campaign"}
+    for position, board in boards.items():
+        (campaign,) = [c for c in campaigns if parent(c) is board]
+        assert campaign.attrs["device"] == board.attrs["device"]
+        assert campaign.attrs["fluence"] == results[position].received_fluence
+        executions = [
+            e for e in events
+            if e.kind == "execution" and parent(parent(e)) is campaign
+        ]
+        assert {e.attrs["device"] for e in executions} == {board.attrs["device"]}
+        assert sorted(e.attrs["index"] for e in executions) == list(
+            range(results[position].result.n_executions)
+        )
