@@ -25,6 +25,7 @@ estimate, so ``low <= estimate <= high`` holds for all inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,6 +142,12 @@ def proportion_interval(
     return _clamp_interval(successes / trials, low, high, confidence)
 
 
+@functools.lru_cache(maxsize=16)
+def _two_sided_z(confidence: float) -> float:
+    """The standard normal quantile of a two-sided ``confidence`` band."""
+    return float(_stats.norm.ppf(0.5 + confidence / 2.0))
+
+
 def wilson_interval(
     successes: int, trials: int, *, confidence: float = 0.95
 ) -> Interval:
@@ -157,7 +164,7 @@ def wilson_interval(
     _check_proportion_args(successes, trials, confidence)
     if trials == 0:
         return Interval(estimate=0.0, low=0.0, high=1.0, confidence=confidence)
-    z = float(_stats.norm.ppf(0.5 + confidence / 2.0))
+    z = _two_sided_z(confidence)
     n = float(trials)
     p = successes / n
     denom = 1.0 + z * z / n

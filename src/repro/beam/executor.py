@@ -64,6 +64,11 @@ MIN_PARALLEL_STRIKES = 16
 #: without shipping one kernel pickle per execution.
 CHUNKS_PER_WORKER = 4
 
+#: Chunks a pooled dispatch loop keeps in flight per worker: the one
+#: running and one queued behind it, which the worker starts as soon as
+#: the first lands instead of idling while the parent takes that one back.
+INFLIGHT_PER_WORKER = 2
+
 #: Environment override for the default worker count (0 = auto).
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 

@@ -186,14 +186,15 @@ class Injector:
         """Expected strikes per unit fluence (a.u.) — the FIT normaliser."""
         return self._total_cross_section
 
-    def _fate(self, index: int, rng: np.random.Generator):
-        """Roll phases 1–3 of the pipeline for one strike.
+    def _strike(self, rng: np.random.Generator):
+        """Roll phases 1–3 of the pipeline for one strike, up to its site.
 
-        Returns ``(record, kind, site, fault)``: ``record`` is non-``None``
-        for strikes resolved before the kernel is touched (architectural
-        masking / crash / hang, or corrupted data the kernel never
-        consumes); otherwise the remaining fields describe the
-        data-reaching corruption still to be executed.
+        Returns ``(kind, outcome, detail, site)``: ``outcome`` and its
+        record's ``detail`` are set for strikes resolved before the kernel
+        is touched (architectural masking / crash / hang, or corrupted data
+        the kernel never consumes); otherwise ``site`` is the fault site
+        the data-reaching strike corrupts.  A data-reaching strike's
+        remaining draws (:meth:`_fate`) follow on the same stream.
 
         Draw-for-draw identical to the historical inline code:
         ``Generator.choice`` is replaced by ``searchsorted`` over the
@@ -207,44 +208,37 @@ class Injector:
 
         roll = rng.uniform()
         if roll < profile.p_masked:
-            return (
-                ExecutionRecord(
-                    index=index, outcome=OutcomeKind.MASKED, resource=kind,
-                    detail="architectural masking (ECC / dead state)",
-                ),
-                kind, None, None,
-            )
+            return (kind, OutcomeKind.MASKED,
+                    "architectural masking (ECC / dead state)", None)
         roll -= profile.p_masked
         if roll < profile.p_crash:
-            return (
-                ExecutionRecord(
-                    index=index, outcome=OutcomeKind.CRASH, resource=kind,
-                    detail="architectural crash",
-                ),
-                kind, None, None,
-            )
+            return kind, OutcomeKind.CRASH, "architectural crash", None
         roll -= profile.p_crash
         if roll < profile.p_hang:
-            return (
-                ExecutionRecord(
-                    index=index, outcome=OutcomeKind.HANG, resource=kind,
-                    detail="architectural hang",
-                ),
-                kind, None, None,
-            )
+            return kind, OutcomeKind.HANG, "architectural hang", None
 
         table = self._site_tables[kind]
         if table is None:
-            return (
-                ExecutionRecord(
-                    index=index, outcome=OutcomeKind.MASKED, resource=kind,
-                    detail="corrupted data not consumed by the kernel",
-                ),
-                kind, None, None,
-            )
+            return (kind, OutcomeKind.MASKED,
+                    "corrupted data not consumed by the kernel", None)
         sites, site_cdf = table
         site = sites[int(site_cdf.searchsorted(rng.random(), side="right"))]
+        return kind, None, None, site
 
+    def _fate(self, index: int, rng: np.random.Generator):
+        """Roll phases 1–3 of the pipeline for one strike.
+
+        Returns ``(record, kind, site, fault)``: ``record`` is non-``None``
+        for strikes resolved before the kernel is touched (see
+        :meth:`_strike`); otherwise the remaining fields describe the
+        data-reaching corruption still to be executed.
+        """
+        kind, outcome, detail, site = self._strike(rng)
+        if outcome is not None:
+            record = ExecutionRecord(
+                index=index, outcome=outcome, resource=kind, detail=detail,
+            )
+            return record, kind, None, None
         fault = KernelFault(
             site=site.name,
             progress=float(rng.uniform()),
@@ -290,18 +284,16 @@ class Injector:
         draw-for-draw by :meth:`inject_batch` when an index is actually
         executed — so a planner can partition a whole candidate pool into
         equivalence classes at a tiny fraction of the cost of executing it.
+        An index's fate ends at its site draw: the fault that strike would
+        inject (:meth:`_fate`) is never built here.
         """
-        indices = [int(i) for i in indices]
         streams = FastRngBatch(
-            [stable_seed_suffixed(self._strike_prefix, i) for i in indices]
+            [stable_seed_suffixed(self._strike_prefix, int(i)) for i in indices]
         )
         fates = []
-        for pos, index in enumerate(indices):
-            record, kind, site, _ = self._fate(index, streams.rng(pos))
-            if record is not None:
-                fates.append((record.outcome, kind, None))
-            else:
-                fates.append((None, kind, site.name))
+        for pos in range(len(streams)):
+            kind, outcome, _, site = self._strike(streams.rng(pos))
+            fates.append((outcome, kind, None if site is None else site.name))
         return fates
 
     def inject_one(self, index: int) -> ExecutionRecord:

@@ -24,6 +24,7 @@ execution cost) lives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.arch.device import DeviceModel
 from repro.arch.resources import ResourceKind
@@ -54,7 +55,7 @@ class SiteClass:
     site: str
     probability: float
 
-    @property
+    @cached_property
     def label(self) -> str:
         return class_label(self.kind, self.site)
 

@@ -16,6 +16,12 @@ simulator-side analogue for *campaigns*:
   while any job has work.  A campaign that shares the pool therefore
   takes about as long as it would alone, until the jobs before it are
   out of work.
+* **A chunk queued behind each running one.**  A pool has two slots per
+  worker (:data:`~repro.beam.executor.INFLIGHT_PER_WORKER`): the chunk a
+  worker runs and one queued behind it, which the worker starts the
+  moment the first lands, while the parent commits it and plans the next
+  round.  So a higher-priority job submitted later can wait behind one
+  queued chunk per worker.  Inline (serial) runs keep one slot.
 * **The one journal writer.**  Every completed chunk of a fixed
   job is appended to the job's store journal and fsync'd before the next
   dispatch decision, so anything the scheduler ran is resumable.  An
@@ -54,16 +60,20 @@ simulator-side analogue for *campaigns*:
   pool.
 * **Graceful drain.**  :meth:`request_drain` (or SIGINT, when
   ``run(install_signal_handler=True)``) stops new dispatches; in-flight
-  chunks finish and are journaled, then the loop closes with unfinished
-  jobs marked ``interrupted`` — their journals are valid and resumable.
-  An adaptive job journals only completed rounds, so one drained
-  mid-round re-runs that round on resume.
+  chunks, the queued ones included, finish and are journaled, then the
+  loop closes with unfinished jobs marked ``interrupted`` — their
+  journals are valid and resumable.  An adaptive job journals only
+  completed rounds, so one drained mid-round re-runs that round on
+  resume.
 * **No worker outlives its loop.**  Closing a loop joins its pool, so
   pool workers never wind down during the caller's next request; only a
   loop that abandons chunks in flight (a job past its timeout, or a run
   that raises) does not wait for the running ones.  A process pool
   running a chunk of a job past its timeout is dropped and its workers
   killed, so a wedged worker does not hold a slot for the loop's life.
+  A queued chunk may already sit in the process pool's call queue, where
+  it cannot be cancelled, so a job past its timeout that holds one drops
+  the pool too.
 
 Observability rides the runtime switchboard, as a loop's thread sees it
 when the loop opens: a journaled job's chunk spans carry its ``label`` and ``run_id``
@@ -93,6 +103,7 @@ from dataclasses import dataclass, field
 
 from repro.beam.campaign import note_sampling
 from repro.beam.executor import (
+    INFLIGHT_PER_WORKER,
     CampaignExecutionError,
     CampaignExecutor,
     ChunkWorkerError,
@@ -823,7 +834,10 @@ class DispatchLoop:
     land, a retry to fall due, a job's timeout or a wake-up, and takes
     the landed chunks back (:meth:`~CampaignScheduler.chunk_done`, or a
     retry on failure).  Each ended job is reported once, by the step
-    that sees it with nothing in flight, then forgotten.
+    that sees it with nothing in flight, then forgotten.  A pool has
+    :data:`~repro.beam.executor.INFLIGHT_PER_WORKER` slots per worker, so
+    a chunk waits queued behind each running one and a worker starts it
+    while the step takes the landed one back; an inline loop has one.
 
     The pool starts at the first dispatch that needs one, with the golden
     state of every kernel queued then exported for its workers (see
@@ -831,8 +845,9 @@ class DispatchLoop:
     computed by each worker once and kept in its golden cache.  A pool
     that breaks (a worker died) is dropped at once: its chunks in flight
     go through the retry policy and the next dispatch starts a new pool.
-    A process pool running a chunk of a job past its timeout is dropped
-    the same way, its workers killed, so a wedged worker holds no slot.
+    A process pool running a chunk of a job past its timeout, or holding
+    one in its call queue (where it cannot be cancelled), is dropped the
+    same way, its workers killed, so a wedged worker holds no slot.
 
     The loop's spans, counters and heartbeats go where the observability
     switchboard (:mod:`repro.observability.runtime`) pointed, on the
@@ -852,7 +867,10 @@ class DispatchLoop:
         executor = scheduler._executor
         self.workers = executor.resolved_workers()
         self.backend = executor.resolved_backend(strikes, self.workers)
-        self.slots = 1 if self.backend == "serial" else self.workers
+        self.slots = (
+            1 if self.backend == "serial"
+            else INFLIGHT_PER_WORKER * self.workers
+        )
         self.timeout = (
             executor.timeout if executor.timeout is not None
             else default_timeout()
@@ -1009,7 +1027,8 @@ class DispatchLoop:
         """Fail every job past its timeout; its chunks in flight are
         abandoned, and the other jobs keep running.
 
-        A process pool running one of those chunks is dropped
+        A process pool running one of those chunks, or holding one in its
+        call queue (a queued chunk there no longer cancels), is dropped
         (:meth:`_drop_pool`): killing its workers is the only way to free
         the slots a wedged chunk holds.
         """
@@ -1024,8 +1043,8 @@ class DispatchLoop:
             ):
                 continue
             job.failed = ExecutorTimeoutError(
-                f"campaign {job.label!r} ({self.backend}, {self.slots} "
-                f"slots) did not drain within {self.timeout:g}s of its "
+                f"campaign {job.label!r} ({self.backend}, {self.workers} "
+                f"workers) did not drain within {self.timeout:g}s of its "
                 "first dispatch"
             )
             job.status = "failed"

@@ -23,6 +23,19 @@ TINY_SPEC = {
 }
 
 
+#: Coordinators the unit tests made (``test_coordinator.make_coordinator``):
+#: each is closed when its test ends, so a job it still holds leaves no
+#: journal open for the garbage collector to report.
+COORDINATORS: list = []
+
+
+@pytest.fixture(autouse=True)
+def close_coordinators():
+    yield
+    while COORDINATORS:
+        COORDINATORS.pop().close()
+
+
 @pytest.fixture
 def make_fleet_service(tmp_path):
     """Factory: ``make_fleet_service(**cfg) -> (service, server, url)``."""

@@ -67,6 +67,14 @@ def start_agent(url, name, *, idle_exit=10.0, hold=None, poll=0.05):
     )
 
 
+def stop_agent(agent) -> None:
+    """Kill ``agent`` if it still runs, reap it and close its output pipe."""
+    if agent.poll() is None:
+        agent.kill()
+    agent.wait(timeout=30)
+    agent.stdout.close()
+
+
 def wait_for(predicate, *, timeout=30.0, poll=0.05, what="condition"):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -118,9 +126,7 @@ def test_two_agents_complete_campaign_byte_identical(make_fleet_service, tmp_pat
             assert agent.returncode == 0, agent.stdout.read()
     finally:
         for agent in agents:
-            if agent.poll() is None:
-                agent.kill()
-            agent.wait(timeout=30)
+            stop_agent(agent)
 
 
 def test_chaos_sigkill_mid_chunk_reassigns_and_stays_identical(
@@ -145,17 +151,13 @@ def test_chaos_sigkill_mid_chunk_reassigns_and_stays_identical(
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=30)
     finally:
-        if victim.poll() is None:
-            victim.kill()
-            victim.wait(timeout=30)
+        stop_agent(victim)
 
     survivor = start_agent(url, "survivor", idle_exit=8.0)
     try:
         final = client.wait(submitted["run_id"], timeout=120.0)
     finally:
-        if survivor.poll() is None:
-            survivor.kill()
-        survivor.wait(timeout=30)
+        stop_agent(survivor)
 
     assert final["status"] == "complete"
     # The dead agent cost one lease ttl, not the campaign: its chunk was

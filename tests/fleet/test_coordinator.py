@@ -26,7 +26,7 @@ from repro.sampling import tally_of
 from repro.store import CampaignSpec, CampaignStore, execute_spec
 from repro.store.runner import JOURNAL_MAX_ELEMENTS
 
-from tests.fleet.conftest import TINY_SPEC
+from tests.fleet.conftest import COORDINATORS, TINY_SPEC
 from tests.store.test_malformed_rows import misfit_row
 
 pytestmark = pytest.mark.fleet
@@ -55,7 +55,9 @@ def make_coordinator(tmp_path, clock, **overrides):
     overrides.setdefault("chunk_size", 2)
     overrides.setdefault("lease_ttl", 10.0)
     store = CampaignStore(tmp_path / "fleet-store")
-    return FleetCoordinator(store, clock=clock, **overrides)
+    coordinator = FleetCoordinator(store, clock=clock, **overrides)
+    COORDINATORS.append(coordinator)
+    return coordinator
 
 
 _campaigns = {}

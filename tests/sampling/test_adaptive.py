@@ -109,6 +109,43 @@ class TestPartition:
         assert 0 < behavioural <= 60
 
 
+#: Small configurations of every registry kernel, for index-by-index checks.
+SMALL_KERNELS = {
+    "dgemm": {"n": 16},
+    "lavamd": {"nb": 2, "particles_per_box": 4},
+    "hotspot": {"n": 12, "iterations": 8},
+    "cg": {"n": 8, "iterations": 4},
+    "clamr": {"n": 16, "steps": 8},
+}
+
+
+@pytest.mark.parametrize("device", ["k40", "xeonphi"])
+@pytest.mark.parametrize("kernel", sorted(SMALL_KERNELS))
+def test_classification_agrees_with_execution(kernel, device):
+    """``classify_batch`` ends each fate at the site draw; executing the
+    same indices must reach the same fate: an architecturally resolved
+    strike's outcome, a data-reaching strike's resource and site."""
+    injector = CampaignSpec(
+        kernel=kernel, device=device, config=SMALL_KERNELS[kernel], seed=17,
+        n_faulty=240,
+    ).build_campaign().injector
+    indices = range(240)
+    fates = injector.classify_batch(indices)
+    records = injector.inject_batch(indices)
+    resolved = reaching = 0
+    for index, (outcome, kind, site), record in zip(indices, fates, records):
+        assert record.index == index
+        assert record.resource is kind, index
+        if outcome is not None:
+            assert (record.outcome, record.site) == (outcome, None), index
+            assert site is None
+            resolved += 1
+        else:
+            assert record.site == site, index
+            reaching += 1
+    assert resolved and reaching
+
+
 class TestClassTally:
     def test_add_and_counts(self):
         tally = ClassTally().add(OutcomeKind.SDC).add(OutcomeKind.CRASH)

@@ -57,10 +57,11 @@ def test_execute_spec_commits_chunks_while_the_run_is_in_flight(
 
     monkeypatch.setattr(executor_mod, "_run_chunk", counting_runner)
     monkeypatch.setattr(scheduler_mod, "_run_chunk", counting_runner)
-    execute_spec(store, spec, backend="thread", workers=2, chunk_size=4)
-    assert len(durable_at_start) == 4
-    # Two slots: a later chunk starts only after an earlier one committed.
-    assert max(durable_at_start) >= 4
+    execute_spec(store, spec, backend="thread", workers=2, chunk_size=2)
+    assert len(durable_at_start) == 8
+    # Four slots, two per worker: a chunk past the first four is handed
+    # out only after an earlier one landed and was committed.
+    assert max(durable_at_start) >= 2
 
 
 def test_execute_spec_leaves_no_worker_running(tmp_path):

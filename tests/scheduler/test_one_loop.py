@@ -5,12 +5,16 @@ and ``Campaign.run_adaptive`` submit one in-memory job, a job with no
 journal, to :class:`CampaignScheduler`.  So an adaptive run's rounds
 share one pool, in-memory chunks seal nothing, every adaptive round gets
 a ``sampling`` span, the pool queue gauge covers every run, progress
-counts add up across rounds, and a failed job's error keeps the
-worker's :class:`ChunkWorkerError` as its cause on every path.
+counts add up across rounds, a failed job's error keeps the worker's
+:class:`ChunkWorkerError` as its cause on every path, and a pool worker
+starts the chunk queued behind its running one without waiting for the
+parent to take the first back.
 """
 
 import functools
 import io
+import os
+import sys
 import time
 
 import pytest
@@ -24,7 +28,7 @@ from repro.kernels import Dgemm
 from repro.observability.progress import ProgressReporter
 from repro.sampling import SamplingPolicy
 from repro.scheduler import CampaignScheduler, RetryPolicy
-from repro.store import CampaignStore, execute_spec
+from repro.store import CampaignSpec, CampaignStore, execute_spec
 from tests.scheduler.test_journal_writer import count_pools
 from tests.store.test_resume import ADAPTIVE_POLICY, SPEC
 
@@ -245,3 +249,53 @@ def test_progress_heartbeat_prints_before_the_first_chunk_lands():
     assert reporter.updates[0] == 0
     first = reporter.stream.getvalue().splitlines()[0]
     assert first.startswith("0/16 executions")
+
+
+# -- a chunk queued behind each running one ----------------------------------------
+
+#: Set before the pool forks: where :func:`note_start` writes chunk starts.
+STARTS_DIR = None
+
+
+def note_start(kernel, device, seed, threshold_pct, indices):
+    """Write ``<pid> <start time>`` for this chunk, then run it."""
+    with open(os.path.join(STARTS_DIR, f"chunk-{indices[0]}"), "w") as fh:
+        fh.write(f"{os.getpid()} {time.time()!r}")
+    return _run_chunk(kernel, device, seed, threshold_pct, indices)
+
+
+def test_a_worker_starts_its_queued_chunk_while_the_parent_commits(
+    tmp_path, monkeypatch
+):
+    starts_dir = tmp_path / "starts"
+    starts_dir.mkdir()
+    monkeypatch.setattr(sys.modules[__name__], "STARTS_DIR", str(starts_dir))
+    commit = scheduler_mod.journal_chunk_records
+    committed = []  # when each commit returned
+
+    def slow_commit(journal, lines):
+        time.sleep(0.3)
+        written = commit(journal, lines)
+        committed.append(time.time())
+        return written
+
+    monkeypatch.setattr(scheduler_mod, "journal_chunk_records", slow_commit)
+    scheduler = CampaignScheduler(
+        CampaignStore(tmp_path / "store"), workers=2, chunk_size=4,
+        backend="process", chunk_runner=note_start, timeout=POOL_TIMEOUT,
+    )
+    scheduler.submit(CampaignSpec(
+        kernel="dgemm", device="k40", config={"n": 16}, seed=3, n_faulty=24,
+    ))
+    (outcome,) = scheduler.run()
+    assert outcome.status == "complete" and len(committed) == 6
+    by_worker: dict = {}
+    for path in starts_dir.iterdir():
+        pid, started = path.read_text().split()
+        by_worker.setdefault(pid, []).append(float(started))
+    second_starts = [
+        sorted(starts)[1] for starts in by_worker.values() if len(starts) > 1
+    ]
+    # The parent's first commit takes 0.3 s; the worker whose chunk it
+    # commits has already started the chunk queued behind that one.
+    assert second_starts and min(second_starts) < committed[0]

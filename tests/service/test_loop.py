@@ -290,8 +290,10 @@ def test_a_wedged_process_worker_is_killed_and_the_other_jobs_retried(
     wait_for(lambda: client.status(wedged)["status"] == "running",
              poll=0.01, what="the wedged job to run")
     time.sleep(2.0)
-    # Its first chunk holds the other slot, asleep, when the pool is
-    # dropped at 3 s; its retry then has 2 s before its own timeout.
+    # Its first chunk holds the other worker, asleep, and its second is
+    # queued behind the sleepers (two chunks in flight per worker), when
+    # the pool is dropped at 3 s: both are retried, with 2 s left before
+    # its own timeout.
     slow = dict(DGEMM, seed=SLOW_SEED, n_faulty=8)
     slow_id = client.submit(slow)["run_id"]
     final = client.wait(wedged, timeout=60)
@@ -306,7 +308,7 @@ def test_a_wedged_process_worker_is_killed_and_the_other_jobs_retried(
         ("label",),
     )
     assert retries.value(label=CampaignSpec.from_dict(
-        {"spec_version": 1, **slow}).resolved_label()) == 1
+        {"spec_version": 1, **slow}).resolved_label()) == 2
     sleepers = [int(path.read_text()) for path in tmp_path.iterdir()
                 if path.name == "slow" or path.name.startswith("wedged-")]
     assert len(sleepers) == 2
