@@ -16,6 +16,11 @@ imply.  This module provides the standard radiation-test intervals:
 
 The exact intervals use chi-squared / beta quantiles via scipy, not
 normal approximations — the counts here are often single digits.
+``scipy.stats`` is imported by the functions that use it, not with this
+module: it holds about 70 MB of resident memory, and the campaign
+service, its pool workers and ``repro queue`` compute no exact interval
+(the Wilson quantile comes from ``scipy.special.ndtri``, the function
+``scipy.stats.norm.ppf`` evaluates).
 
 Degenerate inputs are defined, not incidental: a proportion interval
 with zero trials is the vacuous ``[0, 1]`` (no data constrains nothing),
@@ -30,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
 
 from repro.beam.campaign import CampaignResult
 from repro.faults.outcomes import OutcomeKind
@@ -58,6 +62,8 @@ def poisson_interval(events: int, *, confidence: float = 0.95) -> Interval:
     >>> poisson_interval(0).low
     0.0
     """
+    from scipy import stats as _stats
+
     if events < 0:
         raise ValueError("events must be non-negative")
     if not 0 < confidence < 1:
@@ -125,6 +131,8 @@ def proportion_interval(
     * ``successes == trials`` → ``high`` is exactly ``1.0``;
     * all bounds are clamped into ``[0, 1]`` around the estimate.
     """
+    from scipy import stats as _stats
+
     _check_proportion_args(successes, trials, confidence)
     if trials == 0:
         return Interval(estimate=0.0, low=0.0, high=1.0, confidence=confidence)
@@ -145,7 +153,9 @@ def proportion_interval(
 @functools.lru_cache(maxsize=16)
 def _two_sided_z(confidence: float) -> float:
     """The standard normal quantile of a two-sided ``confidence`` band."""
-    return float(_stats.norm.ppf(0.5 + confidence / 2.0))
+    from scipy.special import ndtri
+
+    return float(ndtri(0.5 + confidence / 2.0))
 
 
 def wilson_interval(
@@ -223,6 +233,8 @@ def fit_ratio_significant(
     Uses the exact conditional (binomial) test for the ratio of two Poisson
     rates with known exposure ratio — the standard two-rate comparison.
     """
+    from scipy import stats as _stats
+
     events_a = a.counts()[OutcomeKind.SDC]
     events_b = b.counts()[OutcomeKind.SDC]
     total = events_a + events_b

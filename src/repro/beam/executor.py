@@ -57,11 +57,15 @@ from repro.kernels.base import Kernel, capture_cache_events
 from repro.kernels.sharedmem import SharedGoldenExport, adopt_shared_golden
 from repro.observability.trace import worker_id
 
-#: Below this many struck executions a pool costs more than it saves.
+#: Below this many struck executions a pool costs more than it saves, and
+#: a chunk costs more to dispatch than it runs (:meth:`CampaignExecutor.
+#: plan_chunks` keeps chunks at least this large where it can).
 MIN_PARALLEL_STRIKES = 16
 
-#: Default chunks per worker: enough slack to balance uneven chunk times
-#: without shipping one kernel pickle per execution.
+#: Most chunks per worker a default plan makes: a job of at least
+#: ``workers * CHUNKS_PER_WORKER * MIN_PARALLEL_STRIKES`` strikes gets this
+#: many, enough slack to balance uneven chunk times and to keep each
+#: chunk's records small in the parent; a smaller job gets fewer.
 CHUNKS_PER_WORKER = 4
 
 #: Chunks a pooled dispatch loop keeps in flight per worker: the one
@@ -240,8 +244,10 @@ class CampaignExecutor:
         workers: pool size.  ``None`` or ``0`` means "auto" (the
             ``REPRO_WORKERS`` environment variable, else the CPU count);
             ``1`` forces the serial in-process path.
-        chunk_size: executions per worker task.  ``None`` splits the work
-            into about :data:`CHUNKS_PER_WORKER` chunks per worker.
+        chunk_size: executions per worker task.  ``None`` splits ``n``
+            strikes into ``c`` near-equal chunks per worker, ``c = n //
+            (workers * MIN_PARALLEL_STRIKES)`` clamped to between 1 and
+            :data:`CHUNKS_PER_WORKER` (see :meth:`plan_chunks`).
         backend: ``"auto"`` (processes where ``fork`` exists, else
             threads), ``"process"``, ``"thread"``, or ``"serial"``.
         timeout: wall-clock seconds the run's job may take from its
@@ -294,13 +300,28 @@ class CampaignExecutor:
         return "process" if _fork_available() else "thread"
 
     def plan_chunks(self, indices: Sequence[int], workers: int) -> list[list[int]]:
-        """Split indices into contiguous chunks (order preserved)."""
+        """Split indices into contiguous chunks (order preserved).
+
+        An explicit ``chunk_size`` cuts chunks of that size.  Otherwise
+        every worker gets the same number of chunks, sizes differing by
+        one at most: as many as keep each at :data:`MIN_PARALLEL_STRIKES`
+        strikes or more, between 1 and :data:`CHUNKS_PER_WORKER`.  A
+        dispatched chunk costs about as much as a few strikes, so a small
+        job gets one chunk per worker (one per strike below ``workers``
+        strikes), not many tiny ones.
+        """
         n = len(indices)
         if self.chunk_size is not None:
             size = self.chunk_size
-        else:
-            size = max(1, -(-n // (workers * CHUNKS_PER_WORKER)))
-        return [list(indices[i : i + size]) for i in range(0, n, size)]
+            return [list(indices[i : i + size]) for i in range(0, n, size)]
+        if not n:
+            return []
+        per_worker = min(
+            max(n // (workers * MIN_PARALLEL_STRIKES), 1), CHUNKS_PER_WORKER
+        )
+        count = min(n, workers * per_worker)
+        bounds = [n * i // count for i in range(count + 1)]
+        return [list(indices[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     # -- execution --------------------------------------------------------------
 

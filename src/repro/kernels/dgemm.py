@@ -133,6 +133,14 @@ class Dgemm(Kernel):
             self._b = balanced_matrix(self.seed, "dgemm.b", (self.n, self.n))
         return self._b
 
+    def __getstate__(self) -> dict:
+        """Pickle cold: the inputs are pure functions of the configuration,
+        so a chunk's kernel ships without them and its worker takes them
+        from its process-wide input cache."""
+        state = super().__getstate__()
+        state["_a"] = state["_b"] = None
+        return state
+
     # -- protocol ---------------------------------------------------------------
 
     @property

@@ -175,6 +175,14 @@ class LavaMD(Kernel):
             self._neighbors_cache = self._build_neighbors()
         return self._neighbors_cache
 
+    def __getstate__(self) -> dict:
+        """Pickle cold: inputs and neighbour lists are pure functions of the
+        configuration, so a chunk's kernel ships without them and its
+        worker rebuilds them on first use."""
+        state = super().__getstate__()
+        state.update(_positions=None, _charges=None, _neighbors_cache=None)
+        return state
+
     # -- geometry ---------------------------------------------------------------
 
     def box_coords(self, box: int) -> tuple[int, int, int]:

@@ -9,9 +9,10 @@ scheduler without a pool.  The steps around dispatch are:
 * how a spec becomes a job — build the campaign, create or resume the
   journal, recover prior records, replay or start the adaptive driver
   (:func:`prepare_job`);
-* how an adaptive job grows — journal the plan row *before* any of the
-  round's chunks may execute, then split the round into chunks
-  (:func:`plan_adaptive` / :func:`advance_adaptive`);
+* how an adaptive job grows — plan the round and seal its plan row,
+  which its caller commits *before* any of the round's chunks may
+  execute, then split the round into chunks (:func:`plan_adaptive` /
+  :func:`advance_adaptive`);
 * how a finished job seals — assemble the result from records, attach
   the sampling estimate, write the close record, close the journal
   (:func:`seal_job`).
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.store.journal import JournalError
+from repro.store.journal import JournalError, seal_line
 from repro.store.runner import finalise_journal
 from repro.store.spec import CampaignSpec
 from repro.store.store import CampaignStore, RunStatus
@@ -176,24 +177,28 @@ def plan_adaptive(campaign, journal, policy, plan_rows, prior, planner):
     )
     if missing:
         return driver, planner(sorted(missing))
-    return driver, advance_adaptive(driver, journal, planner)
+    chunks, row = advance_adaptive(driver, journal, planner)
+    if row is not None:
+        journal.commit([row])
+    return driver, chunks
 
 
-def advance_adaptive(driver, journal, planner) -> list:
-    """A sampling job's round completed: plan (and journal) the next.
+def advance_adaptive(driver, journal, planner) -> "tuple[list, bytes | None]":
+    """A sampling job's round completed: plan the next.
 
     Returns the next round's chunks (``[]`` when the stopping rule
-    fired).  The plan row is durable before any chunk is handed out —
-    the same order :func:`plan_adaptive` enforces on resume.  An
-    in-memory job (``journal is None``) writes no plan row.
+    fired) and its sealed ``plan`` line (``None`` when the rule fired,
+    or for an in-memory job, ``journal is None``).  The caller commits
+    the line before any of the chunks is handed out, the order a resume
+    relies on: the scheduler behind the finished round's record lines,
+    in the same ``fsync``, and :func:`plan_adaptive` alone for the first
+    round.
     """
     plan = driver.next_round()
     if plan is None:
-        return []  # stopping rule fired; seal_job takes it from here
-    if journal is not None:
-        journal.append("plan", **plan.payload)
-        journal.commit()
-    return planner(list(plan.indices))
+        return [], None  # stopping rule fired; seal_job takes it from here
+    row = None if journal is None else seal_line({"kind": "plan", **plan.payload})
+    return planner(list(plan.indices)), row
 
 
 def driver_settled(driver) -> bool:

@@ -26,8 +26,9 @@ simulator-side analogue for *campaigns*:
   job is appended to the job's store journal and fsync'd before the next
   dispatch decision, so anything the scheduler ran is resumable.  An
   adaptive job holds its round's lines and commits them as one
-  index-sorted batch when the round completes, so its journal bytes do
-  not depend on the order in which chunks finish.  The worker that ran
+  index-sorted batch when the round completes, with the next round's
+  plan row behind them in the same fsync, so its journal bytes do not
+  depend on the order in which chunks finish.  The worker that ran
   a chunk also seals its journal lines (:func:`_run_sealed`), so the
   parent's commit is a write and an ``fsync``.  The writer counts the
   lines each commit made durable (:meth:`CampaignScheduler.durable`),
@@ -621,23 +622,25 @@ class CampaignScheduler:
                 # One sorted batch per round: the bytes a serial run
                 # writes, whatever order the round's chunks finished in.
                 job.round_lines.sort(key=lambda pair: pair[0])
-                self._commit(job, [line for _, line in job.round_lines])
+                lines = [line for _, line in job.round_lines]
                 job.round_lines = []
                 self._round_done(job, tracer)
-                self._advance_adaptive(job)
+                self._advance_adaptive(job, lines)
         self.maybe_finish(job, tracer, metrics)
         return len(result.records)
 
-    def _commit(self, job: _Job, lines) -> None:
+    def _commit(self, job: _Job, lines, plan_row=None) -> None:
         """Write and ``fsync`` a journaled job's sealed lines, counting them.
 
-        A job that failed commits nothing more: its journal stays as its
-        last commit left it, and a resume re-runs the rest.
+        An adaptive job's next ``plan_row`` is written behind its round's
+        lines, in the same commit; :meth:`durable` counts record lines
+        only.  A job that failed commits nothing more: its journal stays
+        as its last commit left it, and a resume re-runs the rest.
         """
         if job.journal is not None and job.failed is None:
-            self._durable[job.run_id] += journal_chunk_records(
-                job.journal, lines
-            )
+            batch = lines if plan_row is None else [*lines, plan_row]
+            journal_chunk_records(job.journal, batch)
+            self._durable[job.run_id] += len(lines)
 
     def commit_failed(self, job: _Job, exc: Exception, backend: str,
                       task: "_Task | None" = None) -> None:
@@ -681,18 +684,22 @@ class CampaignScheduler:
             )
         job.round_started = now
 
-    def _advance_adaptive(self, job: _Job) -> None:
-        """A sampling job's round completed: plan (and journal) the next.
+    def _advance_adaptive(self, job: _Job, lines) -> None:
+        """A sampling job's round completed: commit its sorted ``lines``
+        and plan the next round, whose plan row rides behind them in the
+        same ``fsync``, durable before any of its chunks is handed out.
 
         During a drain no new round starts — the job ends
         ``interrupted`` with every completed round durable, and a resume
         replans from the journal.
         """
-        if self._draining or job.failed is not None:
-            return
-        job.chunks.extend(
-            advance_adaptive(job.driver, job.journal, self._plan_job_chunks)
-        )
+        chunks, row = [], None
+        if not self._draining and job.failed is None:
+            chunks, row = advance_adaptive(
+                job.driver, job.journal, self._plan_job_chunks
+            )
+        self._commit(job, lines, row)
+        job.chunks.extend(chunks)
 
     def _chunk_failed(
         self, task: _Task, exc: Exception, backend, tracer, metrics

@@ -1,10 +1,17 @@
 """Tests for the exact confidence intervals and rate comparisons."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.analysis.experiments import dgemm_sweep, run_spec
 from repro.analysis.stats import (
     Interval,
+    _two_sided_z,
     bootstrap_interval,
     campaign_fit_interval,
     fit_interval,
@@ -101,6 +108,38 @@ class TestWilsonInterval:
             wilson_interval(5, 4)
         with pytest.raises(ValueError):
             wilson_interval(1, 2, confidence=0.0)
+
+    def test_quantile_is_the_normal_ppf_to_the_bit(self):
+        from scipy import stats
+
+        for confidence in np.linspace(0.001, 0.9999, 4001):
+            confidence = float(confidence)
+            assert _two_sided_z.__wrapped__(confidence) == float(
+                stats.norm.ppf(0.5 + confidence / 2.0)
+            )
+
+
+def test_an_adaptive_journaled_run_imports_no_scipy_stats(tmp_path):
+    # scipy.stats holds about 70 MB of resident memory; the service, its
+    # pool workers and `repro queue` compute no exact interval.
+    code = (
+        "import sys\n"
+        "from repro.sampling import SamplingPolicy\n"
+        "from repro.store import CampaignSpec, CampaignStore, execute_spec\n"
+        "import repro.cli, repro.service, repro.fleet\n"
+        "spec = CampaignSpec(kernel='dgemm', device='k40', config={'n': 16},\n"
+        "                    seed=3, n_faulty=200)\n"
+        "execute_spec(CampaignStore(sys.argv[1]), spec, backend='serial',\n"
+        "             sampling=SamplingPolicy(target_ci=0.1))\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env,
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestBootstrapInterval:

@@ -14,16 +14,20 @@ import pickle
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.arch import k40, xeonphi
 from repro.beam import Campaign, CampaignExecutor, ExecutorTimeoutError
 from repro.beam.executor import (
+    CHUNKS_PER_WORKER,
+    MIN_PARALLEL_STRIKES,
     WORKERS_ENV_VAR,
     _run_chunk,
     default_workers,
 )
 from repro.faults.injector import Injector
-from repro.kernels import Clamr, Dgemm
+from repro.kernels import Clamr, Dgemm, make_kernel
 from repro.kernels.base import clear_golden_cache, golden_cache_info
 
 #: Wall-clock guard for every pooled run in this module: generous for slow
@@ -187,6 +191,29 @@ class TestGoldenCache:
         finally:
             export.close()
 
+    @pytest.mark.parametrize("name, config", [
+        ("dgemm", {"n": 48}),
+        ("lavamd", {"nb": 3, "particles_per_box": 12}),
+        ("hotspot", {"n": 32, "iterations": 24}),
+        ("cg", {"n": 16, "iterations": 24}),
+        ("clamr", {"n": 16}),
+    ])
+    def test_a_used_kernel_pickles_no_larger_than_a_fresh_one(self, name, config):
+        # A kernel that has built its inputs, its golden output and struck
+        # executions ships as a fresh one does: every memo it holds is a
+        # pure function of its configuration.
+        fresh = len(pickle.dumps(make_kernel(name, **config)))
+        kernel = make_kernel(name, **config)
+        kernel.golden()
+        used = Injector(kernel=kernel, device=k40(), seed=5).inject_batch(range(12))
+        blob = pickle.dumps(kernel)
+        assert len(blob) <= fresh
+        clear_golden_cache()
+        again = Injector(
+            kernel=pickle.loads(blob), device=k40(), seed=5
+        ).inject_batch(range(12))
+        assert fingerprints(again) == fingerprints(used)
+
     def test_export_holds_one_entry_per_cache_key(self):
         kernels = [Dgemm(n=16), Dgemm(n=16), Dgemm(n=24)]
         export = CampaignExecutor._export_shared_golden("process", kernels)
@@ -280,6 +307,40 @@ class TestPlanning:
         executor = CampaignExecutor(chunk_size=4)
         chunks = executor.plan_chunks(list(range(10)), workers=8)
         assert [len(c) for c in chunks] == [4, 4, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 2000),
+        workers=st.integers(1, 16),
+        chunk_size=st.none() | st.integers(1, 300),
+        first=st.integers(0, 10_000),
+    )
+    @example(n=48, workers=2, chunk_size=None, first=0)
+    @example(n=1000, workers=2, chunk_size=None, first=0)
+    @example(n=3, workers=8, chunk_size=None, first=5)
+    def test_plan_properties(self, n, workers, chunk_size, first):
+        indices = list(range(first, first + n))
+        chunks = CampaignExecutor(chunk_size=chunk_size).plan_chunks(
+            indices, workers
+        )
+        # Contiguous slices that cover the indices in order, none empty.
+        assert [i for chunk in chunks for i in chunk] == indices
+        assert all(chunks)
+        sizes = [len(chunk) for chunk in chunks]
+        if chunk_size is not None:
+            assert sizes[:-1] == [chunk_size] * (len(sizes) - 1)
+            assert not sizes or sizes[-1] <= chunk_size
+            return
+        if n >= workers:
+            per_worker, spare = divmod(len(chunks), workers)
+            assert spare == 0 and 1 <= per_worker <= CHUNKS_PER_WORKER
+            if n >= workers * CHUNKS_PER_WORKER * MIN_PARALLEL_STRIKES:
+                assert per_worker == CHUNKS_PER_WORKER  # large jobs keep theirs
+        else:
+            assert sizes == [1] * n  # one strike per chunk, on n workers
+        if n >= workers * MIN_PARALLEL_STRIKES:
+            assert min(sizes) >= MIN_PARALLEL_STRIKES
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
 
     def test_small_campaigns_fall_back_to_serial(self):
         executor = CampaignExecutor(workers=8)

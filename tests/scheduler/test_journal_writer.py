@@ -12,16 +12,19 @@ counts as a resume.
 """
 
 import multiprocessing
+import os
 import time
 
 import pytest
 
 import repro.beam.executor as executor_mod
 import repro.scheduler.scheduler as scheduler_mod
+import repro.store.journal as journal_mod
 from repro.beam.executor import CampaignExecutor, ExecutorTimeoutError, _run_chunk
 from repro.beam.logs import record_to_row
 from repro.observability import runtime as obs_runtime
 from repro.observability.metrics import MetricsRegistry
+from repro.sampling import SamplingPolicy
 from repro.scheduler import CampaignScheduler
 from repro.store import CampaignSpec, CampaignStore, execute_spec
 from tests.store.test_resume import ADAPTIVE_POLICY, SPEC
@@ -213,3 +216,39 @@ def test_reopened_adaptive_journal_counts_as_resumed(tmp_path):
     runs = metrics.get("repro_store_runs_total")
     assert runs.value(outcome="resumed") == 1
     assert runs.value(outcome="fresh") == 0
+
+
+#: Four rounds of 40 over a 400-strike DGEMM pool.
+ROUNDS_SPEC = CampaignSpec(
+    kernel="dgemm", device="k40", config={"n": 16}, seed=7, n_faulty=400
+)
+ROUNDS_POLICY = SamplingPolicy(target_ci=0.05, round_size=40)
+
+
+def test_an_adaptive_round_barrier_costs_one_fsync(tmp_path, monkeypatch):
+    fsyncs = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        fsyncs.append(fd)
+        return real_fsync(fd)
+
+    monkeypatch.setattr(journal_mod.os, "fsync", counting_fsync)
+    store = CampaignStore(tmp_path)
+    execute_spec(store, ROUNDS_SPEC, backend="serial", sampling=ROUNDS_POLICY)
+    rounds = len(store.load(ROUNDS_SPEC.run_id()).plans)
+    assert rounds == 4
+    # The header, the first plan row alone, then one commit per round:
+    # its sorted record lines with the next plan row behind them (the
+    # last round's lines alone), and the close record.
+    assert len(fsyncs) == 1 + 1 + rounds + 1
+
+
+def test_the_writer_counts_record_lines_not_plan_rows(tmp_path):
+    store = CampaignStore(tmp_path)
+    scheduler = CampaignScheduler(store, backend="serial")
+    run_id = scheduler.submit(ROUNDS_SPEC, sampling=ROUNDS_POLICY)
+    (outcome,) = scheduler.run()
+    run = store.load(run_id)
+    assert len(run.plans) == 4
+    assert outcome.durable == scheduler.durable(run_id) == len(run.row_texts)

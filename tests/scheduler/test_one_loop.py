@@ -299,3 +299,42 @@ def test_a_worker_starts_its_queued_chunk_while_the_parent_commits(
     # The parent's first commit takes 0.3 s; the worker whose chunk it
     # commits has already started the chunk queued behind that one.
     assert second_starts and min(second_starts) < committed[0]
+
+
+# -- chunks that pay for their dispatch --------------------------------------------
+
+
+def test_default_chunks_are_one_per_worker_for_a_round_and_eight_for_a_large_job(
+    tmp_path,
+):
+    starts = []  # strikes per chunk, as each chunk starts
+
+    def counting(kernel, device, seed, threshold_pct, indices):
+        starts.append(len(indices))
+        return _run_chunk(kernel, device, seed, threshold_pct, indices)
+
+    def scheduler(root):
+        return CampaignScheduler(
+            CampaignStore(root), workers=2, backend="thread",
+            chunk_runner=counting, timeout=POOL_TIMEOUT,
+        )
+
+    adaptive = scheduler(tmp_path / "adaptive")
+    adaptive.submit(
+        CampaignSpec(kernel="dgemm", device="k40", config={"n": 16}, seed=3,
+                     n_faulty=400),
+        sampling=SamplingPolicy(round_size=48, max_executions=96),
+    )
+    (outcome,) = adaptive.run()
+    assert outcome.result.aux["sampling"]["rounds"] == 2
+    # Each 48-strike round goes to the two workers as two chunks.
+    assert starts == [24] * 4
+
+    starts.clear()
+    fixed = scheduler(tmp_path / "fixed")
+    fixed.submit(CampaignSpec(
+        kernel="dgemm", device="k40", config={"n": 16}, seed=3, n_faulty=1000,
+    ))
+    (outcome,) = fixed.run()
+    assert outcome.status == "complete"
+    assert starts == [125] * 8
