@@ -238,10 +238,9 @@ def fastpath_rows(args) -> dict:
     with a smaller strike budget so the committed baseline stays
     minutes-long.  ``--quick`` shrinks every row to smoke size: smaller
     inputs, but DGEMM and HotSpot keep enough strikes (4000 and 800) that
-    their pooled rows spend most of their time in strikes rather than in
-    the pool's start and the golden export, so the pooled fast-path
-    speedup measures the fast path.  ``--fastpath-kernels`` selects a
-    subset.
+    their pooled rows are not mostly the pool's start and the golden
+    export, which 64 and 24 strikes were.  ``--fastpath-kernels``
+    selects a subset.
     """
     rows = {
         "dgemm": {
