@@ -57,9 +57,9 @@ from repro.kernels.base import Kernel, capture_cache_events
 from repro.kernels.sharedmem import SharedGoldenExport, adopt_shared_golden
 from repro.observability.trace import worker_id
 
-#: Below this many struck executions a pool costs more than it saves, and
-#: a chunk costs more to dispatch than it runs (:meth:`CampaignExecutor.
-#: plan_chunks` keeps chunks at least this large where it can).
+#: Below this many struck executions a pool costs more than it saves; a
+#: chunk's dispatch costs about as much as a few strikes, so
+#: :meth:`CampaignExecutor.plan_chunks` keeps chunks this large where it can.
 MIN_PARALLEL_STRIKES = 16
 
 #: Most chunks per worker a default plan makes: a job of at least
