@@ -113,9 +113,11 @@ class FleetCoordinator:
 
     Args:
         store: the campaign store every sealed run lands in.
-        workers: nominal chunk-planning width (``None`` = auto) — how
-            many chunks a round is split into, *not* a fleet size cap;
-            any number of agents may pull.
+        workers: nominal chunk-planning width (``None`` = auto): jobs
+            and rounds are cut into leases as for a pool of that many
+            workers (:meth:`~repro.beam.executor.CampaignExecutor.
+            plan_chunks`).  It is *not* a fleet size cap; any number of
+            agents may pull.
         chunk_size: executions per lease (``None`` = auto).
         lease_ttl: seconds a lease lives without a heartbeat.
         reuse: serve specs already complete in the store as cache hits.
